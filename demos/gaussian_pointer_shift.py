@@ -4,22 +4,21 @@
 A Gaussian pointer couples to sigma_z through its momentum. After
 post-selecting the amplification pair (weak value 2), the pointer's mean
 position moves by about g * 2 -- twice what any eigenvalue could produce.
-The exact joint evolution quantifies how fast the weak-limit picture
+The exact evolution quantifies how fast the weak-limit picture
 exp(-i g A_w P)|Phi> becomes accurate: the relative shift error and the
 chordal state distance both fall ~4x per halving of g.
 """
 
 import numpy as np
 
-from potentops import PrePostSelection, build_gaussian_pointer, momentum_operator, pointer_shift_sweep
+from potentops import PrePostSelection, build_gaussian_pointer, pointer_shift_sweep
 from potentops.pauli import AMPLIFICATION_PHI, AMPLIFICATION_PSI, SIGMA_Z
 
 sel = PrePostSelection(AMPLIFICATION_PSI, AMPLIFICATION_PHI)
 pointer = build_gaussian_pointer(grid_size=512, x_min=-12.0, x_max=12.0, sigma=1.0, x0=0.0)
-momentum = momentum_operator(pointer.grid)
 
 gs = [0.2, 0.1, 0.05, 0.025]
-reports = pointer_shift_sweep(SIGMA_Z, sel, gs, pointer, momentum)
+reports = pointer_shift_sweep(SIGMA_Z, sel, gs, pointer)
 
 print(f"weak value A_w = {reports[0].weak_val:.4f}; pointer sigma = {pointer.sigma}")
 print(f"\n{'g':>8s} {'shift':>12s} {'g*Re(A_w)':>12s} {'rel err':>10s} "
@@ -39,6 +38,6 @@ for i in range(len(gs) - 1):
 
 print("\nAn imaginary weak value moves the pointer's MOMENTUM instead:")
 complex_sel = PrePostSelection(AMPLIFICATION_PSI, np.array([1, 1j]) / np.sqrt(2))
-for r in pointer_shift_sweep(SIGMA_Z, complex_sel, [0.1, 0.05], pointer, momentum):
+for r in pointer_shift_sweep(SIGMA_Z, complex_sel, [0.1, 0.05], pointer):
     print(f"  g={r.g}: A_w={r.weak_val:.4f}, momentum shift={r.momentum_shift:.6f}, "
           f"predicted 2 g Im(A_w) Var_p = {r.predicted_momentum_shift:.6f}")

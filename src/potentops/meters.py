@@ -8,23 +8,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import pauli
 from .linalg import (
-    as_operator,
     as_state,
     fidelity,
-    general_exponential,
     hermitian_exponential,
-    hermitian_exponentials,
     hermitize,
     require_hermitian,
     tensor_product,
 )
-from .pps import PrePostSelection, joint_evolve_and_postselect, weak_value
+from .pps import PrePostSelection, weak_value
 
-# Dense joint evolution stays sub-second below this size.
-JOINT_DIM_CAP = 4096
+# Larger grids are refused before any array is built; at 2**16 points the
+# oracle's batched d x d exponentials already take seconds per coupling.
+GRID_SIZE_CAP = 2 ** 16
+
+# exp(x) overflows a double for x above this.
+LOG_DBL_MAX = float(np.log(np.finfo(float).max))
 
 GRID_NORM_TOL = 1e-10
 
@@ -66,6 +68,8 @@ class Grid:
 
     def __post_init__(self):
         n = self.grid_size
+        if n > GRID_SIZE_CAP:
+            raise ValueError(f"grid_size {n} exceeds the cap {GRID_SIZE_CAP}")
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"grid_size must be a power of two >= 2, got {n}")
         if not self.x_max > self.x_min:
@@ -137,6 +141,8 @@ def momentum_operator(grid: Grid) -> MomentumOperator:
 
     Plane waves on the momentum lattice are exact eigenvectors, so
     exp(-i c P) translates grid functions by exactly c (modulo the period).
+    The pointer engine never builds this O(N^2) matrix; it is the dense
+    route that tests and the verify suite check the FFT evolution against.
     """
     n = grid.grid_size
     j = np.arange(n)
@@ -180,7 +186,8 @@ class PointerShiftReport:
     predicted_momentum_shift: float  # 2 g Im(weak value) Var_p
     fidelity: float                  # against exp(-i g A_w P)|Phi>
     fidelity_gap: float
-    oracle_residual: float           # joint-exponential vs spectral-sum route
+    oracle_residual: float           # branch sum vs batched Pade exponentials
+    state: np.ndarray                # post-selected pointer, unnormalized, l2 units
 
     @property
     def shift_error(self) -> float:
@@ -192,59 +199,59 @@ class PointerShiftReport:
 
 
 def pointer_shift_sweep(A: np.ndarray, sel: PrePostSelection, gs,
-                        pointer: GaussianPointer,
-                        momentum: MomentumOperator | None = None,
-                        joint_dim_cap: int = JOINT_DIM_CAP) -> list[PointerShiftReport]:
-    """Run the exact joint evolution exp(-i g A (x) P) for each coupling in
-    ``gs``, post-select, and compare the pointer against the weak-value
-    predictions (position shift g*Re(A_w), momentum shift from Im(A_w), and
-    the effective-evolution state exp(-i g A_w P)|Phi>).
+                        pointer: GaussianPointer) -> list[PointerShiftReport]:
+    """Evolve |psi>|Phi> under exp(-i g A (x) P) for each coupling in ``gs``,
+    post-select, and compare the pointer against the weak-value predictions
+    (position shift g*Re(A_w), momentum shift from Im(A_w), and the
+    effective-evolution state exp(-i g A_w P)|Phi>).
 
-    The post-selected state is computed twice: from the joint matrix
-    exponential, and as the eigenbasis-of-A sum of translated packets. The
-    max-entry disagreement is each report's oracle_residual.
+    P is diagonal in momentum space, so the post-selected pointer at momentum
+    p_k is Phi~(p_k) <phi|exp(-i g p_k A)|psi>. That is computed twice: as the
+    branch sum over the eigenpairs of A, sum_n <phi|v_n><v_n|psi>
+    exp(-i g lam_n p_k) (the reported state), and from one batched Pade
+    exponential of the N generators -i g p_k A, which uses no
+    eigendecomposition. The max-entry disagreement of the two position-space
+    states is each report's oracle_residual.
+
+    The weak-limit state multiplies Phi~ by exp(-i g A_w p); a complex A_w
+    makes that grow like exp(g |Im A_w| |p|), and couplings where it would
+    overflow a double are refused.
     """
     A = require_hermitian(A, name="A")
     if A.shape[0] != sel.dim:
         raise ValueError(f"observable dim {A.shape[0]} != selection dim {sel.dim}")
     grid = pointer.grid
-    joint_dim = sel.dim * grid.grid_size
-    if joint_dim > joint_dim_cap:
-        raise ValueError(f"joint dimension {joint_dim} exceeds cap {joint_dim_cap}")
-    if momentum is None:
-        momentum = momentum_operator(grid)
-    p_mat = as_operator(momentum.matrix)
-
+    p = grid.momentum_lattice
     gs = [float(g) for g in np.atleast_1d(gs)]
+    a_w = weak_value(A, sel)
+    growth = max((abs(g) for g in gs), default=0.0) * abs(a_w.imag) * float(np.max(np.abs(p)))
+    if growth > LOG_DBL_MAX:
+        raise ValueError(
+            f"weak-limit state exp(-i g A_w P)|Phi> overflows: g*|Im A_w|*max|p| = "
+            f"{growth:.3e} exceeds ln(DBL_MAX) = {LOG_DBL_MAX:.1f}")
+
     psi = sel.psi / np.linalg.norm(sel.psi)
     phi = sel.phi / np.linalg.norm(sel.phi)
-    meter_state = pointer.unit_amplitudes
-    a_w = weak_value(A, sel)
+    meter_k = np.fft.fft(pointer.unit_amplitudes, norm="ortho")
     mean_p0, var_p0 = momentum_moments(pointer.amplitudes, grid)
-
-    # One eigendecomposition of the joint generator serves the whole sweep.
-    joint_h = tensor_product(A, p_mat)
-    joint_exps = hermitian_exponentials(joint_h, [-1j * g for g in gs])
-
-    # Spectral route: A = sum_n lam_n |v_n><v_n| turns the evolution into a
-    # sum of pointer translations weighted by <phi|v_n><v_n|psi>.
     lam, vecs = np.linalg.eigh(A)
     amps = (phi.conj() @ vecs) * (vecs.conj().T @ psi)
-    branch_exps = hermitian_exponentials(
-        p_mat, [-1j * g * l for g in gs for l in lam])
 
     reports = []
-    for i, g in enumerate(gs):
-        oracle_state, p_exact = joint_evolve_and_postselect(
-            joint_exps[i], psi, meter_state, phi, check_unitary=False)
-        spectral_state = sum(
-            amps[n] * (branch_exps[i * lam.size + n] @ meter_state)
-            for n in range(lam.size))
-        residual = float(np.max(np.abs(oracle_state - spectral_state)))
+    for g in gs:
+        state_k = meter_k * (np.exp(-1j * g * np.outer(p, lam)) @ amps)
+        evolutions = scipy.linalg.expm((-1j * g * p)[:, None, None] * A)
+        oracle_k = meter_k * np.einsum("s,kst,t->k", phi.conj(), evolutions, psi)
+        state = np.fft.ifft(state_k, norm="ortho")
+        residual = float(np.max(np.abs(state - np.fft.ifft(oracle_k, norm="ortho"))))
 
-        mean_x, _, mean_p = pointer_statistics(oracle_state, grid)
-        target = general_exponential(p_mat, -1j * g * a_w) @ meter_state
-        fid = fidelity(oracle_state, target) if p_exact > 0 else 0.0
+        p_exact = float(np.linalg.norm(state) ** 2)
+        mean_x, _, mean_p = pointer_statistics(state, grid)
+        # Fidelity is basis-independent, so the target stays in momentum
+        # space; scaling it to unit max entry keeps its norm finite.
+        target_k = meter_k * np.exp(-1j * g * a_w * p)
+        target_k = target_k / np.max(np.abs(target_k))
+        fid = fidelity(state_k, target_k) if p_exact > 0 else 0.0
         reports.append(PointerShiftReport(
             g=g,
             weak_val=a_w,
@@ -256,6 +263,7 @@ def pointer_shift_sweep(A: np.ndarray, sel: PrePostSelection, gs,
             fidelity=fid,
             fidelity_gap=1.0 - fid,
             oracle_residual=residual,
+            state=state,
         ))
     return reports
 
@@ -270,8 +278,6 @@ def momentum_moments(state: np.ndarray, grid: Grid):
 
 
 def pointer_shift_experiment(A: np.ndarray, sel: PrePostSelection, g: float,
-                             pointer: GaussianPointer,
-                             momentum: MomentumOperator | None = None,
-                             joint_dim_cap: int = JOINT_DIM_CAP) -> PointerShiftReport:
+                             pointer: GaussianPointer) -> PointerShiftReport:
     """Single-coupling version of :func:`pointer_shift_sweep`."""
-    return pointer_shift_sweep(A, sel, [g], pointer, momentum, joint_dim_cap)[0]
+    return pointer_shift_sweep(A, sel, [g], pointer)[0]

@@ -18,7 +18,6 @@ from .linalg import (
     as_operator,
     as_state,
     basis_state,
-    general_exponential,
     hermitian_exponential,
     inner_product,
     normalize,
@@ -54,8 +53,8 @@ class PrePostSelection:
 
     Neither state needs to be normalized: all selection-conditioned values are
     invariant under rescaling of psi or phi. Construction fails when the
-    overlap <phi|psi> is below eps_overlap, where amplified values stop being
-    numerically meaningful.
+    normalized overlap |<phi|psi>| / (|phi| |psi|) is at most eps_overlap,
+    where amplified values stop being numerically meaningful.
     """
 
     psi: np.ndarray
@@ -70,9 +69,11 @@ class PrePostSelection:
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "phi", phi)
         ov = inner_product(phi, psi)
-        if abs(ov) <= self.eps_overlap:
+        norms = float(np.linalg.norm(phi) * np.linalg.norm(psi))
+        if abs(ov) <= self.eps_overlap * norms:
+            cosine = abs(ov) / norms if norms > 0 else 0.0
             raise OrthogonalSelectionError(
-                f"|<phi|psi>| = {abs(ov):.3e} <= {self.eps_overlap:.1e}; "
+                f"|<phi|psi>|/(|phi||psi|) = {cosine:.3e} <= {self.eps_overlap:.1e}; "
                 "weak/modular/potent values need non-orthogonal selections"
             )
         object.__setattr__(self, "overlap", ov)
@@ -243,7 +244,8 @@ def weak_limit_potent_values(coupling: CouplingSpec, Phi: np.ndarray, basis: np.
     the weak value of P pre-selected on Phi and post-selected on |k>; basis
     vectors with |<k|Phi>| <= 1e-12 get the value 0 (P_w is undefined there).
     The approximate final state is exp(-i g A_w P)|Phi>, normalized; A_w is
-    complex in general so the generator is not anti-Hermitian.
+    complex in general so the generator is not anti-Hermitian, but P is
+    Hermitian, so its eigendecomposition exponentiates any complex scale.
     """
     Phi = _require_normalized(Phi, "Phi")
     basis = require_orthonormal_basis(basis)
@@ -254,7 +256,10 @@ def weak_limit_potent_values(coupling: CouplingSpec, Phi: np.ndarray, basis: np.
     significant = np.abs(meter_amps) > 1e-12
     p_w = p_amps[significant] / meter_amps[significant]
     values[significant] = meter_amps[significant] * np.exp(-1j * coupling.g * a_w * p_w)
-    state = general_exponential(coupling.P, -1j * coupling.g * a_w) @ Phi
+    state = hermitian_exponential(coupling.P, -1j * coupling.g * a_w) @ Phi
+    if not (np.isfinite(np.linalg.norm(state)) and np.all(np.isfinite(values))):
+        raise ValueError("weak-limit values overflow a double: g*|Im A_w| times the "
+                         "spectral extent of P is too large")
     return values, normalize(state)
 
 

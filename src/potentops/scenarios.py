@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -122,6 +123,18 @@ _INV_SQRT2 = 1 / np.sqrt(2)
 
 class ConfigError(ValueError):
     """Scenario configuration is malformed; the message names the key."""
+
+
+class _ConfigLoader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats such as 1e-3 and 1.0e6,
+    which PyYAML's YAML 1.1 resolver leaves as strings."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
 
 
 @dataclass(frozen=True)
@@ -404,7 +417,7 @@ def parse_config_mapping(doc) -> ScenarioConfig:
 def parse_config(text: str) -> ScenarioConfig:
     """Parse a YAML scenario document into a validated ScenarioConfig."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_ConfigLoader)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -675,7 +688,7 @@ def parse_sweep_document(text: str):
     dotted config keys to value lists, expanded as a Cartesian grid in
     declaration order."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}") from exc
     if not isinstance(doc, dict):

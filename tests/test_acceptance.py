@@ -22,7 +22,6 @@ from potentops import (
     build_gaussian_pointer,
     joint_evolve_and_postselect,
     modular_value,
-    momentum_operator,
     normalize,
     pointer_shift_sweep,
     potent_completeness_residual,
@@ -141,8 +140,7 @@ def test_criterion_5_weak_limit_convergence():
     start = time.perf_counter()
     sel = PrePostSelection(AMPLIFICATION_PSI, AMPLIFICATION_PHI)
     pointer = build_gaussian_pointer(512, -12.0, 12.0, 1.0, 0.0)
-    momentum = momentum_operator(pointer.grid)
-    reports = pointer_shift_sweep(SIGMA_Z, sel, [0.2, 0.1, 0.05, 0.025], pointer, momentum)
+    reports = pointer_shift_sweep(SIGMA_Z, sel, [0.2, 0.1, 0.05, 0.025], pointer)
     gaps = [r.fidelity_gap for r in reports[:3]]
     chordal = [np.sqrt(2 * gap) for gap in gaps]
     ratios = (chordal[0] / chordal[1], chordal[1] / chordal[2])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from potentops import (
     QubitMeter,
     build_gaussian_pointer,
     hermitian_exponential,
+    hermitian_exponentials,
     joint_evolve_and_postselect,
     modular_value,
     momentum_operator,
@@ -17,6 +20,7 @@ from potentops import (
     potent_values,
     weak_value,
 )
+from potentops.cli import EXIT_OK, EXIT_VALIDATION, main
 from potentops.linalg import hermiticity_defect
 from potentops.meters import momentum_moments
 from potentops.pauli import AMPLIFICATION_PHI, AMPLIFICATION_PSI, IDENTITY_2, SIGMA_Z
@@ -132,24 +136,23 @@ class TestMomentumOperator:
 
 
 class TestPointerShift:
-    def test_zero_coupling(self, pointer, momentum, amplification):
-        report = pointer_shift_experiment(SIGMA_Z, amplification, 0.0, pointer, momentum)
+    def test_zero_coupling(self, pointer, amplification):
+        report = pointer_shift_experiment(SIGMA_Z, amplification, 0.0, pointer)
         assert abs(report.mean_shift) <= 1e-9
         assert report.fidelity == pytest.approx(1.0, abs=1e-12)
         assert report.probability == pytest.approx(0.25, abs=1e-12)
 
-    def test_identity_observable_translates_exactly(self, pointer, momentum):
+    def test_identity_observable_translates_exactly(self, pointer):
         rng = np.random.default_rng(101)
         sel = PrePostSelection(*random_selection(2, rng))
         g = 0.3
-        report = pointer_shift_experiment(IDENTITY_2, sel, g, pointer, momentum)
+        report = pointer_shift_experiment(IDENTITY_2, sel, g, pointer)
         assert abs(report.weak_val - 1.0) <= 1e-12
         assert abs(report.mean_shift - g) <= 1e-8
         assert report.fidelity == pytest.approx(1.0, abs=1e-10)
 
-    def test_amplified_shift_and_convergence(self, pointer, momentum, amplification):
-        reports = pointer_shift_sweep(SIGMA_Z, amplification, [0.1, 0.05, 0.025],
-                                      pointer, momentum)
+    def test_amplified_shift_and_convergence(self, pointer, amplification):
+        reports = pointer_shift_sweep(SIGMA_Z, amplification, [0.1, 0.05, 0.025], pointer)
         # shift/(g Re A_w) -> 1 with an O(g^2) relative residual
         rel_errors = [abs(r.mean_shift / r.predicted_shift - 1.0) for r in reports]
         assert rel_errors[0] / rel_errors[1] == pytest.approx(4.0, abs=0.5)
@@ -173,16 +176,15 @@ class TestPointerShift:
         mean_x, _, _ = pointer_statistics(approx_state, pointer.grid)
         assert abs(mean_x - 2 * g) <= 1e-8
 
-    def test_imaginary_weak_value_moves_momentum(self, pointer, momentum):
+    def test_imaginary_weak_value_moves_momentum(self, pointer):
         sel = PrePostSelection(AMPLIFICATION_PSI, np.array([1, 1j]) / np.sqrt(2))
-        report = pointer_shift_experiment(SIGMA_Z, sel, 0.1, pointer, momentum)
+        report = pointer_shift_experiment(SIGMA_Z, sel, 0.1, pointer)
         assert abs(report.weak_val.imag) > 0.5
         assert report.predicted_momentum_shift != 0
         assert report.momentum_error <= 0.02 * abs(report.predicted_momentum_shift)
 
-    def test_fidelity_gap_quarters_in_chordal_distance(self, pointer, momentum, amplification):
-        reports = pointer_shift_sweep(SIGMA_Z, amplification, [0.2, 0.1, 0.05],
-                                      pointer, momentum)
+    def test_fidelity_gap_quarters_in_chordal_distance(self, pointer, amplification):
+        reports = pointer_shift_sweep(SIGMA_Z, amplification, [0.2, 0.1, 0.05], pointer)
         gaps = [r.fidelity_gap for r in reports]
         chordal = [np.sqrt(2 * gap) for gap in gaps]
         assert chordal[0] / chordal[1] == pytest.approx(4.0, abs=0.5)
@@ -193,10 +195,43 @@ class TestPointerShift:
         for gap, g in zip(gaps, (0.2, 0.1, 0.05)):
             assert gap == pytest.approx(9 * g ** 4 / 64, rel=0.05)
 
-    def test_dimension_cap(self, amplification):
+    def test_large_grid_runs(self, amplification):
         big = build_gaussian_pointer(4096, -12.0, 12.0, 1.0, 0.0)
-        with pytest.raises(ValueError, match="cap"):
-            pointer_shift_experiment(SIGMA_Z, amplification, 0.1, big)
+        reports = pointer_shift_sweep(SIGMA_Z, amplification, [0.1, 2.0], big)
+        for r in reports:
+            assert r.oracle_residual <= 1e-10
+        assert abs(reports[0].mean_shift - 0.2) <= 0.002
+
+    def test_grid_size_cap_refused_before_allocation(self, tmp_path, capsys):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                build_gaussian_pointer(2 ** 17, -12.0, 12.0, 1.0, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 17 * 16  # less than one complex grid vector
+        cfg = tmp_path / "big.yaml"
+        cfg.write_text("scenario: pointer-shift\ng: [0.1]\n"
+                       "meter: {kind: gaussian, grid_size: 131072}\n")
+        assert main(["pointer-shift", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert "cap" in capsys.readouterr().err
+
+    def test_cli_strong_coupling(self, tmp_path, capsys):
+        cfg = tmp_path / "strong.yaml"
+        cfg.write_text("scenario: pointer-shift\ng: [2.0]\n")
+        assert main(["pointer-shift", "--config", str(cfg)]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 2 and rows[1].startswith("pointer-shift,2.0,")
+
+    def test_weak_limit_overflow_refused(self, pointer):
+        # |Im A_w| = 20 * sqrt(3)/2 at g = 1 puts g |Im A_w| max|p| near 1160,
+        # beyond ln(DBL_MAX) ~ 709.8
+        sel = PrePostSelection(AMPLIFICATION_PSI, np.array([1, 1j]) / np.sqrt(2))
+        with pytest.raises(ValueError, match="overflows"):
+            pointer_shift_sweep(20 * SIGMA_Z, sel, [0.01, 1.0], pointer)
+        report = pointer_shift_experiment(20 * SIGMA_Z, sel, 0.01, pointer)
+        assert np.isfinite(report.fidelity) and report.oracle_residual <= 1e-10
 
     def test_matches_generic_oracle_path(self, pointer, momentum, amplification):
         # same physics through the pps-level functions on the same grid
@@ -206,10 +241,34 @@ class TestPointerShift:
         oracle, p = joint_evolve_and_postselect(
             joint, AMPLIFICATION_PSI, pointer.unit_amplitudes, AMPLIFICATION_PHI,
             check_unitary=False)
-        report = pointer_shift_experiment(SIGMA_Z, amplification, g, pointer, momentum)
+        report = pointer_shift_experiment(SIGMA_Z, amplification, g, pointer)
         mean_x, _, _ = pointer_statistics(oracle, pointer.grid)
         assert abs(report.mean_shift - (mean_x - pointer.x0)) <= 1e-10
         assert abs(report.probability - p) <= 1e-10
+
+
+@pytest.mark.parametrize("grid_size", [128, 256])
+@pytest.mark.parametrize("observable", ["sigma_z", "random3"])
+def test_engine_matches_dense_joint_oracle(grid_size, observable):
+    # the dense route: eigh of the (d N)^2 generator A (x) P, then projection
+    rng = np.random.default_rng(202)
+    if observable == "sigma_z":
+        A = SIGMA_Z
+        sel = PrePostSelection(AMPLIFICATION_PSI, AMPLIFICATION_PHI)
+    else:
+        A = random_hermitian(3, rng)
+        sel = PrePostSelection(*random_selection(3, rng))
+    pointer = build_gaussian_pointer(grid_size, -8.0, 8.0, 0.9, 0.3)
+    P = momentum_operator(pointer.grid).matrix
+    gs = [0.05, 0.5, 2.0]
+    joints = hermitian_exponentials(np.kron(A, P), [-1j * g for g in gs])
+    psi, phi = sel.psi / np.linalg.norm(sel.psi), sel.phi / np.linalg.norm(sel.phi)
+    for joint, report in zip(joints, pointer_shift_sweep(A, sel, gs, pointer)):
+        oracle, p = joint_evolve_and_postselect(
+            joint, psi, pointer.unit_amplitudes, phi, check_unitary=False)
+        assert abs(report.probability - p) <= 1e-10
+        assert np.max(np.abs(report.state - oracle)) <= 1e-10
+        assert report.oracle_residual <= 1e-10
 
 
 def test_momentum_moments_gaussian(pointer):

@@ -8,11 +8,13 @@ from potentops import (
     PrePostSelection,
     apparatus_controlled_unitary,
     apparatus_state_from_potent_values,
+    build_gaussian_pointer,
     fidelity,
     hermitian_exponential,
     joint_evolve_and_postselect,
     kraus_slices,
     modular_value,
+    momentum_operator,
     normalize,
     postselection_probability_weak,
     potent_completeness_residual,
@@ -67,6 +69,13 @@ class TestPrePostSelection:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dim"):
             PrePostSelection(np.array([1, 0, 0]), np.array([1, 0]))
+
+    def test_guard_is_scale_invariant(self, amplification):
+        tiny = PrePostSelection(1e-11 * AMPLIFICATION_PSI, AMPLIFICATION_PHI)
+        assert weak_value(SIGMA_Z, tiny) == pytest.approx(weak_value(SIGMA_Z, amplification),
+                                                          abs=1e-12)
+        with pytest.raises(OrthogonalSelectionError):
+            PrePostSelection(1e6 * np.array([1, 0]), np.array([1e-11, 1.0]))
 
 
 class TestWeakValue:
@@ -399,6 +408,28 @@ class TestWeakLimit:
         chordal = [np.sqrt(2 * gap) for gap in gaps]
         assert chordal[0] / chordal[1] == pytest.approx(4.0, abs=0.5)
         assert chordal[1] / chordal[2] == pytest.approx(4.0, abs=0.5)
+
+    def test_strong_coupling_state_matches_fft_translation(self, amplification):
+        # g |A_w| ||P||_1 = 242 here, above the Pade route's 1-norm cap
+        pointer = build_gaussian_pointer(256, -12.0, 12.0, 1.0, 0.0)
+        Phi = pointer.unit_amplitudes
+        g = 1.0
+        coupling = CouplingSpec(g=g, A=SIGMA_Z, P=momentum_operator(pointer.grid).matrix)
+        _, state = weak_limit_potent_values(coupling, Phi, np.eye(256, dtype=complex),
+                                            amplification)
+        a_w = weak_value(SIGMA_Z, amplification)
+        target = np.fft.ifft(np.exp(-1j * g * a_w * pointer.grid.momentum_lattice)
+                             * np.fft.fft(Phi))
+        target /= np.linalg.norm(target)
+        phase = np.vdot(target, state) / abs(np.vdot(target, state))
+        assert np.max(np.abs(state - phase * target)) <= 1e-10
+
+    def test_overflow_refused(self):
+        sel = PrePostSelection(AMPLIFICATION_PSI, np.array([1, 1j]) / np.sqrt(2))
+        coupling = CouplingSpec(g=1.0, A=SIGMA_Z, P=np.diag([1000.0, -1000.0, 0.0]))
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="overflow"):
+            weak_limit_potent_values(coupling, np.ones(3) / np.sqrt(3),
+                                     np.eye(3, dtype=complex), sel)
 
     def test_dark_basis_vectors_get_zero(self, amplification):
         Phi = np.array([1, 0, 0], dtype=complex)

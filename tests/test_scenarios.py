@@ -64,6 +64,13 @@ class TestParseConfig:
             cfg = parse_config("scenario: weak-value\npsi: [3, 4]")
         assert np.linalg.norm(cfg.params["psi"]) == pytest.approx(1.0)
 
+    def test_exponent_floats_without_dot_or_sign(self):
+        cfg = parse_config("scenario: weak-value\ng: [1e-3, 1.0e6, 2E+1]")
+        assert cfg.params["g"] == [1e-3, 1e6, 20.0]
+        base, sweep = parse_sweep_document(
+            "base: {scenario: modular-value, g: 1e-3}\nsweep: {g: [5e-2, 1.0e-1]}")
+        assert base["g"] == 1e-3 and sweep["g"] == [0.05, 0.1]
+
     def test_yaml_syntax_error_carries_line(self):
         with pytest.raises(ConfigError, match="line"):
             parse_config("scenario: weak-value\n  bad indent: [")
