@@ -65,8 +65,17 @@ def _read_config_text(path: str) -> str:
         return fh.read()
 
 
-def _residual_failures(rows, tolerance) -> list[dict]:
-    return [r for r in rows if r["residual"] > tolerance]
+def _residual_exit_code(rows, tolerance_override, tolerance) -> int:
+    """EXIT_RESIDUAL (with a stderr count) when any row's residual exceeds
+    the tolerance, or the override that replaces it; EXIT_OK otherwise."""
+    if tolerance_override is not None:
+        tolerance = tolerance_override
+    failures = sum(r["residual"] > tolerance for r in rows)
+    if failures:
+        print(f"potentops: {failures}/{len(rows)} rows exceed the residual "
+              f"tolerance {tolerance:g}", file=sys.stderr)
+        return EXIT_RESIDUAL
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -102,14 +111,7 @@ def _run_scenario_command(args) -> int:
     fmt = args.format or cfg.output_format or "csv"
     out = args.out or cfg.output_path
     emit_results(rows, fmt, out, COLUMNS[cfg.kind])
-    tolerance = args.tolerance_override if args.tolerance_override is not None \
-        else TOLERANCES[cfg.kind]
-    failures = _residual_failures(rows, tolerance)
-    if failures:
-        print(f"potentops: {len(failures)}/{len(rows)} rows exceed the residual "
-              f"tolerance {tolerance:g}", file=sys.stderr)
-        return EXIT_RESIDUAL
-    return EXIT_OK
+    return _residual_exit_code(rows, args.tolerance_override, TOLERANCES[cfg.kind])
 
 
 def _with_seed(cfg, seed: int):
@@ -125,14 +127,7 @@ def _run_sweep_command(args) -> int:
     rows, kind = run_sweep(base, sweep, seed=args.seed)
     columns = ("point", *COLUMNS[kind])
     emit_results(rows, args.format or "csv", args.out, columns)
-    tolerance = args.tolerance_override if args.tolerance_override is not None \
-        else TOLERANCES[kind]
-    failures = _residual_failures(rows, tolerance)
-    if failures:
-        print(f"potentops: {len(failures)}/{len(rows)} rows exceed the residual "
-              f"tolerance {tolerance:g}", file=sys.stderr)
-        return EXIT_RESIDUAL
-    return EXIT_OK
+    return _residual_exit_code(rows, args.tolerance_override, TOLERANCES[kind])
 
 
 def _run_verify(args) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -142,6 +141,8 @@ def general_exponential(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     Rejects arguments with 1-norm above EXP_NORM_CAP, where the rational
     approximation degrades.
     """
+    import scipy.linalg  # on first use, so importing the package stays cheap
+
     m = as_operator(m)
     scaled = scale * m
     norm = float(np.linalg.norm(scaled, 1))
@@ -197,6 +198,8 @@ def normalize(v: np.ndarray) -> np.ndarray:
     """
     v = as_state(v)
     n = np.linalg.norm(v)
+    if not np.isfinite(n):
+        raise ValueError(f"cannot normalize a vector of non-finite norm {n}")
     if n <= ZERO_NORM_TOL:
         raise ValueError("cannot normalize a (numerically) zero vector")
     u = v / n
@@ -211,6 +214,8 @@ def fidelity(u: np.ndarray, v: np.ndarray) -> float:
     """|<u|v>| after normalizing both states (global-phase invariant)."""
     u, v = as_state(u), as_state(v)
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if not (np.isfinite(nu) and np.isfinite(nv)):
+        raise ValueError(f"fidelity needs finite norms, got {nu} and {nv}")
     if nu <= ZERO_NORM_TOL or nv <= ZERO_NORM_TOL:
         raise ValueError("fidelity of a zero vector is undefined")
     return float(abs(np.vdot(u, v)) / (nu * nv))

@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import pauli
 from .linalg import (
@@ -217,6 +216,8 @@ def pointer_shift_sweep(A: np.ndarray, sel: PrePostSelection, gs,
     makes that grow like exp(g |Im A_w| |p|), and couplings where it would
     overflow a double are refused.
     """
+    import scipy.linalg  # only the batched Pade oracle needs it
+
     A = require_hermitian(A, name="A")
     if A.shape[0] != sel.dim:
         raise ValueError(f"observable dim {A.shape[0]} != selection dim {sel.dim}")

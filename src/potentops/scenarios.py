@@ -710,11 +710,19 @@ def run_sweep(base: dict, sweep: dict, seed: int | None = None):
     """Run the Cartesian product of sweep points over the base scenario.
 
     Returns (rows, kind): each row gains a leading 'point' index following the
-    declared sweep order.
+    declared sweep order. A sweep whose 'scenario' values name more than one
+    kind is refused before any point runs: its rows would not share columns
+    or a tolerance.
     """
     import copy
     import itertools
 
+    kinds = []
+    for value in sweep.get("scenario", []):
+        if value not in kinds:
+            kinds.append(value)
+    if len(kinds) > 1:
+        raise ConfigError(f"a sweep runs one scenario kind; 'scenario' lists {kinds}")
     keys = list(sweep)
     rows = []
     kind = None

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -94,6 +100,28 @@ class TestSweep:
     def test_sweep_requires_config(self, capsys):
         assert run_cli("sweep") == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("kinds", ["[weak-value, completeness]",
+                                       "[weak-value, modular-value]"])
+    def test_mixed_kinds_refused_without_output(self, capsys, tmp_path, kinds):
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(f"base:\n  scenario: weak-value\nsweep:\n  scenario: {kinds}\n")
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == EXIT_VALIDATION
+        assert "one scenario kind" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_forced_tolerance_failure_still_writes_rows(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text("base:\n  scenario: modular-value\n  g: [0.3]\n"
+                       "sweep:\n  g: [0.1, 0.2]\n")
+        out = tmp_path / "sweep.csv"
+        code = run_cli("sweep", "--config", str(cfg), "--out", str(out),
+                       "--tolerance-override", "-1")
+        assert code == EXIT_RESIDUAL
+        assert capsys.readouterr().err == \
+            "potentops: 2/2 rows exceed the residual tolerance -1\n"
+        assert len(out.read_text().splitlines()) == 3
+
 
 @pytest.mark.parametrize("kind", ["weak-value", "modular-value", "potent-values",
                                   "potent-operator", "completeness", "conditional",
@@ -103,3 +131,33 @@ def test_preset_determinism_cheap_kinds(kind, tmp_path):
     assert run_cli(kind, "--seed", "7", "--out", str(a)) == EXIT_OK
     assert run_cli(kind, "--seed", "7", "--out", str(b)) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+# Runs in a fresh interpreter: every kind below must leave scipy unimported,
+# and the first kind with a Pade cross-check route must import it.
+_IMPORT_GUARD = """
+import json, sys
+from potentops.cli import main
+out = sys.argv[1]
+codes = {kind: main([kind, "--out", f"{out}/{kind}.csv"]) for kind in (
+    "weak-value", "modular-value", "potent-values", "potent-operator",
+    "completeness", "time-machine")}
+codes["sweep"] = main(["sweep", "--config", f"{out}/sweep.yaml", "--out", f"{out}/sweep.csv"])
+before = "scipy" in sys.modules
+codes["conditional"] = main(["conditional", "--out", f"{out}/conditional.csv"])
+print(json.dumps({"codes": codes, "before": before, "after": "scipy" in sys.modules}))
+"""
+
+
+def test_cheap_kinds_never_import_scipy(tmp_path):
+    (tmp_path / "sweep.yaml").write_text(
+        "base:\n  scenario: modular-value\nsweep:\n  g: [0.1, 0.2]\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == dict.fromkeys(result["codes"], EXIT_OK)
+    assert not result["before"], "a kind without a Pade route imported scipy"
+    assert result["after"], "conditional ran without its Pade cross-check"

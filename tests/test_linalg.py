@@ -233,6 +233,13 @@ class TestNormalize:
         v = normalize(np.array([1e-16 + 0j, 0.0, -1.0]))
         assert v[2].real > 0
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("v", [[np.inf, np.inf], [1.0, np.nan], [np.inf, 0.0],
+                                   [1e308, 1e308]])
+    def test_rejects_non_finite_norm(self, v):
+        with pytest.raises(ValueError, match="non-finite norm"):
+            normalize(v)
+
 
 class TestBasisHelpers:
     def test_orthonormality_defect(self):
@@ -249,3 +256,11 @@ class TestBasisHelpers:
         rng = np.random.default_rng(12)
         v = complex_gaussian(rng, 5)
         assert fidelity(v, np.exp(1.3j) * v) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [[np.inf, 1.0], [np.nan, 1.0]])
+    def test_fidelity_rejects_non_finite_norm(self, bad):
+        good = np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match="finite norms"):
+            fidelity(bad, good)
+        with pytest.raises(ValueError, match="finite norms"):
+            fidelity(good, bad)

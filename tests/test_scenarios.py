@@ -241,6 +241,24 @@ sweep:
         with pytest.raises(ConfigError, match="sweep"):
             parse_sweep_document("base: {scenario: weak-value}\nsweep: {}")
 
+    @pytest.mark.parametrize("kinds", [["weak-value", "completeness"],
+                                       ["weak-value", "modular-value"]])
+    def test_rejects_mixed_kinds_before_running(self, kinds, monkeypatch):
+        import potentops.scenarios as scenarios
+
+        def must_not_run(cfg):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(scenarios, "run_scenario", must_not_run)
+        with pytest.raises(ConfigError, match="one scenario kind") as info:
+            run_sweep({"scenario": "weak-value"}, {"g": [0.1], "scenario": kinds})
+        assert all(kind in str(info.value) for kind in kinds)
+
+    def test_single_kind_in_scenario_key_runs(self):
+        rows, kind = run_sweep({"scenario": "weak-value", "g": [0.1]},
+                               {"scenario": ["modular-value", "modular-value"]})
+        assert kind == "modular-value" and [row["point"] for row in rows] == [0, 1]
+
 
 class TestVerificationSuite:
     def test_all_checks_pass(self):
