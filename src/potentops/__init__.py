@@ -24,7 +24,6 @@ from .meters import (
     QubitMeter,
     build_gaussian_pointer,
     momentum_operator,
-    pointer_shift_experiment,
     pointer_shift_sweep,
     pointer_statistics,
 )

@@ -20,8 +20,9 @@ from .linalg import (
 )
 from .pps import PrePostSelection, weak_value
 
-# Larger grids are refused before any array is built; at 2**16 points the
-# oracle's batched d x d exponentials already take seconds per coupling.
+# Larger grids are refused before any array is built; the oracle raises one
+# lattice-step exponential to every power up to N/2, and its rounding grows
+# with the power (about 1e-11 at 2**16 points and g = 2).
 GRID_SIZE_CAP = 2 ** 16
 
 # exp(x) overflows a double for x above this.
@@ -160,16 +161,36 @@ def pointer_statistics(state: np.ndarray, grid: Grid):
     state = as_state(state)
     if state.size != grid.grid_size:
         raise ValueError(f"state dim {state.size} != grid size {grid.grid_size}")
+    mean_x, var_x = _position_moments(state, grid)
+    mean_p, _ = _spectral_moments(np.fft.fft(state), grid.momentum_lattice)
+    return mean_x, var_x, mean_p
+
+
+def momentum_moments(state: np.ndarray, grid: Grid):
+    """(mean, variance) of momentum, from the Fourier spectrum."""
+    return _spectral_moments(np.fft.fft(as_state(state)), grid.momentum_lattice)
+
+
+def _position_moments(state: np.ndarray, grid: Grid):
     weights = np.abs(state) ** 2
     total = weights.sum()
     if total <= 0:
         raise ValueError("state has zero norm")
     weights = weights / total
     mean_x = float(np.dot(grid.x, weights))
-    var_x = float(np.dot((grid.x - mean_x) ** 2, weights))
-    spectrum = np.abs(np.fft.fft(state)) ** 2
-    mean_p = float(np.dot(grid.momentum_lattice, spectrum) / spectrum.sum())
-    return mean_x, var_x, mean_p
+    return mean_x, float(np.dot((grid.x - mean_x) ** 2, weights))
+
+
+def _spectral_moments(state_k: np.ndarray, p: np.ndarray):
+    """(mean, variance) of momentum from amplitudes on the momentum lattice p,
+    in any normalization."""
+    spectrum = np.abs(state_k) ** 2
+    total = spectrum.sum()
+    if total <= 0:
+        raise ValueError("state has zero norm")
+    spectrum = spectrum / total
+    mean_p = float(np.dot(p, spectrum))
+    return mean_p, float(np.dot((p - mean_p) ** 2, spectrum))
 
 
 @dataclass(frozen=True)
@@ -185,7 +206,7 @@ class PointerShiftReport:
     predicted_momentum_shift: float  # 2 g Im(weak value) Var_p
     fidelity: float                  # against exp(-i g A_w P)|Phi>
     fidelity_gap: float
-    oracle_residual: float           # branch sum vs batched Pade exponentials
+    oracle_residual: float           # branch sum vs powers of the lattice-step exponential
     state: np.ndarray                # post-selected pointer, unnormalized, l2 units
 
     @property
@@ -207,17 +228,15 @@ def pointer_shift_sweep(A: np.ndarray, sel: PrePostSelection, gs,
     P is diagonal in momentum space, so the post-selected pointer at momentum
     p_k is Phi~(p_k) <phi|exp(-i g p_k A)|psi>. That is computed twice: as the
     branch sum over the eigenpairs of A, sum_n <phi|v_n><v_n|psi>
-    exp(-i g lam_n p_k) (the reported state), and from one batched Pade
-    exponential of the N generators -i g p_k A, which uses no
-    eigendecomposition. The max-entry disagreement of the two position-space
-    states is each report's oracle_residual.
+    exp(-i g lam_n p_k) (the reported state), and by :func:`_lattice_elements`
+    from two Pade exponentials of one lattice step, raised to integer powers,
+    which uses no eigendecomposition. The max-entry disagreement of the two
+    position-space states is each report's oracle_residual.
 
     The weak-limit state multiplies Phi~ by exp(-i g A_w p); a complex A_w
     makes that grow like exp(g |Im A_w| |p|), and couplings where it would
     overflow a double are refused.
     """
-    import scipy.linalg  # only the batched Pade oracle needs it
-
     A = require_hermitian(A, name="A")
     if A.shape[0] != sel.dim:
         raise ValueError(f"observable dim {A.shape[0]} != selection dim {sel.dim}")
@@ -241,13 +260,13 @@ def pointer_shift_sweep(A: np.ndarray, sel: PrePostSelection, gs,
     reports = []
     for g in gs:
         state_k = meter_k * (np.exp(-1j * g * np.outer(p, lam)) @ amps)
-        evolutions = scipy.linalg.expm((-1j * g * p)[:, None, None] * A)
-        oracle_k = meter_k * np.einsum("s,kst,t->k", phi.conj(), evolutions, psi)
+        oracle_k = meter_k * _lattice_elements(A, g, grid, phi, psi)
         state = np.fft.ifft(state_k, norm="ortho")
-        residual = float(np.max(np.abs(state - np.fft.ifft(oracle_k, norm="ortho"))))
+        residual = float(np.max(np.abs(np.fft.ifft(state_k - oracle_k, norm="ortho"))))
 
         p_exact = float(np.linalg.norm(state) ** 2)
-        mean_x, _, mean_p = pointer_statistics(state, grid)
+        mean_x, _ = _position_moments(state, grid)
+        mean_p, _ = _spectral_moments(state_k, p)
         # Fidelity is basis-independent, so the target stays in momentum
         # space; scaling it to unit max entry keeps its norm finite.
         target_k = meter_k * np.exp(-1j * g * a_w * p)
@@ -269,16 +288,34 @@ def pointer_shift_sweep(A: np.ndarray, sel: PrePostSelection, gs,
     return reports
 
 
-def momentum_moments(state: np.ndarray, grid: Grid):
-    """(mean, variance) of momentum, from the Fourier spectrum."""
-    spectrum = np.abs(np.fft.fft(as_state(state))) ** 2
-    spectrum = spectrum / spectrum.sum()
-    p = grid.momentum_lattice
-    mean_p = float(np.dot(p, spectrum))
-    return mean_p, float(np.dot((p - mean_p) ** 2, spectrum))
+def _lattice_elements(A: np.ndarray, g: float, grid: Grid, phi: np.ndarray,
+                      psi: np.ndarray) -> np.ndarray:
+    """<phi|exp(-i g p_m A)|psi> on the momentum lattice, in FFT ordering.
+
+    The lattice is p_m = m dp with dp = 2 pi / length and m in [-N/2, N/2), so
+    exp(-i g p_m A) = E^m with E = exp(-i g dp A). E and its inverse direction
+    exp(+i g dp A) are two separate Pade exponentials (neither is assumed
+    unitary), and the rows <phi|E^m are built by binary doubling.
+    """
+    import scipy.linalg  # only this Pade oracle needs it
+
+    half = grid.grid_size // 2
+    step = 2 * np.pi / grid.length * g * A
+    forward = _power_rows(scipy.linalg.expm(-1j * step), phi.conj(), half)
+    backward = _power_rows(scipy.linalg.expm(1j * step), phi.conj(), half + 1)
+    # m = 0 .. N/2 - 1, then m = -N/2 .. -1
+    return np.einsum("kt,t->k", np.concatenate([forward, backward[:0:-1]]), psi)
 
 
-def pointer_shift_experiment(A: np.ndarray, sel: PrePostSelection, g: float,
-                             pointer: GaussianPointer) -> PointerShiftReport:
-    """Single-coupling version of :func:`pointer_shift_sweep`."""
-    return pointer_shift_sweep(A, sel, [g], pointer)[0]
+def _power_rows(E: np.ndarray, row: np.ndarray, count: int) -> np.ndarray:
+    """The (count, d) stack of row vectors row E^m for m = 0 .. count - 1.
+
+    Each round multiplies the rows already built by E^len(rows), appends the
+    products, and squares E^len(rows). The products on the (n, d) stack go
+    through einsum, which keeps them out of the threaded BLAS.
+    """
+    rows = row[None, :]
+    while len(rows) < count:
+        rows = np.concatenate([rows, np.einsum("ks,st->kt", rows[:count - len(rows)], E)])
+        E = E @ E
+    return rows

@@ -216,6 +216,9 @@ def _parse_matrix(value, key: str, hermitian: bool = True) -> np.ndarray:
         return OBSERVABLES[value].copy()
     if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
         raise ConfigError(f"'{key}' must be an observable preset name or a matrix literal")
+    width = len(value[0])
+    if any(len(r) != width for r in value):
+        raise ConfigError(f"'{key}' rows must all have length {width}")
     rows = [[_parse_complex(v, key) for v in r] for r in value]
     m = np.array(rows)
     if m.shape[0] != m.shape[1]:

@@ -34,6 +34,12 @@ class TestExitCodes:
         assert run_cli("weak-value", "--config", str(cfg)) == EXIT_VALIDATION
         assert "psi" in capsys.readouterr().err
 
+    def test_ragged_matrix_literal_names_the_key(self, capsys, tmp_path):
+        cfg = tmp_path / "ragged.yaml"
+        cfg.write_text("scenario: weak-value\nobservable: [[1, 0], [0]]\n")
+        assert run_cli("weak-value", "--config", str(cfg)) == EXIT_VALIDATION
+        assert "'observable' rows must all have length 2" in capsys.readouterr().err
+
     def test_kind_subcommand_mismatch(self, capsys, tmp_path):
         cfg = tmp_path / "tm.yaml"
         cfg.write_text("scenario: time-machine\n")

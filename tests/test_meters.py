@@ -1,7 +1,9 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from potentops import (
     Grid,
@@ -14,15 +16,14 @@ from potentops import (
     modular_value,
     momentum_operator,
     normalize,
-    pointer_shift_experiment,
     pointer_shift_sweep,
     pointer_statistics,
     potent_values,
     weak_value,
 )
-from potentops.cli import EXIT_OK, EXIT_VALIDATION, main
+from potentops.cli import EXIT_OK, EXIT_RESIDUAL, EXIT_VALIDATION, main
 from potentops.linalg import hermiticity_defect
-from potentops.meters import momentum_moments
+from potentops.meters import GRID_SIZE_CAP, _lattice_elements, momentum_moments
 from potentops.pauli import AMPLIFICATION_PHI, AMPLIFICATION_PSI, IDENTITY_2, SIGMA_Z
 from potentops.sampling import random_hermitian, random_selection, random_state
 
@@ -137,7 +138,7 @@ class TestMomentumOperator:
 
 class TestPointerShift:
     def test_zero_coupling(self, pointer, amplification):
-        report = pointer_shift_experiment(SIGMA_Z, amplification, 0.0, pointer)
+        report = pointer_shift_sweep(SIGMA_Z, amplification, [0.0], pointer)[0]
         assert abs(report.mean_shift) <= 1e-9
         assert report.fidelity == pytest.approx(1.0, abs=1e-12)
         assert report.probability == pytest.approx(0.25, abs=1e-12)
@@ -146,7 +147,7 @@ class TestPointerShift:
         rng = np.random.default_rng(101)
         sel = PrePostSelection(*random_selection(2, rng))
         g = 0.3
-        report = pointer_shift_experiment(IDENTITY_2, sel, g, pointer)
+        report = pointer_shift_sweep(IDENTITY_2, sel, [g], pointer)[0]
         assert abs(report.weak_val - 1.0) <= 1e-12
         assert abs(report.mean_shift - g) <= 1e-8
         assert report.fidelity == pytest.approx(1.0, abs=1e-10)
@@ -178,7 +179,7 @@ class TestPointerShift:
 
     def test_imaginary_weak_value_moves_momentum(self, pointer):
         sel = PrePostSelection(AMPLIFICATION_PSI, np.array([1, 1j]) / np.sqrt(2))
-        report = pointer_shift_experiment(SIGMA_Z, sel, 0.1, pointer)
+        report = pointer_shift_sweep(SIGMA_Z, sel, [0.1], pointer)[0]
         assert abs(report.weak_val.imag) > 0.5
         assert report.predicted_momentum_shift != 0
         assert report.momentum_error <= 0.02 * abs(report.predicted_momentum_shift)
@@ -195,12 +196,18 @@ class TestPointerShift:
         for gap, g in zip(gaps, (0.2, 0.1, 0.05)):
             assert gap == pytest.approx(9 * g ** 4 / 64, rel=0.05)
 
-    def test_large_grid_runs(self, amplification):
+    def test_large_grid_runs(self, amplification, tmp_path, capsys):
         big = build_gaussian_pointer(4096, -12.0, 12.0, 1.0, 0.0)
         reports = pointer_shift_sweep(SIGMA_Z, amplification, [0.1, 2.0], big)
         for r in reports:
             assert r.oracle_residual <= 1e-10
         assert abs(reports[0].mean_shift - 0.2) <= 0.002
+        cfg = tmp_path / "cap.yaml"
+        cfg.write_text("scenario: pointer-shift\ng: [2.0]\n"
+                       f"meter: {{kind: gaussian, grid_size: {GRID_SIZE_CAP}}}\n")
+        assert main(["pointer-shift", "--config", str(cfg)]) == EXIT_OK
+        header, row = capsys.readouterr().out.splitlines()
+        assert float(dict(zip(header.split(","), row.split(",")))["residual"]) <= 1e-10
 
     def test_grid_size_cap_refused_before_allocation(self, tmp_path, capsys):
         tracemalloc.start()
@@ -230,7 +237,7 @@ class TestPointerShift:
         sel = PrePostSelection(AMPLIFICATION_PSI, np.array([1, 1j]) / np.sqrt(2))
         with pytest.raises(ValueError, match="overflows"):
             pointer_shift_sweep(20 * SIGMA_Z, sel, [0.01, 1.0], pointer)
-        report = pointer_shift_experiment(20 * SIGMA_Z, sel, 0.01, pointer)
+        report = pointer_shift_sweep(20 * SIGMA_Z, sel, [0.01], pointer)[0]
         assert np.isfinite(report.fidelity) and report.oracle_residual <= 1e-10
 
     def test_matches_generic_oracle_path(self, pointer, momentum, amplification):
@@ -241,7 +248,7 @@ class TestPointerShift:
         oracle, p = joint_evolve_and_postselect(
             joint, AMPLIFICATION_PSI, pointer.unit_amplitudes, AMPLIFICATION_PHI,
             check_unitary=False)
-        report = pointer_shift_experiment(SIGMA_Z, amplification, g, pointer)
+        report = pointer_shift_sweep(SIGMA_Z, amplification, [g], pointer)[0]
         mean_x, _, _ = pointer_statistics(oracle, pointer.grid)
         assert abs(report.mean_shift - (mean_x - pointer.x0)) <= 1e-10
         assert abs(report.probability - p) <= 1e-10
@@ -271,7 +278,65 @@ def test_engine_matches_dense_joint_oracle(grid_size, observable):
         assert report.oracle_residual <= 1e-10
 
 
+@pytest.mark.parametrize("observable", ["sigma_z", "random3"])
+@pytest.mark.parametrize("g", [0.05, 2.0])
+def test_lattice_elements_at_grid_cap(observable, g):
+    # powers of one lattice-step exponential against one Pade exponential per
+    # lattice point, on a strided subset that includes m = N/2 - 1 and m = -1
+    rng = np.random.default_rng(303)
+    if observable == "sigma_z":
+        A, (psi, phi) = SIGMA_Z, (AMPLIFICATION_PSI, AMPLIFICATION_PHI)
+    else:
+        A, (psi, phi) = random_hermitian(3, rng), random_selection(3, rng)
+    grid = Grid(GRID_SIZE_CAP, -12.0, 12.0)
+    elements = _lattice_elements(A, g, grid, phi, psi)
+    assert elements.shape == (GRID_SIZE_CAP,)
+    idx = np.r_[np.arange(0, GRID_SIZE_CAP, 64), GRID_SIZE_CAP // 2 - 1, GRID_SIZE_CAP - 1]
+    p = grid.momentum_lattice[idx]
+    reference = np.einsum("s,kst,t->k", phi.conj(),
+                          scipy.linalg.expm((-1j * g * p)[:, None, None] * A), psi)
+    assert np.max(np.abs(elements[idx] - reference)) <= 1e-10
+
+
+def test_oracle_shares_nothing_with_branch_sum(monkeypatch, tmp_path, capsys):
+    # corrupt only the branch-sum route: eigh hands back the conjugated
+    # eigenvectors, which are not eigenvectors of a complex A
+    rng = np.random.default_rng(404)
+    A = random_hermitian(3, rng)
+    psi, phi = random_selection(3, rng)
+    sel = PrePostSelection(psi, phi)
+    pointer = build_gaussian_pointer(256, -8.0, 8.0, 0.9, 0.3)
+    assert np.max(np.abs(A.imag)) > 0.1
+    assert pointer_shift_sweep(A, sel, [0.5], pointer)[0].oracle_residual <= 1e-10
+
+    eigh = np.linalg.eigh
+
+    def conjugated_eigh(a):
+        lam, vecs = eigh(a)
+        return lam, vecs.conj()
+
+    monkeypatch.setattr(np.linalg, "eigh", conjugated_eigh)
+    assert pointer_shift_sweep(A, sel, [0.5], pointer)[0].oracle_residual > 1e-10
+
+    def pairs(values):
+        return [[float(z.real), float(z.imag)] for z in values]
+
+    cfg = tmp_path / "corrupted.yaml"
+    cfg.write_text(json.dumps({
+        "scenario": "pointer-shift", "g": [0.5],
+        "observable": [pairs(row) for row in A], "psi": pairs(psi), "phi": pairs(phi),
+        "meter": {"kind": "gaussian", "grid_size": 256, "x_min": -8.0, "x_max": 8.0,
+                  "sigma": 0.9, "x0": 0.3}}))
+    assert main(["pointer-shift", "--config", str(cfg)]) == EXIT_RESIDUAL
+    assert "exceed" in capsys.readouterr().err
+
+
 def test_momentum_moments_gaussian(pointer):
     mean_p, var_p = momentum_moments(pointer.amplitudes, pointer.grid)
     assert abs(mean_p) <= 1e-10
     assert var_p == pytest.approx(1 / (4 * pointer.sigma ** 2), rel=0.01)
+
+
+def test_momentum_moments_refuse_zero_state(pointer):
+    with pytest.raises(ValueError, match="zero norm"):
+        momentum_moments(np.zeros(pointer.grid.grid_size), pointer.grid)

@@ -85,6 +85,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="Hermitian"):
             parse_config("scenario: weak-value\nobservable: [[0, 1], [0, 0]]")
 
+    @pytest.mark.parametrize("literal, width", [("[[1, 0], [0]]", 2),
+                                                ("[[1], [0, 1]]", 1),
+                                                ("[[1, 0, 0], [0, 1, 0], [0, 0]]", 3)])
+    def test_ragged_matrix_literal_named(self, literal, width):
+        with pytest.raises(ConfigError, match=f"^'observable' rows must all have length {width}$"):
+            parse_config(f"scenario: weak-value\nobservable: {literal}")
+
     def test_modular_needs_nonzero_beta(self):
         with pytest.raises(ConfigError, match="beta"):
             parse_config("scenario: modular-value\nmeter: {kind: qubit, alpha: 1, beta: 0}")
