@@ -75,7 +75,7 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "operator") -> np.ndarray:
     m = as_operator(m)
     defect = hermiticity_defect(m)
-    if defect > tol:
+    if not defect <= tol:  # NaN compares False both ways: refuse it too
         raise ValueError(f"{name} is not Hermitian (max |M - M^dag| = {defect:.3e} > {tol:.1e})")
     return m
 
@@ -93,7 +93,7 @@ def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
 def require_unitary(m: np.ndarray, tol: float = UNITARY_TOL, name: str = "operator") -> np.ndarray:
     m = as_operator(m)
     defect = unitarity_defect(m)
-    if defect > tol:
+    if not defect <= tol:
         raise ValueError(f"{name} is not unitary (max |U^dag U - I| = {defect:.3e} > {tol:.1e})")
     return m
 

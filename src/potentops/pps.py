@@ -121,7 +121,6 @@ class PotentOperator:
 
     matrix: np.ndarray
     selection: PrePostSelection
-    joint_unitary_tag: str = ""
 
     def apply(self, Phi: np.ndarray) -> np.ndarray:
         return self.matrix @ as_state(Phi)
@@ -263,15 +262,13 @@ def weak_limit_potent_values(coupling: CouplingSpec, Phi: np.ndarray, basis: np.
     return values, normalize(state)
 
 
-def potent_operator(U: np.ndarray, sel: PrePostSelection, tag: str = "") -> PotentOperator:
+def potent_operator(U: np.ndarray, sel: PrePostSelection) -> PotentOperator:
     """<phi|U|psi> / <phi|psi> as an operator on the apparatus factor."""
     U = as_operator(U)
     if U.shape[0] % sel.dim != 0:
         raise ValueError(f"joint dim {U.shape[0]} not divisible by system dim {sel.dim}")
     matrix = partial_matrix_element(U, sel.phi, sel.psi, "system") / sel.overlap
-    if not tag:
-        tag = f"joint unitary on {sel.dim}x{U.shape[0] // sel.dim}"
-    return PotentOperator(matrix=matrix, selection=sel, joint_unitary_tag=tag)
+    return PotentOperator(matrix=matrix, selection=sel)
 
 
 def potent_completeness_residual(U: np.ndarray, phi: np.ndarray, basis: np.ndarray) -> float:
@@ -336,8 +333,7 @@ def potent_operator_system_controlled(projectors, unitaries, sel: PrePostSelecti
     if abs(total - 1.0) > WEAK_SUM_TOL:
         raise ValueError(f"projector weak values sum to {total}, not 1")
     matrix = sum(w * u for w, u in zip(weak_vals, unis))
-    op = PotentOperator(matrix=matrix, selection=sel,
-                        joint_unitary_tag=f"system-controlled, {len(projs)} blocks")
+    op = PotentOperator(matrix=matrix, selection=sel)
     return op, weak_vals
 
 
@@ -359,8 +355,7 @@ def potent_operator_apparatus_controlled(generators, projectors, lam: float,
         raise ValueError(f"{len(projs)} projectors but {len(gens)} generators")
     modular_vals = [modular_value(a, lam, sel) for a in gens]
     matrix = sum(m * p for m, p in zip(modular_vals, projs))
-    op = PotentOperator(matrix=matrix, selection=sel,
-                        joint_unitary_tag=f"apparatus-controlled, {len(projs)} blocks")
+    op = PotentOperator(matrix=matrix, selection=sel)
     return op, modular_vals
 
 

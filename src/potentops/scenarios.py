@@ -185,7 +185,7 @@ def _parse_number(value, key: str) -> float:
 
 def _parse_complex(value, key: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_parse_number(value, key))
     if isinstance(value, list) and len(value) == 2:
         return complex(_parse_number(value[0], key), _parse_number(value[1], key))
     raise ConfigError(f"'{key}' must be a number or an [re, im] pair, got {value!r}")

@@ -10,6 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
+    HERMITIAN_TOL,
     as_operator,
     as_state,
     basis_state,
@@ -21,6 +22,9 @@ from .pps import PotentOperator, PrePostSelection, potent_operator
 
 COEFF_SUM_TOL = 1e-12
 EMPTY_STATE_TOL = 1e-14
+# Complex entries one stacked eigendecomposition of the fit scan may hold
+# (16 MiB); a longer scan is split into chunks of this size.
+SCAN_STACK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -119,8 +123,11 @@ def superposed_evolution(family: EvolutionFamily, spec: SuperpositionSpec, Phi: 
     Phi = as_state(Phi)
     if abs(np.linalg.norm(Phi) - 1.0) > 1e-10:
         raise ValueError("Phi must be normalized")
-    state = sum(c * (u @ Phi)
-                for c, u in zip(spec.coefficients, family.branch_unitaries()))
+    unitaries = family.branch_unitaries()
+    for a, u in zip(family.parameters, unitaries):
+        if u.shape[1] != Phi.size:
+            raise ValueError(f"H({a}) has shape {u.shape}, Phi has shape {Phi.shape}")
+    state = sum(c * (u @ Phi) for c, u in zip(spec.coefficients, unitaries))
     return state, float(np.linalg.norm(state))
 
 
@@ -156,7 +163,7 @@ def potent_time_superposition(family: EvolutionFamily, spec: SuperpositionSpec) 
         raise ValueError(f"{len(family.parameters)} parameters but {len(spec)} coefficients")
     joint = control_register_unitary(family.branch_unitaries())
     sel = _superposition_selection(spec)
-    return potent_operator(joint, sel, tag=f"time superposition, {len(spec)} branches")
+    return potent_operator(joint, sel)
 
 
 def effective_parameter_fit(family: EvolutionFamily, spec: SuperpositionSpec,
@@ -169,6 +176,14 @@ def effective_parameter_fit(family: EvolutionFamily, spec: SuperpositionSpec,
     meters), the refinement switches to the real part of the overlap, which
     picks the a' whose phase matches; the reported fidelity is still the
     phase-invariant magnitude. No claim that the fidelity is near 1 in general.
+
+    The scan and every refinement step evaluate the overlap by one route,
+    :func:`_target_overlaps`: the scan stacks all 1000 generators H(a) and
+    diagonalizes them in one batched ``eigh``, the refinement passes one
+    parameter at a time. The stack is chunked at ``SCAN_STACK_ENTRIES``
+    complex entries, so peak memory grows with d^2 times the chunk, not with
+    d^2 times the grid. A generator that is not Hermitian, not finite or not
+    d x d at any scan point is refused with a ValueError naming that a.
     """
     a_lo, a_hi = (float(interval[0]), float(interval[1]))
     if not (np.isfinite(a_lo) and np.isfinite(a_hi) and a_hi > a_lo):
@@ -180,11 +195,10 @@ def effective_parameter_fit(family: EvolutionFamily, spec: SuperpositionSpec,
     Phi = as_state(Phi)
 
     def overlap(a: float) -> complex:
-        target = hermitian_exponential(family.generator(a), -1j * family.duration) @ Phi
-        return complex(np.vdot(target, super_state))
+        return complex(_target_overlaps(family, [a], Phi, super_state)[0])
 
     grid = np.linspace(a_lo, a_hi, 1000)
-    overlaps = np.array([overlap(a) for a in grid])
+    overlaps = _target_overlaps(family, grid, Phi, super_state)
     mags = np.abs(overlaps)
     flat = mags.max() - mags.min() <= 1e-12
     if flat:
@@ -197,6 +211,51 @@ def effective_parameter_fit(family: EvolutionFamily, spec: SuperpositionSpec,
     hi = grid[min(best + 1, grid.size - 1)]
     a_star = _golden_section_max(objective, lo, hi)
     return a_star, abs(overlap(a_star))
+
+
+def _target_overlaps(family: EvolutionFamily, parameters, Phi: np.ndarray,
+                     super_state: np.ndarray) -> np.ndarray:
+    """<exp(-i H(a) T) Phi | super_state> for every a in parameters.
+
+    In the eigenbasis H(a) = V diag(lam) V^dag the overlap is
+    sum_k conj((V^dag Phi)_k) e^{+i T lam_k} (V^dag super_state)_k, so no
+    d x d exponential is formed. Generators are stacked and diagonalized by
+    one ``eigh`` per chunk of at most SCAN_STACK_ENTRIES complex entries.
+    """
+    parameters = [float(a) for a in parameters]
+    chunk = max(1, SCAN_STACK_ENTRIES // Phi.size**2)
+    return np.concatenate([_stacked_overlaps(family, parameters[i:i + chunk], Phi, super_state)
+                           for i in range(0, len(parameters), chunk)])
+
+
+def _stacked_overlaps(family: EvolutionFamily, parameters: list, Phi: np.ndarray,
+                      super_state: np.ndarray) -> np.ndarray:
+    """One chunk of :func:`_target_overlaps`; its stack is freed on return."""
+    d = Phi.size
+    stack = np.empty((len(parameters), d, d), dtype=complex)
+    for i, a in enumerate(parameters):
+        h = np.asarray(family.generator(a), dtype=complex)
+        if h.shape != (d, d):
+            raise ValueError(f"H({a}) has shape {h.shape}, Phi has shape {Phi.shape}")
+        stack[i] = h
+    defects = _hermiticity_defects(stack)
+    bad = np.flatnonzero(~(defects <= HERMITIAN_TOL))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"H({parameters[i]}) is not Hermitian (max |M - M^dag| = "
+                         f"{defects[i]:.3e} > {HERMITIAN_TOL:.1e})")
+    lam, v = np.linalg.eigh(stack)
+    bra = Phi.conj() @ v                    # conj(V^dag Phi), one row per a
+    ket = (super_state.conj() @ v).conj()   # V^dag super_state
+    return np.sum(bra * np.exp(1j * family.duration * lam) * ket, axis=1)
+
+
+def _hermiticity_defects(stack: np.ndarray) -> np.ndarray:
+    """max |M - M^dag| of each matrix in an (n, d, d) stack (NaN or inf
+    where an entry is not finite), with one stack-sized temporary."""
+    diff = stack.conj().swapaxes(1, 2)
+    diff -= stack
+    return np.max(np.abs(diff), axis=(1, 2))
 
 
 def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:

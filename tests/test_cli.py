@@ -40,6 +40,19 @@ class TestExitCodes:
         assert run_cli("weak-value", "--config", str(cfg)) == EXIT_VALIDATION
         assert "'observable' rows must all have length 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [".nan", ".inf"])
+    @pytest.mark.parametrize("kind, entry, key", [
+        ("weak-value", "observable: [[{bad}, 0], [0, 1]]", "observable"),
+        ("weak-value", "psi: [{bad}, 1]", "psi"),
+        ("time-machine", "hamiltonian: [[{bad}, 0], [0, 1]]", "hamiltonian"),
+        ("modular-value", "meter: {{kind: qubit, alpha: {bad}, beta: 1}}", "meter.alpha"),
+    ])
+    def test_non_finite_literal_names_the_key(self, capsys, tmp_path, kind, entry, key, bad):
+        cfg = tmp_path / "non_finite.yaml"
+        cfg.write_text(f"scenario: {kind}\n{entry.format(bad=bad)}\n")
+        assert run_cli(kind, "--config", str(cfg)) == EXIT_VALIDATION
+        assert f"'{key}' must be finite" in capsys.readouterr().err
+
     def test_kind_subcommand_mismatch(self, capsys, tmp_path):
         cfg = tmp_path / "tm.yaml"
         cfg.write_text("scenario: time-machine\n")

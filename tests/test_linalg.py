@@ -96,6 +96,33 @@ class TestHermitianExponential:
             np.testing.assert_allclose(m, hermitian_exponential(h, s), atol=1e-13)
 
 
+# A non-finite entry makes the defect NaN or inf; "defect > tol" is False for
+# NaN, so each guard must refuse on "not defect <= tol".
+NON_FINITE_ENTRIES = [((0, 0), np.nan), ((0, 1), np.nan), ((1, 1), np.inf),
+                      ((0, 1), np.inf), ((1, 0), -np.inf)]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestNonFiniteGuards:
+    @pytest.mark.parametrize("index, bad", NON_FINITE_ENTRIES)
+    def test_require_hermitian(self, index, bad):
+        m = SIGMA_X.astype(complex)
+        m[index] = bad
+        assert not linalg.is_hermitian(m)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            linalg.require_hermitian(m)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_exponential(m, -1j)
+
+    @pytest.mark.parametrize("index, bad", NON_FINITE_ENTRIES)
+    def test_require_unitary(self, index, bad):
+        u = random_unitary(2, np.random.default_rng(4))
+        u[index] = bad
+        assert not linalg.is_unitary(u)
+        with pytest.raises(ValueError, match="not unitary"):
+            linalg.require_unitary(u)
+
+
 class TestGeneralExponential:
     def test_zero(self):
         np.testing.assert_allclose(general_exponential(np.zeros((3, 3))), np.eye(3), atol=1e-15)

@@ -28,6 +28,15 @@ phi: amplification_phi
 g: [0.1]
 """
 
+# A plain non-finite number inside each kind of complex literal: a matrix, a
+# state and a meter amplitude.
+NON_FINITE_LITERALS = {
+    "observable": "scenario: weak-value\nobservable: [[{bad}, 0], [0, 1]]",
+    "psi": "scenario: weak-value\npsi: [{bad}, 1]",
+    "hamiltonian": "scenario: time-machine\nhamiltonian: [[{bad}, 0], [0, 1]]",
+    "meter.alpha": "scenario: modular-value\nmeter: {{kind: qubit, alpha: {bad}, beta: 1}}",
+}
+
 
 class TestParseConfig:
     def test_minimal_weak_value(self):
@@ -91,6 +100,12 @@ class TestParseConfig:
     def test_ragged_matrix_literal_named(self, literal, width):
         with pytest.raises(ConfigError, match=f"^'observable' rows must all have length {width}$"):
             parse_config(f"scenario: weak-value\nobservable: {literal}")
+
+    @pytest.mark.parametrize("bad", [".nan", ".inf"])
+    @pytest.mark.parametrize("key", NON_FINITE_LITERALS)
+    def test_non_finite_literal_named(self, key, bad):
+        with pytest.raises(ConfigError, match=f"^'{key}' must be finite"):
+            parse_config(NON_FINITE_LITERALS[key].format(bad=bad))
 
     def test_modular_needs_nonzero_beta(self):
         with pytest.raises(ConfigError, match="beta"):

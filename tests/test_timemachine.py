@@ -1,4 +1,6 @@
 import cmath
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from potentops import (
     superposed_evolution,
     time_translation_machine,
 )
+from potentops import timemachine
 from potentops.pauli import SIGMA_X, SIGMA_Z
 from potentops.sampling import random_hermitian, random_state
 from potentops.timemachine import time_machine_control_unitary, time_machine_selection
@@ -24,6 +27,38 @@ from potentops.timemachine import time_machine_control_unitary, time_machine_sel
 def linear_family(parameters, h0, duration):
     return EvolutionFamily(parameters=parameters, generator=lambda a: a * h0,
                            duration=duration)
+
+
+def quadratic_family(dim, rng, parameters=(0.2, 0.55, 0.7), duration=1.3):
+    """H0 + a H1 + a^2 H2 with seeded random Hermitian terms."""
+    h0, h1, h2 = (random_hermitian(dim, rng) for _ in range(3))
+    return EvolutionFamily(parameters=parameters, generator=lambda a: h0 + a * h1 + a * a * h2,
+                           duration=duration)
+
+
+def per_point_overlap(family, a, Phi, super_state):
+    """The fit overlap through one dense hermitian_exponential per parameter."""
+    target = hermitian_exponential(family.generator(a), -1j * family.duration) @ Phi
+    return complex(np.vdot(target, super_state))
+
+
+def per_point_fit(family, spec, Phi, interval):
+    """effective_parameter_fit's scan, bracket and refinement, with every
+    overlap taken by per_point_overlap. Returns (a*, fidelity, best index)."""
+    state, success = superposed_evolution(family, spec, Phi)
+    super_state = state / success
+    grid = np.linspace(interval[0], interval[1], 1000)
+    overlaps = np.array([per_point_overlap(family, a, Phi, super_state) for a in grid])
+    mags = np.abs(overlaps)
+    if mags.max() - mags.min() <= 1e-12:
+        objective = lambda a: per_point_overlap(family, a, Phi, super_state).real
+        best = int(np.argmax(overlaps.real))
+    else:
+        objective = lambda a: abs(per_point_overlap(family, a, Phi, super_state))
+        best = int(np.argmax(mags))
+    a_star = timemachine._golden_section_max(objective, grid[max(best - 1, 0)],
+                                             grid[min(best + 1, grid.size - 1)])
+    return a_star, abs(per_point_overlap(family, a_star, Phi, super_state)), best
 
 
 class TestSpecs:
@@ -199,6 +234,118 @@ class TestEffectiveParameterFit:
         # 0.5 (1 + exp(-i pi)) |0> = 0
         with pytest.raises(ValueError, match="zero"):
             effective_parameter_fit(family, spec, Phi, (0.0, 1.0))
+
+
+class TestStackedScan:
+    """The scan's batched eigendecomposition against a per-point loop of
+    dense exponentials, its eigh call count and its memory bound."""
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_matches_per_point_route(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        family = quadratic_family(dim, rng)
+        spec = SuperpositionSpec(np.array([0.7, 0.6, -0.3]))
+        Phi = random_state(dim, rng)
+        interval = (-0.5, 1.5)
+        state, success = superposed_evolution(family, spec, Phi)
+        super_state = state / success
+        grid = np.linspace(*interval, 1000)
+        stacked = timemachine._target_overlaps(family, grid, Phi, super_state)
+        looped = np.array([per_point_overlap(family, a, Phi, super_state) for a in grid])
+        assert np.max(np.abs(stacked - looped)) <= 1e-13
+        # same bracket: both routes pick the same scan point
+        a_ref, fid_ref, best = per_point_fit(family, spec, Phi, interval)
+        assert int(np.argmax(np.abs(stacked))) == best
+        a_star, fid = effective_parameter_fit(family, spec, Phi, interval)
+        assert grid[max(best - 1, 0)] <= a_star <= grid[min(best + 1, grid.size - 1)]
+        assert abs(fid - fid_ref) <= 1e-12
+        # the maximiser is located only to about sqrt(machine epsilon)
+        assert abs(a_star - a_ref) <= 1e-6
+
+    def test_scan_is_chunked_stacked_eigh(self, monkeypatch):
+        dim = 48
+        chunk = timemachine.SCAN_STACK_ENTRIES // dim**2
+        stacks = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(m, *args, **kwargs):
+            if m.ndim == 3 and m.shape[0] > 1:
+                stacks.append(m.shape)
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        rng = np.random.default_rng(11)
+        family = quadratic_family(dim, rng, parameters=(0.3, 0.4))
+        effective_parameter_fit(family, SuperpositionSpec(np.array([0.5, 0.5])),
+                                random_state(dim, rng), (0.0, 1.0))
+        assert 1 < len(stacks) <= math.ceil(1000 / chunk)
+        assert sum(shape[0] for shape in stacks) == 1000
+        assert all(n * d * d <= timemachine.SCAN_STACK_ENTRIES for n, d, _ in stacks)
+
+    def test_peak_memory_bounded_by_chunk(self):
+        dim = 128
+        unchunked = 1000 * dim * dim * 16  # bytes of one (1000, d, d) complex stack
+        rng = np.random.default_rng(12)
+        # diagonal generators: eigh is cheap, and the stack is as large as any
+        h0, h1 = np.diag(rng.normal(size=dim)), np.diag(rng.normal(size=dim))
+        family = EvolutionFamily((0.3, 0.4), lambda a: h0 + a * h1, 0.5)
+        spec = SuperpositionSpec(np.array([0.5, 0.5]))
+        Phi = random_state(dim, rng)
+        tracemalloc.start()
+        try:
+            effective_parameter_fit(family, spec, Phi, (0.0, 1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < unchunked / 4
+
+    def test_eigenstate_flat_objective(self):
+        # phase-only action: the stacked scan must still pick the real-part route
+        family = linear_family((0.1, 0.2), SIGMA_Z, 1.0)
+        spec = SuperpositionSpec(np.array([2.0, -1.0]))
+        Phi = np.array([0.0, 1.0], dtype=complex)  # eigenvalue -1 of sigma_z
+        a_star, fid = effective_parameter_fit(family, spec, Phi, (-0.5, 0.5))
+        a_ref, fid_ref, _ = per_point_fit(family, spec, Phi, (-0.5, 0.5))
+        assert fid == pytest.approx(1.0, abs=1e-12)
+        assert abs(fid - fid_ref) <= 1e-12 and abs(a_star - a_ref) <= 1e-6
+        scalar = 2 * np.exp(1j * 0.1) - np.exp(1j * 0.2)
+        assert abs(cmath.exp(1j * a_star) - scalar / abs(scalar)) <= 1e-6
+
+
+class TestFitRefusals:
+    """A generator that is bad only at unlisted scan points is refused with
+    a ValueError naming the parameter, never returned as a fit."""
+
+    @staticmethod
+    def fit_with(bad_matrix):
+        def generator(a):
+            return bad_matrix if 0.50 <= a <= 0.51 else a * SIGMA_Z
+        family = EvolutionFamily((0.1, 0.2), generator, 1.0)
+        Phi = random_state(2, np.random.default_rng(13))
+        return effective_parameter_fit(family, SuperpositionSpec(np.array([0.5, 0.5])),
+                                       Phi, (0.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_generator(self, bad):
+        with pytest.raises(ValueError, match=r"H\(0\.50\d*\) is not Hermitian"):
+            self.fit_with(np.array([[bad, 0], [0, 1]], dtype=complex))
+
+    def test_non_hermitian_generator(self):
+        with pytest.raises(ValueError, match=r"H\(0\.50\d*\) is not Hermitian"):
+            self.fit_with(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_shape_changes_at_a_scan_point(self):
+        with pytest.raises(ValueError,
+                           match=r"H\(0\.50\d*\) has shape \(3, 3\), Phi has shape \(2,\)"):
+            self.fit_with(np.eye(3, dtype=complex))
+
+    def test_generator_shape_does_not_match_phi(self):
+        family = linear_family((0.1, 0.2), SIGMA_Z, 1.0)
+        spec = SuperpositionSpec(np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match=r"H\(0\.1\) has shape \(2, 2\), Phi has shape \(3,\)"):
+            effective_parameter_fit(family, spec, random_state(3, np.random.default_rng(14)),
+                                    (0.0, 1.0))
 
 
 class TestTimeTranslationMachine:
