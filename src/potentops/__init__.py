@@ -35,7 +35,6 @@ from .pps import (
     PrePostSelection,
     apparatus_controlled_unitary,
     apparatus_state_from_potent_values,
-    computational_basis,
     joint_evolve_and_postselect,
     kraus_slices,
     modular_value,

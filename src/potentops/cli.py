@@ -67,10 +67,11 @@ def _read_config_text(path: str) -> str:
 
 def _residual_exit_code(rows, tolerance_override, tolerance) -> int:
     """EXIT_RESIDUAL (with a stderr count) when any row's residual exceeds
-    the tolerance, or the override that replaces it; EXIT_OK otherwise."""
+    the tolerance, or the override that replaces it, or is NaN; EXIT_OK
+    otherwise."""
     if tolerance_override is not None:
         tolerance = tolerance_override
-    failures = sum(r["residual"] > tolerance for r in rows)
+    failures = sum(not r["residual"] <= tolerance for r in rows)
     if failures:
         print(f"potentops: {failures}/{len(rows)} rows exceed the residual "
               f"tolerance {tolerance:g}", file=sys.stderr)

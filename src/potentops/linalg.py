@@ -136,19 +136,74 @@ def hermitian_exponentials(h: np.ndarray, scales) -> list[np.ndarray]:
 
 
 def general_exponential(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * M) for an arbitrary square M (scaling-and-squaring Pade).
+    """exp(scale * M) for an arbitrary square M, by the scaling-and-squaring
+    Pade routine :func:`_pade_exponential` (no eigendecomposition).
 
     Rejects arguments with 1-norm above EXP_NORM_CAP, where the rational
     approximation degrades.
     """
-    import scipy.linalg  # on first use, so importing the package stays cheap
-
     m = as_operator(m)
     scaled = scale * m
     norm = float(np.linalg.norm(scaled, 1))
     if not np.isfinite(norm) or norm > EXP_NORM_CAP:
         raise ValueError(f"1-norm of scale*M is {norm:.3e}, above the cap {EXP_NORM_CAP}")
-    return scipy.linalg.expm(scaled)
+    return _pade_exponential(scaled)
+
+
+# Pade numerator coefficients b_0 .. b_m and the 1-norm bounds theta_m up to
+# which the degree-m approximant is accurate to double precision without
+# scaling (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3).
+_PADE_COEFFS = {m: np.array(b) for m, b in {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}.items()}
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 5.371920351148152e0}
+
+
+def _pade_exponential(a: np.ndarray) -> np.ndarray:
+    """exp(a) for a stack (..., d, d) of square matrices, by Higham's
+    scaling and squaring with a diagonal Pade approximant.
+
+    The degree m and the number s of squarings come from the largest 1-norm in
+    the stack, so one call shares a single schedule: the lowest m in
+    {3, 5, 7, 9} whose theta_m covers that norm, else m = 13 on a / 2^s.
+    No eigendecomposition is used, so this stays independent of ``eigh``.
+
+    Degree 13 scales to theta_13 / 2, one halving more than Higham's choice:
+    at theta_13 itself rounding in the numerator and denominator cost a
+    near-scalar argument up to 4e-13 relative error at 1-norm 128 (against a
+    50-digit reference), and the extra product brings that under 6e-14.
+    """
+    a = np.asarray(a, dtype=complex)
+    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+    if not np.isfinite(norm):
+        raise ValueError(f"cannot exponentiate a matrix of non-finite 1-norm {norm}")
+    m = next((k for k in (3, 5, 7, 9) if norm <= _PADE_THETA[k]), 13)
+    s = max(0, int(np.ceil(np.log2(2 * norm / _PADE_THETA[13])))) if m == 13 else 0
+    if s:
+        a = a / 2.0 ** s
+    # The approximant is (V - U)^-1 (V + U), with U the odd and V the even
+    # part of the numerator, both read off the even powers a^0, a^2, .., a^(m-1).
+    powers = np.empty((m // 2 + 1, *a.shape), dtype=complex)
+    powers[0] = np.eye(a.shape[-1])
+    np.matmul(a, a, out=powers[1])
+    for k in range(2, m // 2 + 1):
+        np.matmul(powers[k - 1], powers[1], out=powers[k])
+    flat = powers.reshape(len(powers), -1)
+    b = _PADE_COEFFS[m]
+    u = a @ (b[1::2] @ flat).reshape(a.shape)
+    v = (b[0::2] @ flat).reshape(a.shape)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def partial_matrix_element(u: np.ndarray, bra: np.ndarray, ket: np.ndarray, factor: str) -> np.ndarray:
@@ -248,6 +303,6 @@ def require_orthonormal_basis(basis: np.ndarray, tol: float = ORTHONORMAL_TOL,
             f"basis with {basis.shape[1]} vectors is incomplete for dim {basis.shape[0]}"
         )
     defect = orthonormality_defect(basis)
-    if defect > tol:
+    if not defect <= tol:
         raise ValueError(f"basis is not orthonormal (Gram defect {defect:.3e} > {tol:.1e})")
     return basis

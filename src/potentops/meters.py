@@ -11,6 +11,7 @@ import numpy as np
 
 from . import pauli
 from .linalg import (
+    _pade_exponential,
     as_state,
     fidelity,
     hermitian_exponential,
@@ -41,7 +42,7 @@ class QubitMeter:
 
     def __post_init__(self):
         total = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"|alpha|^2 + |beta|^2 = {total!r}, not 1")
 
     @property
@@ -257,10 +258,11 @@ def pointer_shift_sweep(A: np.ndarray, sel: PrePostSelection, gs,
     lam, vecs = np.linalg.eigh(A)
     amps = (phi.conj() @ vecs) * (vecs.conj().T @ psi)
 
+    oracle = _lattice_elements(A, gs, grid, phi, psi)
     reports = []
-    for g in gs:
+    for g, elements in zip(gs, oracle):
         state_k = meter_k * (np.exp(-1j * g * np.outer(p, lam)) @ amps)
-        oracle_k = meter_k * _lattice_elements(A, g, grid, phi, psi)
+        oracle_k = meter_k * elements
         state = np.fft.ifft(state_k, norm="ortho")
         residual = float(np.max(np.abs(np.fft.ifft(state_k - oracle_k, norm="ortho"))))
 
@@ -288,23 +290,28 @@ def pointer_shift_sweep(A: np.ndarray, sel: PrePostSelection, gs,
     return reports
 
 
-def _lattice_elements(A: np.ndarray, g: float, grid: Grid, phi: np.ndarray,
+def _lattice_elements(A: np.ndarray, gs, grid: Grid, phi: np.ndarray,
                       psi: np.ndarray) -> np.ndarray:
-    """<phi|exp(-i g p_m A)|psi> on the momentum lattice, in FFT ordering.
+    """<phi|exp(-i g p_m A)|psi> on the momentum lattice, in FFT ordering, for
+    each coupling in ``gs``: shape (len(gs), N), or (N,) for a scalar g.
 
     The lattice is p_m = m dp with dp = 2 pi / length and m in [-N/2, N/2), so
     exp(-i g p_m A) = E^m with E = exp(-i g dp A). E and its inverse direction
-    exp(+i g dp A) are two separate Pade exponentials (neither is assumed
-    unitary), and the rows <phi|E^m are built by binary doubling.
+    exp(+i g dp A) are separate Pade exponentials (neither is assumed unitary),
+    taken for all couplings in one stacked call; the rows <phi|E^m are built by
+    binary doubling.
     """
-    import scipy.linalg  # only this Pade oracle needs it
-
     half = grid.grid_size // 2
-    step = 2 * np.pi / grid.length * g * A
-    forward = _power_rows(scipy.linalg.expm(-1j * step), phi.conj(), half)
-    backward = _power_rows(scipy.linalg.expm(1j * step), phi.conj(), half + 1)
-    # m = 0 .. N/2 - 1, then m = -N/2 .. -1
-    return np.einsum("kt,t->k", np.concatenate([forward, backward[:0:-1]]), psi)
+    steps = np.multiply.outer(2 * np.pi / grid.length * np.atleast_1d(gs), A)
+    pairs = _pade_exponential(np.stack([-1j * steps, 1j * steps], axis=1))
+    bra = phi.conj()
+    out = np.empty((len(steps), grid.grid_size), dtype=complex)
+    for k, (forward, backward) in enumerate(pairs):
+        # m = 0 .. N/2 - 1, then m = -N/2 .. -1
+        rows = np.concatenate([_power_rows(forward, bra, half),
+                               _power_rows(backward, bra, half + 1)[:0:-1]])
+        out[k] = np.einsum("kt,t->k", rows, psi)
+    return out if np.ndim(gs) else out[0]
 
 
 def _power_rows(E: np.ndarray, row: np.ndarray, count: int) -> np.ndarray:

@@ -17,7 +17,6 @@ from . import linalg
 from .linalg import (
     as_operator,
     as_state,
-    basis_state,
     hermitian_exponential,
     inner_product,
     normalize,
@@ -42,7 +41,7 @@ class OrthogonalSelectionError(ValueError):
 def _require_normalized(v: np.ndarray, name: str) -> np.ndarray:
     v = as_state(v)
     n = np.linalg.norm(v)
-    if abs(n - 1.0) > NORMALIZED_TOL:
+    if not abs(n - 1.0) <= NORMALIZED_TOL:  # NaN fails this too
         raise ValueError(f"{name} must be normalized (norm = {n!r})")
     return v
 
@@ -54,7 +53,8 @@ class PrePostSelection:
     Neither state needs to be normalized: all selection-conditioned values are
     invariant under rescaling of psi or phi. Construction fails when the
     normalized overlap |<phi|psi>| / (|phi| |psi|) is at most eps_overlap,
-    where amplified values stop being numerically meaningful.
+    where amplified values stop being numerically meaningful, and when either
+    state has a non-finite entry.
     """
 
     psi: np.ndarray
@@ -70,6 +70,8 @@ class PrePostSelection:
         object.__setattr__(self, "phi", phi)
         ov = inner_product(phi, psi)
         norms = float(np.linalg.norm(phi) * np.linalg.norm(psi))
+        if not np.isfinite(norms):
+            raise ValueError(f"psi and phi must be finite (|phi||psi| = {norms})")
         if abs(ov) <= self.eps_overlap * norms:
             cosine = abs(ov) / norms if norms > 0 else 0.0
             raise OrthogonalSelectionError(
@@ -301,15 +303,15 @@ def _require_projector_decomposition(projectors, dim: int, name: str) -> list[np
     for p in projs:
         if p.shape[0] != dim:
             raise ValueError(f"{name}: projector dim {p.shape[0]} != {dim}")
-        if linalg.hermiticity_defect(p) > PROJECTOR_TOL:
+        if not linalg.hermiticity_defect(p) <= PROJECTOR_TOL:
             raise ValueError(f"{name}: projector is not Hermitian")
     for i, p in enumerate(projs):
         for j, q in enumerate(projs):
             product = p @ q
             expected = p if i == j else 0.0
-            if np.max(np.abs(product - expected)) > PROJECTOR_TOL:
+            if not np.max(np.abs(product - expected)) <= PROJECTOR_TOL:
                 raise ValueError(f"{name}: projectors {i},{j} violate P_i P_j = delta_ij P_i")
-    if np.max(np.abs(sum(projs) - np.eye(dim))) > PROJECTOR_TOL:
+    if not np.max(np.abs(sum(projs) - np.eye(dim))) <= PROJECTOR_TOL:
         raise ValueError(f"{name}: projectors do not sum to the identity")
     return projs
 
@@ -330,7 +332,7 @@ def potent_operator_system_controlled(projectors, unitaries, sel: PrePostSelecti
         raise ValueError("apparatus unitaries must share one dimension")
     weak_vals = [weak_value(p, sel) for p in projs]
     total = sum(weak_vals)
-    if abs(total - 1.0) > WEAK_SUM_TOL:
+    if not abs(total - 1.0) <= WEAK_SUM_TOL:
         raise ValueError(f"projector weak values sum to {total}, not 1")
     matrix = sum(w * u for w, u in zip(weak_vals, unis))
     op = PotentOperator(matrix=matrix, selection=sel)
@@ -371,11 +373,6 @@ def apparatus_controlled_unitary(generators, projectors, lam: float) -> np.ndarr
                for a, p in zip(generators, projectors))
 
 
-def computational_basis(dim: int) -> np.ndarray:
-    """Identity matrix viewed as basis columns."""
-    return np.eye(dim, dtype=complex)
-
-
 __all__ = [
     "EPS_OVERLAP",
     "OrthogonalSelectionError",
@@ -397,6 +394,4 @@ __all__ = [
     "potent_operator_apparatus_controlled",
     "system_controlled_unitary",
     "apparatus_controlled_unitary",
-    "computational_basis",
-    "basis_state",
 ]

@@ -80,7 +80,7 @@ class SuperpositionSpec:
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a nonempty 1-D sequence")
         total = complex(np.sum(c))
-        if abs(total - 1.0) > COEFF_SUM_TOL:
+        if not abs(total - 1.0) <= COEFF_SUM_TOL:
             raise ValueError(f"coefficients sum to {total}, not 1")
         object.__setattr__(self, "coefficients", c)
 
@@ -107,7 +107,7 @@ class TimeTranslationSpec:
     @property
     def effective_duration(self) -> float:
         total = complex(np.dot(self.coefficients.coefficients, self.durations))
-        if abs(total.imag) > 1e-12:
+        if not abs(total.imag) <= 1e-12:
             raise ValueError(f"effective duration {total} is not real")
         return total.real
 
@@ -121,7 +121,7 @@ def superposed_evolution(family: EvolutionFamily, spec: SuperpositionSpec, Phi: 
     if len(spec) != len(family.parameters):
         raise ValueError(f"{len(family.parameters)} parameters but {len(spec)} coefficients")
     Phi = as_state(Phi)
-    if abs(np.linalg.norm(Phi) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(Phi) - 1.0) <= 1e-10:
         raise ValueError("Phi must be normalized")
     unitaries = family.branch_unitaries()
     for a, u in zip(family.parameters, unitaries):
@@ -283,7 +283,7 @@ def time_translation_machine(spec: TimeTranslationSpec, Phi: np.ndarray):
     steer the meter toward its past.
     """
     Phi = as_state(Phi)
-    if abs(np.linalg.norm(Phi) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(Phi) - 1.0) <= 1e-10:
         raise ValueError("Phi must be normalized")
     branch = [hermitian_exponential(spec.hamiltonian, -1j * t) for t in spec.durations]
     state = sum(c * (u @ Phi) for c, u in zip(spec.coefficients.coefficients, branch))

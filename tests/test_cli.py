@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -104,6 +105,26 @@ class TestVerify:
         assert "FAIL" in capsys.readouterr().out
 
 
+def test_nan_residual_exits_2(monkeypatch, capsys, tmp_path):
+    # a NaN residual compares False against any tolerance; it must still fail
+    from potentops import cli, scenarios
+
+    real = scenarios.run_scenario
+
+    def nan_residuals(cfg):
+        return [{**row, "residual": float("nan")} for row in real(cfg)]
+
+    monkeypatch.setattr(scenarios, "run_scenario", nan_residuals)
+    monkeypatch.setattr(cli, "run_scenario", nan_residuals)
+    assert run_cli("weak-value", "--out", str(tmp_path / "rows.csv")) == EXIT_RESIDUAL
+    assert re.match(r"potentops: (\d+)/\1 rows exceed", capsys.readouterr().err)
+    cfg = tmp_path / "sweep.yaml"
+    cfg.write_text("base:\n  scenario: modular-value\nsweep:\n  g: [0.1, 0.2]\n")
+    assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")) \
+        == EXIT_RESIDUAL
+    assert re.match(r"potentops: (\d+)/\1 rows exceed", capsys.readouterr().err)
+
+
 class TestSweep:
     def test_sweep_runs_grid(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.yaml"
@@ -152,19 +173,18 @@ def test_preset_determinism_cheap_kinds(kind, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-# Runs in a fresh interpreter: every kind below must leave scipy unimported,
-# and the first kind with a Pade cross-check route must import it.
+# Runs in a fresh interpreter: every kind, verify and a sweep, the Pade
+# cross-check routes included, must leave scipy unimported.
 _IMPORT_GUARD = """
-import json, sys
+import contextlib, io, json, sys
 from potentops.cli import main
+from potentops.scenarios import KINDS
 out = sys.argv[1]
-codes = {kind: main([kind, "--out", f"{out}/{kind}.csv"]) for kind in (
-    "weak-value", "modular-value", "potent-values", "potent-operator",
-    "completeness", "time-machine")}
+codes = {kind: main([kind, "--out", f"{out}/{kind}.csv"]) for kind in KINDS}
+with contextlib.redirect_stdout(io.StringIO()):
+    codes["verify"] = main(["verify"])
 codes["sweep"] = main(["sweep", "--config", f"{out}/sweep.yaml", "--out", f"{out}/sweep.csv"])
-before = "scipy" in sys.modules
-codes["conditional"] = main(["conditional", "--out", f"{out}/conditional.csv"])
-print(json.dumps({"codes": codes, "before": before, "after": "scipy" in sys.modules}))
+print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
 """
 
 
@@ -177,6 +197,8 @@ def test_cheap_kinds_never_import_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
+    assert set(result["codes"]) == {"weak-value", "modular-value", "potent-values",
+                                    "potent-operator", "completeness", "pointer-shift",
+                                    "conditional", "time-machine", "verify", "sweep"}
     assert result["codes"] == dict.fromkeys(result["codes"], EXIT_OK)
-    assert not result["before"], "a kind without a Pade route imported scipy"
-    assert result["after"], "conditional ran without its Pade cross-check"
+    assert not result["scipy"], "a command imported scipy"

@@ -1,9 +1,16 @@
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from potentops import linalg
 from potentops.linalg import (
+    EXP_NORM_CAP,
     JointSpace,
+    _pade_exponential,
     basis_state,
     fidelity,
     general_exponential,
@@ -143,6 +150,90 @@ class TestGeneralExponential:
             general_exponential(np.eye(2), 1e6)
 
 
+@st.composite
+def complex_matrices(draw, shape=(), form="dense"):
+    """A (*shape, d, d) complex stack, d in 1..16, each matrix rescaled to a
+    drawn 1-norm in [0, EXP_NORM_CAP]. form is "dense", "triangular" (upper,
+    non-normal) or "hermitian"."""
+    d = draw(st.integers(1, 16))
+    parts = draw(arrays(np.float64, (2, *shape, d, d), elements=st.floats(-1, 1)))
+    m = parts[0] + 1j * parts[1]
+    if form == "triangular":
+        m = np.triu(m)
+    elif form == "hermitian":
+        m = m + np.swapaxes(m, -1, -2).conj()
+    norms = draw(arrays(np.float64, shape, elements=st.floats(0, EXP_NORM_CAP)))
+    current = np.abs(m).sum(axis=-2).max(axis=-1)
+    # a matrix of negligible entries becomes zero rather than overflow
+    scale = np.divide(norms, current, out=np.zeros_like(current), where=current > 1e-6)
+    return m * np.asarray(scale)[..., None, None]
+
+
+def _relative_error(x, reference):
+    return np.max(np.abs(x - reference)) / np.max(np.abs(reference))
+
+
+def _assert_matches_expm(m, tol):
+    """The Pade route agrees with scipy.linalg.expm to relative max-entry
+    error tol.
+
+    scipy's branch for triangular input rebuilds the superdiagonal from
+    divided differences of the diagonal (Higham's formula (10.42)), which
+    loses every digit when two diagonal entries are nearly but not exactly
+    equal. Where scipy disagrees, a 50-digit mpmath exponential decides.
+    """
+    x = _pade_exponential(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _relative_error(x, scipy.linalg.expm(m)) <= tol:
+            return
+    with mpmath.workdps(50):
+        exact = np.array(mpmath.expm(mpmath.matrix(m.tolist())).tolist(), dtype=complex)
+    assert _relative_error(x, exact) <= tol
+
+
+class TestPadeExponential:
+    # scipy.linalg.expm is the outside reference; the package never imports it
+    @settings(max_examples=150, deadline=None)
+    @given(m=complex_matrices(form="dense") | complex_matrices(form="triangular"))
+    def test_matches_scipy(self, m):
+        _assert_matches_expm(m, 1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(h=complex_matrices(form="hermitian"))
+    def test_unitary_generator_matches_scipy(self, h):
+        _assert_matches_expm(-1j * h, 1e-13)
+
+    def test_nearly_equal_diagonal(self):
+        # the case scipy's triangular branch gets wrong, with a closed form:
+        # exp([[a, b], [0, c]]) has corner b e^c (e^(a-c) - 1) / (a - c)
+        a, b, c = 4.0 + 1e-13, 50.0, 4.0
+        expected = np.array([[np.exp(a), b * np.exp(c) * np.expm1(a - c) / (a - c)],
+                             [0.0, np.exp(c)]])
+        m = np.array([[a, b], [0.0, c]])
+        assert _relative_error(_pade_exponential(m), expected) <= 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=st.integers(1, 6).flatmap(lambda n: complex_matrices(shape=(n,))))
+    def test_stack_matches_per_matrix_calls(self, stack):
+        stacked = _pade_exponential(stack)
+        for x, m in zip(stacked, stack):
+            assert _relative_error(x, _pade_exponential(m)) <= 1e-13
+
+    def test_non_finite_refused(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            _pade_exponential(np.array([[np.nan, 0], [0, 1]]))
+
+    def test_no_eigendecomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Pade route must not diagonalize")
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        h = random_hermitian(4, np.random.default_rng(5))
+        assert _relative_error(general_exponential(h, -3j),
+                               scipy.linalg.expm(-3j * h)) <= 1e-13
+
+
 def _pme_bruteforce(u, bra, ket, factor):
     # explicit index-sum definition of the contraction
     d = bra.size
@@ -278,6 +369,14 @@ class TestBasisHelpers:
         skewed[:, 0] *= 1.5
         with pytest.raises(ValueError, match="not orthonormal"):
             require_orthonormal_basis(skewed)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_basis_refused(self, bad):
+        basis = np.eye(2, dtype=complex)
+        basis[1, 0] = bad
+        with pytest.raises(ValueError, match="not orthonormal"):
+            require_orthonormal_basis(basis)
 
     def test_fidelity_phase_invariant(self):
         rng = np.random.default_rng(12)

@@ -48,6 +48,11 @@ class TestQubitMeter:
         with pytest.raises(ValueError, match="not 1"):
             QubitMeter(alpha=1.0, beta=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_amplitude_refused(self, bad):
+        with pytest.raises(ValueError, match="not 1"):
+            QubitMeter(alpha=bad, beta=0.0)
+
     def test_state_and_coupling(self, amplification):
         meter = QubitMeter(alpha=0.6, beta=0.8)
         np.testing.assert_array_equal(meter.state, [0.6, 0.8])

@@ -31,6 +31,7 @@ from potentops.pauli import (
     AMPLIFICATION_PHI,
     AMPLIFICATION_PSI,
     IDENTITY_2,
+    KET_PLUS,
     PROJECT_1,
     SIGMA_X,
     SIGMA_Z,
@@ -69,6 +70,13 @@ class TestPrePostSelection:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dim"):
             PrePostSelection(np.array([1, 0, 0]), np.array([1, 0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PrePostSelection(np.array([bad, 1.0]), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            PrePostSelection(np.array([1.0, 0.0]), np.array([1.0, bad]))
 
     def test_guard_is_scale_invariant(self, amplification):
         tiny = PrePostSelection(1e-11 * AMPLIFICATION_PSI, AMPLIFICATION_PHI)
@@ -131,6 +139,14 @@ class TestModularValue:
 
 
 class TestJointEvolveAndPostselect:
+    @pytest.mark.parametrize("state", ["psi", "phi", "Phi"])
+    def test_nan_state_refused(self, state):
+        states = {"psi": np.array([1.0, 0.0]), "phi": KET_PLUS.copy(),
+                  "Phi": np.array([0.0, 1.0])}
+        states[state] = np.array([np.nan, 1.0])
+        with pytest.raises(ValueError, match=f"{state} must be normalized"):
+            joint_evolve_and_postselect(np.eye(4), states["psi"], states["Phi"], states["phi"])
+
     def test_no_interaction(self):
         rng = np.random.default_rng(3)
         psi, phi = random_selection(2, rng)
@@ -540,6 +556,41 @@ class TestSystemControlled:
         overlapping = [np.diag([1, 0]).astype(complex), np.diag([1, 1]).astype(complex)]
         with pytest.raises(ValueError, match="projector"):
             potent_operator_system_controlled(overlapping, [np.eye(2)] * 2, amplification)
+
+    # "defect > tol" is False for NaN; each guard below must refuse it. A NaN
+    # entry already fails the Hermiticity check, so the later guards are
+    # reached by switching the earlier ones off.
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_projector_not_hermitian(self, amplification):
+        projectors = [np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)]
+        projectors[0][0, 1] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            potent_operator_system_controlled(projectors, [np.eye(2)] * 2, amplification)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_projector_product_refused(self, amplification, monkeypatch):
+        from potentops import linalg
+
+        monkeypatch.setattr(linalg, "hermiticity_defect", lambda p: 0.0)
+        projectors = [np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)]
+        projectors[0][0, 0] = np.nan
+        with pytest.raises(ValueError, match="violate P_i P_j"):
+            potent_operator_system_controlled(projectors, [np.eye(2)] * 2, amplification)
+
+    def test_nan_projector_sum_refused(self, monkeypatch):
+        from potentops import pps
+
+        monkeypatch.setattr(pps, "sum", lambda terms: np.full((2, 2), np.nan), raising=False)
+        projectors = [np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)]
+        with pytest.raises(ValueError, match="do not sum to the identity"):
+            pps._require_projector_decomposition(projectors, 2, "system projectors")
+
+    def test_nan_weak_value_sum_refused(self, amplification, monkeypatch):
+        from potentops import pps
+
+        monkeypatch.setattr(pps, "weak_value", lambda A, sel: complex(np.nan, 0.0))
+        with pytest.raises(ValueError, match=r"sum to \(nan"):
+            potent_operator_system_controlled([np.eye(2)], [np.eye(2)], amplification)
 
 
 class TestApparatusControlled:

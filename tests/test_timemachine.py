@@ -66,6 +66,20 @@ class TestSpecs:
         with pytest.raises(ValueError, match="sum"):
             SuperpositionSpec(np.array([0.5, 0.4]))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, -np.inf]])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(ValueError, match="sum"):
+            SuperpositionSpec(np.array(bad))
+
+    def test_nan_effective_duration_rejected(self):
+        spec = TimeTranslationSpec(durations=(1.0, np.nan),
+                                   coefficients=SuperpositionSpec([complex(0.5, 0.5),
+                                                                   complex(0.5, -0.5)]),
+                                   hamiltonian=SIGMA_Z)
+        with pytest.raises(ValueError, match="not real"):
+            spec.effective_duration
+
     def test_generator_must_be_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             EvolutionFamily(parameters=(1.0,),
@@ -349,6 +363,17 @@ class TestFitRefusals:
 
 
 class TestTimeTranslationMachine:
+    def test_nan_meter_state_refused(self):
+        spec = TimeTranslationSpec(durations=(0.7, 1.1),
+                                   coefficients=SuperpositionSpec([0.3, 0.7]),
+                                   hamiltonian=SIGMA_Z)
+        Phi = np.array([np.nan, 1.0])
+        with pytest.raises(ValueError, match="normalized"):
+            time_translation_machine(spec, Phi)
+        with pytest.raises(ValueError, match="normalized"):
+            superposed_evolution(linear_family((0.2, 0.5), SIGMA_Z, 1.0),
+                                 SuperpositionSpec([0.3, 0.7]), Phi)
+
     def test_equal_durations(self):
         spec = TimeTranslationSpec(durations=(0.7, 0.7),
                                    coefficients=SuperpositionSpec([0.3, 0.7]),
