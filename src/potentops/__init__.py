@@ -4,12 +4,10 @@ Gaussian-pointer meters, and post-selected superpositions of time evolutions.
 """
 
 from .linalg import (
-    JointSpace,
     basis_state,
     fidelity,
     general_exponential,
     hermitian_exponential,
-    hermitian_exponentials,
     inner_product,
     norm,
     normalize,

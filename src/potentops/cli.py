@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .scenarios import (
-    COLUMNS,
     KINDS,
-    TOLERANCES,
+    VERIFY_COLUMNS,
     ConfigError,
     emit_results,
     parse_config,
@@ -27,6 +27,7 @@ from .scenarios import (
     run_sweep,
     scenario_template,
     verification_suite,
+    within_tolerance,
 )
 
 EXIT_OK = 0
@@ -65,18 +66,19 @@ def _read_config_text(path: str) -> str:
         return fh.read()
 
 
-def _residual_exit_code(rows, tolerance_override, tolerance) -> int:
-    """EXIT_RESIDUAL (with a stderr count) when any row's residual exceeds
-    the tolerance, or the override that replaces it, or is NaN; EXIT_OK
-    otherwise."""
-    if tolerance_override is not None:
-        tolerance = tolerance_override
-    failures = sum(not r["residual"] <= tolerance for r in rows)
+def _residual_exit_code(rows, tolerance) -> int:
+    """EXIT_RESIDUAL (with a stderr count) when any row fails
+    :func:`within_tolerance`; EXIT_OK otherwise."""
+    failures = sum(not within_tolerance(r["residual"], tolerance) for r in rows)
     if failures:
         print(f"potentops: {failures}/{len(rows)} rows exceed the residual "
               f"tolerance {tolerance:g}", file=sys.stderr)
         return EXIT_RESIDUAL
     return EXIT_OK
+
+
+def _tolerance(args, documented: float) -> float:
+    return documented if args.tolerance_override is None else args.tolerance_override
 
 
 def main(argv=None) -> int:
@@ -107,18 +109,12 @@ def _run_scenario_command(args) -> int:
     else:
         cfg = parse_config_mapping(scenario_template(args.command))
     if args.seed is not None:
-        cfg = _with_seed(cfg, args.seed)
+        cfg = replace(cfg, seed=args.seed)
     rows = run_scenario(cfg)
     fmt = args.format or cfg.output_format or "csv"
     out = args.out or cfg.output_path
-    emit_results(rows, fmt, out, COLUMNS[cfg.kind])
-    return _residual_exit_code(rows, args.tolerance_override, TOLERANCES[cfg.kind])
-
-
-def _with_seed(cfg, seed: int):
-    from dataclasses import replace
-
-    return replace(cfg, seed=seed)
+    emit_results(rows, fmt, out, KINDS[cfg.kind].columns)
+    return _residual_exit_code(rows, _tolerance(args, KINDS[cfg.kind].tolerance))
 
 
 def _run_sweep_command(args) -> int:
@@ -126,24 +122,23 @@ def _run_sweep_command(args) -> int:
         raise ConfigError("sweep needs --config with 'base' and 'sweep' sections")
     base, sweep = parse_sweep_document(_read_config_text(args.config))
     rows, kind = run_sweep(base, sweep, seed=args.seed)
-    columns = ("point", *COLUMNS[kind])
+    columns = ("point", *KINDS[kind].columns)
     emit_results(rows, args.format or "csv", args.out, columns)
-    return _residual_exit_code(rows, args.tolerance_override, TOLERANCES[kind])
+    return _residual_exit_code(rows, _tolerance(args, KINDS[kind].tolerance))
 
 
 def _run_verify(args) -> int:
     rows = verification_suite(seed=args.seed if args.seed is not None else 0)
     failures = 0
     for row in rows:
-        tolerance = args.tolerance_override if args.tolerance_override is not None \
-            else row["tolerance"]
-        ok = row["residual"] <= tolerance
+        tolerance = _tolerance(args, row["tolerance"])
+        ok = within_tolerance(row["residual"], tolerance)
         failures += not ok
         status = "ok " if ok else "FAIL"
         print(f"{status} {row['check']:40s} residual={row['residual']:.3e} "
               f"tol={tolerance:g}")
     if args.out:
-        emit_results(rows, args.format or "csv", args.out, COLUMNS["verify"])
+        emit_results(rows, args.format or "csv", args.out, VERIFY_COLUMNS)
     print(f"{len(rows) - failures}/{len(rows)} checks passed")
     return EXIT_RESIDUAL if failures else EXIT_OK
 

@@ -13,8 +13,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
@@ -26,25 +24,6 @@ ORTHONORMAL_TOL = 1e-10
 # exp(scale * M) is refused beyond this 1-norm; scaling-and-squaring loses
 # accuracy and overflow sets in well before double-precision infinities.
 EXP_NORM_CAP = 128.0
-
-
-@dataclass(frozen=True)
-class JointSpace:
-    """Bipartite space of dimension system_dim * apparatus_dim, system-major."""
-
-    system_dim: int
-    apparatus_dim: int
-
-    def __post_init__(self):
-        if self.system_dim < 1 or self.apparatus_dim < 1:
-            raise ValueError("factor dimensions must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.system_dim * self.apparatus_dim
-
-    def flat_index(self, s: int, a: int) -> int:
-        return s * self.apparatus_dim + a
 
 
 def as_state(v) -> np.ndarray:
@@ -68,10 +47,6 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return hermiticity_defect(m) <= tol
-
-
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "operator") -> np.ndarray:
     m = as_operator(m)
     defect = hermiticity_defect(m)
@@ -84,10 +59,6 @@ def unitarity_defect(m: np.ndarray) -> float:
     m = as_operator(m)
     eye = np.eye(m.shape[0])
     return float(np.max(np.abs(m.conj().T @ m - eye)))
-
-
-def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    return unitarity_defect(m) <= tol
 
 
 def require_unitary(m: np.ndarray, tol: float = UNITARY_TOL, name: str = "operator") -> np.ndarray:
@@ -125,14 +96,6 @@ def hermitian_exponential(h: np.ndarray, scale: complex) -> np.ndarray:
     h = require_hermitian(h, name="exponential generator")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(scale * w)) @ v.conj().T
-
-
-def hermitian_exponentials(h: np.ndarray, scales) -> list[np.ndarray]:
-    """exp(scale * H) for several scales, sharing one eigendecomposition."""
-    h = require_hermitian(h, name="exponential generator")
-    w, v = np.linalg.eigh(h)
-    vd = v.conj().T
-    return [(v * np.exp(s * w)) @ vd for s in np.asarray(scales, dtype=complex)]
 
 
 def general_exponential(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:

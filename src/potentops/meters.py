@@ -49,13 +49,10 @@ class QubitMeter:
     def state(self) -> np.ndarray:
         return np.array([self.alpha, self.beta], dtype=complex)
 
-    @property
-    def coupling_projector(self) -> np.ndarray:
-        return pauli.PROJECT_1.copy()
-
     def coupling_unitary(self, A: np.ndarray, g: float) -> np.ndarray:
-        """exp(-i g A (x) |1><1|) on the system-major joint space."""
-        A = require_hermitian(A, name="A")
+        """exp(-i g A (x) |1><1|) on the system-major joint space. The
+        exponential refuses a non-Hermitian generator, and A (x) |1><1| has
+        the Hermiticity defect of A, so A needs no check of its own."""
         return hermitian_exponential(tensor_product(A, pauli.PROJECT_1), -1j * g)
 
 

@@ -171,26 +171,16 @@ def joint_evolve_and_postselect(U: np.ndarray, psi: np.ndarray, Phi: np.ndarray,
 
 
 def postselection_probability_weak(coupling: CouplingSpec, sel: PrePostSelection,
-                                   Phi: np.ndarray, literal_system_expectation: bool = False):
+                                   Phi: np.ndarray):
     """First-order and exact post-selection probabilities for exp(-i g A (x) P).
 
     The first-order formula is |<phi|psi>|^2 (1 + 2 g Im(A_w) <P>), with
-    <P> = <Phi|P|Phi> by default. ``literal_system_expectation`` switches to
-    <psi|P|psi>, which only makes sense when system and apparatus dimensions
-    coincide, and is exposed purely for comparison.
+    <P> = <Phi|P|Phi>.
     """
     psi = _require_normalized(sel.psi, "psi")
     phi = _require_normalized(sel.phi, "phi")
     Phi = _require_normalized(Phi, "Phi")
-    if literal_system_expectation:
-        if coupling.P.shape[0] != psi.size:
-            raise ValueError(
-                "literal <psi|P|psi> needs system and apparatus dims to match; "
-                f"got {psi.size} and {coupling.P.shape[0]}"
-            )
-        p_expect = float(np.vdot(psi, coupling.P @ psi).real)
-    else:
-        p_expect = float(np.vdot(Phi, coupling.P @ Phi).real)
+    p_expect = float(np.vdot(Phi, coupling.P @ Phi).real)
     a_w = weak_value(coupling.A, sel)
     ov2 = abs(sel.overlap) ** 2
     p_first_order = ov2 * (1.0 + 2.0 * coupling.g * a_w.imag * p_expect)
@@ -371,27 +361,3 @@ def apparatus_controlled_unitary(generators, projectors, lam: float) -> np.ndarr
     """Assemble sum_n exp(-i lam A_n) (x) P_n on the joint space."""
     return sum(tensor_product(hermitian_exponential(a, -1j * lam), as_operator(p))
                for a, p in zip(generators, projectors))
-
-
-__all__ = [
-    "EPS_OVERLAP",
-    "OrthogonalSelectionError",
-    "PrePostSelection",
-    "CouplingSpec",
-    "PotentValueSet",
-    "PotentOperator",
-    "weak_value",
-    "modular_value",
-    "joint_evolve_and_postselect",
-    "postselection_probability_weak",
-    "kraus_slices",
-    "potent_values",
-    "apparatus_state_from_potent_values",
-    "weak_limit_potent_values",
-    "potent_operator",
-    "potent_completeness_residual",
-    "potent_operator_system_controlled",
-    "potent_operator_apparatus_controlled",
-    "system_controlled_unitary",
-    "apparatus_controlled_unitary",
-]

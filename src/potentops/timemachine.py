@@ -111,6 +111,15 @@ class TimeTranslationSpec:
             raise ValueError(f"effective duration {total} is not real")
         return total.real
 
+    def branch_unitaries(self) -> list[np.ndarray]:
+        return [hermitian_exponential(self.hamiltonian, -1j * t) for t in self.durations]
+
+
+def _superpose(coefficients, unitaries, Phi: np.ndarray):
+    """sum_i c_i U_i|Phi>, unnormalized, and its norm."""
+    state = sum(c * (u @ Phi) for c, u in zip(coefficients, unitaries))
+    return state, float(np.linalg.norm(state))
+
 
 def superposed_evolution(family: EvolutionFamily, spec: SuperpositionSpec, Phi: np.ndarray):
     """sum_i c_i exp(-i H(a_i) T)|Phi>, unnormalized, plus its norm.
@@ -127,8 +136,7 @@ def superposed_evolution(family: EvolutionFamily, spec: SuperpositionSpec, Phi: 
     for a, u in zip(family.parameters, unitaries):
         if u.shape[1] != Phi.size:
             raise ValueError(f"H({a}) has shape {u.shape}, Phi has shape {Phi.shape}")
-    state = sum(c * (u @ Phi) for c, u in zip(spec.coefficients, unitaries))
-    return state, float(np.linalg.norm(state))
+    return _superpose(spec.coefficients, unitaries, Phi)
 
 
 def control_register_unitary(branch_unitaries) -> np.ndarray:
@@ -285,9 +293,7 @@ def time_translation_machine(spec: TimeTranslationSpec, Phi: np.ndarray):
     Phi = as_state(Phi)
     if not abs(np.linalg.norm(Phi) - 1.0) <= 1e-10:
         raise ValueError("Phi must be normalized")
-    branch = [hermitian_exponential(spec.hamiltonian, -1j * t) for t in spec.durations]
-    state = sum(c * (u @ Phi) for c, u in zip(spec.coefficients.coefficients, branch))
-    success = float(np.linalg.norm(state))
+    state, success = _superpose(spec.coefficients.coefficients, spec.branch_unitaries(), Phi)
     t_eff = spec.effective_duration
     if success <= EMPTY_STATE_TOL:
         raise ValueError("superposed state is numerically zero")
@@ -298,8 +304,7 @@ def time_translation_machine(spec: TimeTranslationSpec, Phi: np.ndarray):
 
 def time_machine_control_unitary(spec: TimeTranslationSpec) -> np.ndarray:
     """Control-register unitary whose potent operator is the time machine."""
-    branch = [hermitian_exponential(spec.hamiltonian, -1j * t) for t in spec.durations]
-    return control_register_unitary(branch)
+    return control_register_unitary(spec.branch_unitaries())
 
 
 def time_machine_selection(spec: TimeTranslationSpec) -> PrePostSelection:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -106,23 +107,33 @@ class TestVerify:
 
 
 def test_nan_residual_exits_2(monkeypatch, capsys, tmp_path):
-    # a NaN residual compares False against any tolerance; it must still fail
-    from potentops import cli, scenarios
+    # A runner whose residual comes out NaN must fail the oracle check (exit
+    # 2), not be refused as a non-finite value (exit 1).
+    from potentops.scenarios import KINDS
 
-    real = scenarios.run_scenario
+    for name in ("weak-value", "modular-value"):
+        kind = KINDS[name]
 
-    def nan_residuals(cfg):
-        return [{**row, "residual": float("nan")} for row in real(cfg)]
+        def nan_residuals(cfg, rng, run=kind.run):
+            return [{**row, "residual": np.nan} for row in run(cfg, rng)]
 
-    monkeypatch.setattr(scenarios, "run_scenario", nan_residuals)
-    monkeypatch.setattr(cli, "run_scenario", nan_residuals)
+        monkeypatch.setitem(KINDS, name, dataclasses.replace(kind, run=nan_residuals))
     assert run_cli("weak-value", "--out", str(tmp_path / "rows.csv")) == EXIT_RESIDUAL
     assert re.match(r"potentops: (\d+)/\1 rows exceed", capsys.readouterr().err)
+    assert (tmp_path / "rows.csv").read_text().splitlines()[1].endswith(",nan")
     cfg = tmp_path / "sweep.yaml"
     cfg.write_text("base:\n  scenario: modular-value\nsweep:\n  g: [0.1, 0.2]\n")
     assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")) \
         == EXIT_RESIDUAL
     assert re.match(r"potentops: (\d+)/\1 rows exceed", capsys.readouterr().err)
+    # verify shares the time-machine oracle helper with the runner
+    from potentops import scenarios
+
+    real = scenarios._time_machine_residual
+    monkeypatch.setattr(scenarios, "_time_machine_residual",
+                        lambda spec, Phi: (real(spec, Phi)[0], np.nan))
+    assert run_cli("verify") == EXIT_RESIDUAL
+    assert "FAIL time_machine_potent_route" in capsys.readouterr().out
 
 
 class TestSweep:

@@ -11,7 +11,6 @@ from potentops import (
     QubitMeter,
     build_gaussian_pointer,
     hermitian_exponential,
-    hermitian_exponentials,
     joint_evolve_and_postselect,
     modular_value,
     momentum_operator,
@@ -273,7 +272,7 @@ def test_engine_matches_dense_joint_oracle(grid_size, observable):
     pointer = build_gaussian_pointer(grid_size, -8.0, 8.0, 0.9, 0.3)
     P = momentum_operator(pointer.grid).matrix
     gs = [0.05, 0.5, 2.0]
-    joints = hermitian_exponentials(np.kron(A, P), [-1j * g for g in gs])
+    joints = [hermitian_exponential(np.kron(A, P), -1j * g) for g in gs]
     psi, phi = sel.psi / np.linalg.norm(sel.psi), sel.phi / np.linalg.norm(sel.phi)
     for joint, report in zip(joints, pointer_shift_sweep(A, sel, gs, pointer)):
         oracle, p = joint_evolve_and_postselect(

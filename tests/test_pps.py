@@ -224,24 +224,6 @@ class TestPostselectionProbability:
         assert abs(first - expected) <= 1e-13
         assert abs(exact - first) <= 0.05 ** 2  # agreement to first order
 
-    def test_literal_reading_flag(self, amplification):
-        coupling = CouplingSpec(g=0.1, A=SIGMA_Z, P=SIGMA_X)
-        Phi = np.array([0.6, 0.8])
-        first, _ = postselection_probability_weak(
-            coupling, amplification, Phi, literal_system_expectation=True)
-        p_psi = np.vdot(AMPLIFICATION_PSI, SIGMA_X @ AMPLIFICATION_PSI).real
-        a_w = weak_value(SIGMA_Z, amplification)
-        assert abs(first - 0.25 * (1 + 2 * 0.1 * a_w.imag * p_psi)) <= 1e-13
-
-    def test_literal_reading_needs_matching_dims(self):
-        rng = np.random.default_rng(7)
-        psi, phi = random_selection(2, rng)
-        sel = PrePostSelection(psi, phi)
-        coupling = CouplingSpec(g=0.1, A=SIGMA_Z, P=random_hermitian(3, rng))
-        with pytest.raises(ValueError, match="dims to match"):
-            postselection_probability_weak(coupling, sel, random_state(3, rng),
-                                           literal_system_expectation=True)
-
 
 class TestKrausSlices:
     def test_identity_evolution(self):

@@ -5,9 +5,7 @@ import pytest
 import yaml
 
 from potentops.scenarios import (
-    COLUMNS,
     KINDS,
-    TOLERANCES,
     ConfigError,
     emit_results,
     format_rows,
@@ -18,6 +16,7 @@ from potentops.scenarios import (
     run_sweep,
     scenario_template,
     verification_suite,
+    within_tolerance,
 )
 
 MINIMAL_WEAK_VALUE = """
@@ -142,13 +141,42 @@ class TestParseConfig:
             assert rows_a == rows_b
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_omitted_keys_take_the_template_values(kind):
+    minimal = parse_config_mapping({"scenario": kind})
+    preset = parse_config_mapping(scenario_template(kind))
+    assert minimal.params.keys() == preset.params.keys()
+    for key, value in preset.params.items():
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(minimal.params[key], value)
+        else:
+            assert minimal.params[key] == value, key
+
+
+def test_omitted_meter_keys_take_the_template_values():
+    cfg = parse_config_mapping({"scenario": "potent-values", "meter": {"beta": 0.8}})
+    preset = parse_config_mapping(scenario_template("potent-values"))
+    assert cfg.params["meter"] == preset.params["meter"]
+    with pytest.raises(ConfigError, match="'meter' must be a mapping"):
+        parse_config_mapping({"scenario": "potent-values", "meter": 5})
+
+
+def test_template_is_a_fresh_copy():
+    template = scenario_template("potent-values")
+    template["meter"]["alpha"] = 0.0
+    template["g"].append(2.0)
+    assert scenario_template("potent-values")["meter"]["alpha"] == 0.6
+    assert KINDS["potent-values"].template["g"] == [1.0]
+
+
 class TestRunScenario:
     def test_weak_value_amplification_row(self):
         rows = run_scenario(parse_config_mapping(scenario_template("weak-value")))
         assert all(row["value_re"] == pytest.approx(2.0, abs=1e-12) for row in rows)
         assert all(row["value_im"] == pytest.approx(0.0, abs=1e-12) for row in rows)
-        assert all(row["residual"] <= TOLERANCES["weak-value"] for row in rows)
-        assert all(row["oracle_ok"] for row in rows)
+        assert all(row["residual"] <= KINDS["weak-value"].tolerance for row in rows)
+        assert all(within_tolerance(row["residual"], KINDS["weak-value"].tolerance)
+                   for row in rows)
 
     def test_modular_value_quarter_turn_row(self):
         rows = run_scenario(parse_config_mapping(scenario_template("modular-value")))
@@ -173,7 +201,7 @@ class TestRunScenario:
         (row,) = rows
         assert row["t_prime"] == pytest.approx(0.0, abs=1e-15)
         assert row["fidelity"] == pytest.approx(1.0, abs=1e-12)
-        assert row["residual"] <= TOLERANCES["time-machine"]
+        assert row["residual"] <= KINDS["time-machine"].tolerance
 
     def test_completeness_small_grid(self):
         cfg = parse_config("scenario: completeness\ndims: [[2, 3]]\ncount: 5\nseed: 9")
@@ -186,7 +214,7 @@ class TestRunScenario:
         rows = run_scenario(cfg)
         assert len(rows) == 10
         assert {row["variant"] for row in rows} == {"system", "apparatus"}
-        assert all(row["residual"] <= TOLERANCES["conditional"] for row in rows)
+        assert all(row["residual"] <= KINDS["conditional"].tolerance for row in rows)
 
     def test_determinism_same_seed(self):
         cfg = parse_config("scenario: conditional\ncount: 4\nseed: 11")
@@ -201,33 +229,33 @@ class TestRunScenario:
 class TestEmission:
     def test_documented_weak_value_header(self):
         rows = run_scenario(parse_config("scenario: weak-value\ng: [0.1]"))
-        text = format_rows(rows, "csv", COLUMNS["weak-value"])
+        text = format_rows(rows, "csv", KINDS["weak-value"].columns)
         assert text.splitlines()[0] == "scenario,g,value_re,value_im,prob_exact,residual"
         assert text.endswith("\n") and "\r" not in text
 
     def test_json_matches_csv_values(self):
         rows = run_scenario(parse_config("scenario: weak-value\ng: [0.1]"))
-        payload = json.loads(format_rows(rows, "json", COLUMNS["weak-value"]))
+        payload = json.loads(format_rows(rows, "json", KINDS["weak-value"].columns))
         assert payload[0]["value_re"] == rows[0]["value_re"]
-        assert list(payload[0]) == list(COLUMNS["weak-value"])
+        assert list(payload[0]) == list(KINDS["weak-value"].columns)
 
     def test_empty_rows_error_and_no_file(self, tmp_path):
         target = tmp_path / "never.csv"
         with pytest.raises(ValueError, match="no rows"):
-            emit_results([], "csv", str(target), COLUMNS["weak-value"])
+            emit_results([], "csv", str(target), KINDS["weak-value"].columns)
         assert not target.exists()
 
     def test_byte_identical_files(self, tmp_path):
         cfg = parse_config("scenario: conditional\ncount: 3\nseed: 5")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_results(run_scenario(cfg), "csv", str(a), COLUMNS["conditional"])
-        emit_results(run_scenario(cfg), "csv", str(b), COLUMNS["conditional"])
+        emit_results(run_scenario(cfg), "csv", str(a), KINDS["conditional"].columns)
+        emit_results(run_scenario(cfg), "csv", str(b), KINDS["conditional"].columns)
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_format(self):
         rows = run_scenario(parse_config("scenario: weak-value\ng: [0.1]"))
         with pytest.raises(ValueError, match="format"):
-            format_rows(rows, "xml", COLUMNS["weak-value"])
+            format_rows(rows, "xml", KINDS["weak-value"].columns)
 
 
 class TestSweep:
