@@ -8,6 +8,7 @@ from .linalg import (
     fidelity,
     general_exponential,
     hermitian_exponential,
+    hermitian_exponentials,
     inner_product,
     norm,
     normalize,

@@ -76,12 +76,20 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def tensor_product(x, y) -> np.ndarray:
-    """Kronecker product of two states or two operators (system-major order)."""
+    """Kronecker product of two states or two operators (system-major order).
+
+    Taken as one broadcast product, entry (i, k) x entry (j, l), instead of
+    ``np.kron``: the same products in the same places, so the result is
+    bit-identical at a fraction of the call overhead on small operands.
+    """
     x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
     if x.ndim == 1 and y.ndim == 1:
-        return np.kron(as_state(x), as_state(y))
+        x, y = as_state(x), as_state(y)
+        return (x[:, None] * y[None, :]).reshape(-1)
     if x.ndim == 2 and y.ndim == 2:
-        return np.kron(as_operator(x), as_operator(y))
+        x, y = as_operator(x), as_operator(y)
+        n = x.shape[0] * y.shape[0]
+        return (x[:, None, :, None] * y[None, :, None, :]).reshape(n, n)
     raise ValueError(
         f"tensor_product needs two states or two operators, got ndim {x.ndim} and {y.ndim}"
     )
@@ -93,9 +101,22 @@ def hermitian_exponential(h: np.ndarray, scale: complex) -> np.ndarray:
     Unitary (to tolerance) whenever scale is purely imaginary. The scale may be
     any complex number; the spectrum is exponentiated directly.
     """
+    return _spectral_exponentials(h, (scale,))[0]
+
+
+def hermitian_exponentials(h: np.ndarray, scales) -> list[np.ndarray]:
+    """[exp(s * H) for s in scales], sharing one Hermiticity check and one
+    eigendecomposition; entry i is bit-identical to
+    ``hermitian_exponential(h, scales[i])``."""
+    return _spectral_exponentials(h, scales)
+
+
+def _spectral_exponentials(h: np.ndarray, scales) -> list[np.ndarray]:
+    """The one spectral route behind both public exponentials."""
     h = require_hermitian(h, name="exponential generator")
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(scale * w)) @ v.conj().T
+    vd = v.conj().T
+    return [(v * np.exp(s * w)) @ vd for s in scales]
 
 
 def general_exponential(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:

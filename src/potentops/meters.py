@@ -14,7 +14,7 @@ from .linalg import (
     _pade_exponential,
     as_state,
     fidelity,
-    hermitian_exponential,
+    hermitian_exponentials,
     hermitize,
     require_hermitian,
     tensor_product,
@@ -49,11 +49,16 @@ class QubitMeter:
     def state(self) -> np.ndarray:
         return np.array([self.alpha, self.beta], dtype=complex)
 
-    def coupling_unitary(self, A: np.ndarray, g: float) -> np.ndarray:
-        """exp(-i g A (x) |1><1|) on the system-major joint space. The
+    def coupling_unitaries(self, A: np.ndarray, gs) -> list[np.ndarray]:
+        """exp(-i g A (x) |1><1|) on the system-major joint space for every g
+        in gs, from one eigendecomposition of the joint generator. The
         exponential refuses a non-Hermitian generator, and A (x) |1><1| has
         the Hermiticity defect of A, so A needs no check of its own."""
-        return hermitian_exponential(tensor_product(A, pauli.PROJECT_1), -1j * g)
+        return hermitian_exponentials(tensor_product(A, pauli.PROJECT_1), [-1j * g for g in gs])
+
+    def coupling_unitary(self, A: np.ndarray, g: float) -> np.ndarray:
+        """exp(-i g A (x) |1><1|) at one coupling."""
+        return self.coupling_unitaries(A, [g])[0]
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import re
 import sys
 import warnings
@@ -116,14 +117,16 @@ class Kind:
     ``template`` is the preset configuration; a config that omits a key, or a
     key of a nested mapping, takes the template's value. ``parse`` turns the
     config, completed from the template, into run parameters; ``run`` turns a
-    parsed config and a seeded generator into rows.
+    parsed config into rows. A kind that draws at random seeds its own
+    generator from ``cfg.seed``, so the kinds that draw nothing never load
+    ``numpy.random``.
     """
 
     columns: tuple
     tolerance: float
     template: dict
     parse: Callable[[dict], dict]
-    run: Callable[[ScenarioConfig, np.random.Generator], list[dict]]
+    run: Callable[[ScenarioConfig], list[dict]]
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,12 @@ def _with_defaults(doc: dict, template: dict) -> dict:
 def _parse_number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{key}' must be a number, got {value!r}")
-    if not np.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer literal no float can hold
+        raise ConfigError(f"'{key}' must be finite, got an integer beyond the "
+                          f"float range") from None
+    if not finite:
         raise ConfigError(f"'{key}' must be finite, got {value!r}")
     return float(value)
 
@@ -196,13 +204,25 @@ def _parse_count(value) -> int:
 
 
 def _unit_vector(amps: np.ndarray, key: str, what: str) -> np.ndarray:
-    """amps / |amps|; refuses a zero vector and warns when the norm was off."""
-    nrm = float(np.linalg.norm(amps))
+    """amps / |amps|; refuses a zero vector and warns when the norm was off.
+
+    When the sum of squares overflows, the amplitudes are first divided by
+    their largest real or imaginary part, so finite amplitudes always give a
+    unit vector and the warning reports their true norm.
+    """
+    with np.errstate(over="ignore"):
+        scaled_norm = float(np.linalg.norm(amps))
+    scale = 1.0
+    if scaled_norm == math.inf:
+        scale = float(np.max(np.abs(amps.view(float))))
+        amps = amps / scale
+        scaled_norm = float(np.linalg.norm(amps))
+    nrm = scale * scaled_norm
     if nrm <= 1e-12:
         raise ConfigError(f"'{key}': {what} are numerically zero")
     if abs(nrm - 1.0) > 1e-6:
         warnings.warn(f"'{key}': {what} normalized (norm was {nrm:.6g})")
-    return amps / nrm
+    return amps / scaled_norm
 
 
 def _parse_state(value, key: str) -> np.ndarray:
@@ -415,14 +435,13 @@ def _qubit_meter_points(p: dict):
     with U = exp(-i g A (x) |1><1|): every qubit-meter kind is this one
     construction, read out differently."""
     meter = p["meter"]
-    for g in p["g"]:
-        joint = meter.coupling_unitary(p["observable"], g)
+    for g, joint in zip(p["g"], meter.coupling_unitaries(p["observable"], p["g"])):
         apparatus, p_exact = joint_evolve_and_postselect(
             joint, p["psi"], meter.state, p["phi"], check_unitary=False)
         yield g, joint, apparatus, p_exact
 
 
-def _run_weak_value(cfg: ScenarioConfig, rng) -> list[dict]:
+def _run_weak_value(cfg: ScenarioConfig) -> list[dict]:
     p = cfg.params
     sel = PrePostSelection(p["psi"], p["phi"])
     value = weak_value(p["observable"], sel)
@@ -437,7 +456,7 @@ def _run_weak_value(cfg: ScenarioConfig, rng) -> list[dict]:
             for g, _, _, p_exact in _qubit_meter_points(p)]
 
 
-def _run_modular_value(cfg: ScenarioConfig, rng) -> list[dict]:
+def _run_modular_value(cfg: ScenarioConfig) -> list[dict]:
     p = cfg.params
     sel = PrePostSelection(p["psi"], p["phi"])
     rows = []
@@ -452,7 +471,7 @@ def _run_modular_value(cfg: ScenarioConfig, rng) -> list[dict]:
     return rows
 
 
-def _run_potent_values(cfg: ScenarioConfig, rng) -> list[dict]:
+def _run_potent_values(cfg: ScenarioConfig) -> list[dict]:
     p = cfg.params
     sel = PrePostSelection(p["psi"], p["phi"])
     rows = []
@@ -468,7 +487,7 @@ def _run_potent_values(cfg: ScenarioConfig, rng) -> list[dict]:
     return rows
 
 
-def _run_potent_operator(cfg: ScenarioConfig, rng) -> list[dict]:
+def _run_potent_operator(cfg: ScenarioConfig) -> list[dict]:
     p = cfg.params
     sel = PrePostSelection(p["psi"], p["phi"])
     rows = []
@@ -485,7 +504,8 @@ def _run_potent_operator(cfg: ScenarioConfig, rng) -> list[dict]:
     return rows
 
 
-def _run_completeness(cfg: ScenarioConfig, rng) -> list[dict]:
+def _run_completeness(cfg: ScenarioConfig) -> list[dict]:
+    rng = np.random.default_rng(cfg.seed)
     rows = []
     instance = 0
     for ds, da in cfg.params["dims"]:
@@ -499,7 +519,7 @@ def _run_completeness(cfg: ScenarioConfig, rng) -> list[dict]:
     return rows
 
 
-def _run_pointer_shift(cfg: ScenarioConfig, rng) -> list[dict]:
+def _run_pointer_shift(cfg: ScenarioConfig) -> list[dict]:
     p = cfg.params
     sel = PrePostSelection(p["psi"], p["phi"])
     m = p["meter"]
@@ -534,7 +554,8 @@ def _apparatus_controlled_residuals(projectors, generators, lam: float, sel: Pre
             float(max(abs(m - d) for m, d in zip(mvals, direct))))
 
 
-def _run_conditional(cfg: ScenarioConfig, rng) -> list[dict]:
+def _run_conditional(cfg: ScenarioConfig) -> list[dict]:
+    rng = np.random.default_rng(cfg.seed)
     rows = []
     for instance in range(cfg.params["count"]):
         for variant in cfg.params["variants"]:
@@ -567,7 +588,7 @@ def _time_machine_residual(spec: TimeTranslationSpec, Phi: np.ndarray):
     return result, float(np.max(np.abs(op.apply(Phi) - result[0])))
 
 
-def _run_time_machine(cfg: ScenarioConfig, rng) -> list[dict]:
+def _run_time_machine(cfg: ScenarioConfig) -> list[dict]:
     p = cfg.params
     spec = TimeTranslationSpec(durations=tuple(p["durations"]),
                                coefficients=SuperpositionSpec(np.array(p["coefficients"])),
@@ -627,8 +648,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[dict]:
 
     Each row is a plain dict covering ``KINDS[cfg.kind].columns``.
     """
-    rng = np.random.default_rng(cfg.seed)
-    return [_finalize_row(row) for row in KINDS[cfg.kind].run(cfg, rng)]
+    return [_finalize_row(row) for row in KINDS[cfg.kind].run(cfg)]
 
 
 def _finalize_row(row: dict) -> dict:
@@ -638,7 +658,7 @@ def _finalize_row(row: dict) -> dict:
     for key, value in row.items():
         if isinstance(value, (np.floating, np.integer)):
             value = value.item()
-        if key != "residual" and isinstance(value, float) and not np.isfinite(value):
+        if key != "residual" and isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"non-finite result for {key!r}")
         out[key] = value
     return out

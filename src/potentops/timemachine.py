@@ -15,6 +15,7 @@ from .linalg import (
     as_state,
     basis_state,
     hermitian_exponential,
+    hermitian_exponentials,
     require_hermitian,
     tensor_product,
 )
@@ -112,7 +113,8 @@ class TimeTranslationSpec:
         return total.real
 
     def branch_unitaries(self) -> list[np.ndarray]:
-        return [hermitian_exponential(self.hamiltonian, -1j * t) for t in self.durations]
+        """exp(-i H T_i) for every duration, from one eigendecomposition of H."""
+        return hermitian_exponentials(self.hamiltonian, [-1j * t for t in self.durations])
 
 
 def _superpose(coefficients, unitaries, Phi: np.ndarray):
@@ -288,17 +290,21 @@ def time_translation_machine(spec: TimeTranslationSpec, Phi: np.ndarray):
 
     Returns (unnormalized state, T', fidelity against exp(-i H T')|Phi>,
     success norm). T' = sum_i c_i T_i may be negative: post-selection can
-    steer the meter toward its past.
+    steer the meter toward its past. The branches exp(-i H T_i) and the
+    target exp(-i H T') come from one eigendecomposition of H.
     """
     Phi = as_state(Phi)
     if not abs(np.linalg.norm(Phi) - 1.0) <= 1e-10:
         raise ValueError("Phi must be normalized")
-    state, success = _superpose(spec.coefficients.coefficients, spec.branch_unitaries(), Phi)
+    if spec.hamiltonian.shape[1] != Phi.size:
+        raise ValueError(f"H has shape {spec.hamiltonian.shape}, Phi has shape {Phi.shape}")
     t_eff = spec.effective_duration
+    *branches, evolution = hermitian_exponentials(
+        spec.hamiltonian, [-1j * t for t in (*spec.durations, t_eff)])
+    state, success = _superpose(spec.coefficients.coefficients, branches, Phi)
     if success <= EMPTY_STATE_TOL:
         raise ValueError("superposed state is numerically zero")
-    target = hermitian_exponential(spec.hamiltonian, -1j * t_eff) @ Phi
-    fid = float(abs(np.vdot(target, state)) / success)
+    fid = float(abs(np.vdot(evolution @ Phi, state)) / success)
     return state, t_eff, fid, success
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from potentops.cli import EXIT_IO, EXIT_OK, EXIT_RESIDUAL, EXIT_VALIDATION, main
+from potentops.scenarios import KINDS
 
 
 def run_cli(*argv):
@@ -54,6 +55,36 @@ class TestExitCodes:
         cfg.write_text(f"scenario: {kind}\n{entry.format(bad=bad)}\n")
         assert run_cli(kind, "--config", str(cfg)) == EXIT_VALIDATION
         assert f"'{key}' must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, entry, key", [
+        ("weak-value", "g: [{huge}]", "g"),
+        ("weak-value", "psi: [{huge}, 1]", "psi"),
+        ("weak-value", "observable: [[{huge}, 0], [0, 1]]", "observable"),
+        ("time-machine", "hamiltonian: [[1, 0], [0, {huge}]]", "hamiltonian"),
+    ])
+    def test_huge_integer_literal_names_the_key(self, capsys, tmp_path, kind, entry, key):
+        # 401 digits: a YAML int that no float can hold
+        cfg = tmp_path / "huge.yaml"
+        cfg.write_text(f"scenario: {kind}\n{entry.format(huge='1' + '0' * 400)}\n")
+        assert run_cli(kind, "--config", str(cfg)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert (f"configuration error: '{key}' must be finite, got an integer beyond the "
+                "float range") in err
+
+    @pytest.mark.parametrize("kind, key", [("weak-value", "psi"), ("time-machine", "meter_state")])
+    def test_overflowing_amplitudes_run_as_their_direction(self, capsys, tmp_path, kind, key):
+        # |(1e308, 1e308)| overflows when squared but is finite; the state is
+        # the one (1, 1) gives, and the warning reports the true norm.
+        outputs = {}
+        for amp, shown in (("1e308", r"1\.41421e\+308"), ("1", r"1\.41421\)")):
+            cfg = tmp_path / f"{amp}.yaml"
+            cfg.write_text(f"scenario: {kind}\n{key}: [{amp}, {amp}]\n")
+            with pytest.warns(UserWarning, match=rf"'{key}': amplitudes normalized "
+                                                  rf"\(norm was {shown}"):
+                assert run_cli(kind, "--config", str(cfg)) == EXIT_OK
+            outputs[amp] = capsys.readouterr().out
+        assert outputs["1e308"] == outputs["1"]
+        assert outputs["1"].count("\n") == len(KINDS[kind].template.get("g", [0])) + 1
 
     def test_kind_subcommand_mismatch(self, capsys, tmp_path):
         cfg = tmp_path / "tm.yaml"
@@ -114,8 +145,8 @@ def test_nan_residual_exits_2(monkeypatch, capsys, tmp_path):
     for name in ("weak-value", "modular-value"):
         kind = KINDS[name]
 
-        def nan_residuals(cfg, rng, run=kind.run):
-            return [{**row, "residual": np.nan} for row in run(cfg, rng)]
+        def nan_residuals(cfg, run=kind.run):
+            return [{**row, "residual": np.nan} for row in run(cfg)]
 
         monkeypatch.setitem(KINDS, name, dataclasses.replace(kind, run=nan_residuals))
     assert run_cli("weak-value", "--out", str(tmp_path / "rows.csv")) == EXIT_RESIDUAL
@@ -213,3 +244,36 @@ def test_cheap_kinds_never_import_scipy(tmp_path):
                                     "conditional", "time-machine", "verify", "sweep"}
     assert result["codes"] == dict.fromkeys(result["codes"], EXIT_OK)
     assert not result["scipy"], "a command imported scipy"
+
+
+# Runs in a fresh interpreter: the kinds that draw nothing at random, and a
+# sweep of one, must leave numpy.random (~10 ms of a cold process) unloaded.
+_NO_RANDOM_GUARD = """
+import json, sys
+from potentops.cli import main
+out = sys.argv[1]
+kinds = ["weak-value", "modular-value", "potent-values", "potent-operator",
+         "pointer-shift", "time-machine"]
+codes = {kind: main([kind, "--out", f"{out}/{kind}.csv"]) for kind in kinds}
+codes["sweep"] = main(["sweep", "--config", f"{out}/sweep.yaml", "--out", f"{out}/sweep.csv"])
+print(json.dumps({"codes": codes, "random": "numpy.random" in sys.modules}))
+"""
+
+
+def test_kinds_that_draw_nothing_never_import_numpy_random(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = subprocess.run([sys.executable, "-c",
+                            "import sys, numpy; print('numpy.random' in sys.modules)"],
+                           env=env, capture_output=True, text=True, timeout=120)
+    if probe.stdout.strip() != "False":
+        pytest.skip("this numpy loads numpy.random on import")
+    (tmp_path / "sweep.yaml").write_text(
+        "base:\n  scenario: modular-value\nsweep:\n  g: [0.1, 0.2]\n")
+    proc = subprocess.run([sys.executable, "-c", _NO_RANDOM_GUARD, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == dict.fromkeys(result["codes"], EXIT_OK)
+    assert len(result["codes"]) == 7
+    assert not result["random"], "a kind that draws nothing imported numpy.random"

@@ -14,6 +14,7 @@ from potentops.linalg import (
     fidelity,
     general_exponential,
     hermitian_exponential,
+    hermitian_exponentials,
     inner_product,
     norm,
     normalize,
@@ -51,6 +52,34 @@ class TestTensorProduct:
         assert np.max(np.abs(left - right)) <= 1e-12
 
 
+@st.composite
+def kron_operands(draw):
+    """Two states or two operators of dims 1..6, each int, real or complex."""
+    ndim = draw(st.sampled_from([1, 2]))
+    pair = []
+    for _ in range(2):
+        d = draw(st.integers(1, 6))
+        dtype, elements = draw(st.sampled_from([
+            (np.int64, st.integers(-9, 9)),
+            (np.float64, st.floats(-1e3, 1e3)),
+            (np.complex128, st.complex_numbers(max_magnitude=1e3)),
+        ]))
+        pair.append(draw(arrays(dtype, (d,) * ndim, elements=elements)))
+    return pair
+
+
+class TestTensorProductMatchesKron:
+    @settings(max_examples=200, deadline=None)
+    @given(operands=kron_operands())
+    def test_bit_identical_to_kron(self, operands):
+        x, y = operands
+        out = tensor_product(x, y)
+        ref = np.kron(x.astype(complex), y.astype(complex))
+        assert np.array_equal(out, ref)
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()  # signed zeros included
+
+
 class TestHermitianExponential:
     def test_zero_exponent(self):
         h = random_hermitian(5, np.random.default_rng(1))
@@ -84,6 +113,26 @@ class TestHermitianExponential:
         scale = complex(0.4, -0.8)
         prod = hermitian_exponential(h, scale) @ hermitian_exponential(h, -scale)
         assert np.max(np.abs(prod - np.eye(6))) <= 1e-10
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
+    def test_shared_decomposition_is_bit_identical(self, dim):
+        h = random_hermitian(dim, np.random.default_rng(30 + dim))
+        scales = [0.0, 1.0, -0.7j, complex(0.4, -0.8), np.complex128(-2.5j)]
+        outs = hermitian_exponentials(h, scales)
+        assert len(outs) == len(scales)
+        for out, s in zip(outs, scales):
+            assert np.array_equal(out, hermitian_exponential(h, s))
+
+    def test_one_check_and_one_eigh_for_all_scales(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        h = random_hermitian(4, np.random.default_rng(2))
+        hermitian_exponentials(h, [-0.1j * k for k in range(7)])
+        assert calls == [(4, 4)]
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_exponentials(np.array([[0, 1], [0, 0]], dtype=complex), [1.0, 2.0])
+        assert calls == [(4, 4)]
 
 
 # A non-finite entry makes the defect NaN or inf; "defect > tol" is False for

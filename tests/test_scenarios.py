@@ -226,6 +226,57 @@ class TestRunScenario:
         assert a != b
 
 
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """The shape of every matrix handed to np.linalg.eigh, in call order."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return shapes
+
+
+# A 3x3 observable, so its own eigh (3, 3) and the joint's (6, 6) tell apart.
+QUBIT_METER_3 = {
+    "observable": [[1.0, 0.5, 0.0], [0.5, -1.0, 0.25], [0.0, 0.25, 0.3]],
+    "psi": [0.6, 0.0, 0.8], "phi": [0.0, 0.6, 0.8],
+    "meter": {"kind": "qubit", "alpha": 0.6, "beta": 0.8},
+}
+
+
+class TestSharedDecompositions:
+    # eigh calls on the observable itself: weak-value's spectral oracle takes
+    # one per run, modular_value one per coupling, the others none.
+    @pytest.mark.parametrize("kind, per_run, per_coupling", [
+        ("weak-value", 1, 0), ("modular-value", 0, 1),
+        ("potent-values", 0, 0), ("potent-operator", 0, 0),
+    ])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_qubit_meter_run_makes_one_joint_eigh(self, eigh_shapes, kind, per_run,
+                                                  per_coupling, n):
+        g = [0.1 * (k + 1) for k in range(n)]
+        rows = run_scenario(parse_config_mapping({"scenario": kind, "g": g, **QUBIT_METER_3}))
+        assert all(within_tolerance(r["residual"], KINDS[kind].tolerance) for r in rows)
+        observable_eighs = per_run + per_coupling * n
+        assert eigh_shapes.count((6, 6)) == 1
+        assert eigh_shapes.count((3, 3)) == observable_eighs
+        assert len(eigh_shapes) == 1 + observable_eighs
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_time_machine_run_makes_two_eighs(self, eigh_shapes, n):
+        doc = {"scenario": "time-machine", "coefficients": [2.0] + [-1.0 / (n - 1)] * (n - 1),
+               "durations": [0.5 * k for k in range(n)],
+               "hamiltonian": QUBIT_METER_3["observable"], "meter_state": [0.6, 0.0, 0.8]}
+        (row,) = run_scenario(parse_config_mapping(doc))
+        assert within_tolerance(row["residual"], KINDS["time-machine"].tolerance)
+        # one for the machine's branches and target, one for the oracle's branches
+        assert eigh_shapes == [(3, 3), (3, 3)]
+
+
 class TestEmission:
     def test_documented_weak_value_header(self):
         rows = run_scenario(parse_config("scenario: weak-value\ng: [0.1]"))

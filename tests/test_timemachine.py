@@ -374,6 +374,13 @@ class TestTimeTranslationMachine:
             superposed_evolution(linear_family((0.2, 0.5), SIGMA_Z, 1.0),
                                  SuperpositionSpec([0.3, 0.7]), Phi)
 
+    def test_meter_state_of_wrong_dimension_refused(self):
+        spec = TimeTranslationSpec(durations=(0.7, 1.1),
+                                   coefficients=SuperpositionSpec([0.3, 0.7]),
+                                   hamiltonian=SIGMA_Z)
+        with pytest.raises(ValueError, match=r"H has shape \(2, 2\), Phi has shape \(3,\)"):
+            time_translation_machine(spec, random_state(3, np.random.default_rng(4)))
+
     def test_equal_durations(self):
         spec = TimeTranslationSpec(durations=(0.7, 0.7),
                                    coefficients=SuperpositionSpec([0.3, 0.7]),
