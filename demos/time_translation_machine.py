@@ -17,14 +17,12 @@ from potentops import (
     SuperpositionSpec,
     TimeTranslationSpec,
     hermitian_exponential,
-    potent_operator,
     potent_time_superposition,
     superposed_evolution,
     time_translation_machine,
 )
 from potentops.pauli import SIGMA_Z
 from potentops.sampling import random_state
-from potentops.timemachine import time_machine_control_unitary, time_machine_selection
 
 spec = TimeTranslationSpec(durations=(1.0, 2.0),
                            coefficients=SuperpositionSpec([2.0, -1.0]),
@@ -51,7 +49,7 @@ print(f"\nc = (2, -1), T = (1, 3): T' = {t_past} (toward the past), "
       f"eigenstate fidelity = {fid_past:.12f}")
 
 # the machine IS a potent operator of a control register
-op = potent_operator(time_machine_control_unitary(spec), time_machine_selection(spec))
+op = potent_time_superposition(spec, spec.coefficients)
 direct = 2 * hermitian_exponential(SIGMA_Z, -1j) - hermitian_exponential(SIGMA_Z, -2j)
 print(f"\npotent-operator route vs direct coefficient sum: "
       f"{np.max(np.abs(op.matrix - direct)):.2e}")

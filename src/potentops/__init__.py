@@ -51,7 +51,6 @@ from .timemachine import (
     EvolutionFamily,
     SuperpositionSpec,
     TimeTranslationSpec,
-    control_register_unitary,
     effective_parameter_fit,
     potent_time_superposition,
     superposed_evolution,

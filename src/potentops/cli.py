@@ -84,6 +84,8 @@ def _tolerance(args, documented: float) -> float:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"'seed' must be a non-negative integer, got {args.seed}")
         if args.command == "verify":
             return _run_verify(args)
         if args.command == "sweep":

@@ -18,6 +18,7 @@ import numpy as np
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 ZERO_NORM_TOL = 1e-14
+NORMALIZED_TOL = 1e-10
 PHASE_TOL = 1e-12
 ORTHONORMAL_TOL = 1e-10
 
@@ -67,6 +68,14 @@ def require_unitary(m: np.ndarray, tol: float = UNITARY_TOL, name: str = "operat
     if not defect <= tol:
         raise ValueError(f"{name} is not unitary (max |U^dag U - I| = {defect:.3e} > {tol:.1e})")
     return m
+
+
+def require_normalized(v: np.ndarray, name: str) -> np.ndarray:
+    v = as_state(v)
+    n = float(np.linalg.norm(v))
+    if not abs(n - 1.0) <= NORMALIZED_TOL:  # NaN fails this too
+        raise ValueError(f"{name} must be normalized (norm = {n!r})")
+    return v
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

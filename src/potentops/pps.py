@@ -22,13 +22,13 @@ from .linalg import (
     normalize,
     partial_matrix_element,
     require_hermitian,
+    require_normalized,
     require_orthonormal_basis,
     require_unitary,
     tensor_product,
 )
 
 EPS_OVERLAP = 1e-10
-NORMALIZED_TOL = 1e-10
 WEAK_SUM_TOL = 1e-12
 PROJECTOR_TOL = 1e-10
 
@@ -36,14 +36,6 @@ PROJECTOR_TOL = 1e-10
 class OrthogonalSelectionError(ValueError):
     """Pre- and post-selected states are (numerically) orthogonal, so
     selection-conditioned values are undefined."""
-
-
-def _require_normalized(v: np.ndarray, name: str) -> np.ndarray:
-    v = as_state(v)
-    n = np.linalg.norm(v)
-    if not abs(n - 1.0) <= NORMALIZED_TOL:  # NaN fails this too
-        raise ValueError(f"{name} must be normalized (norm = {n!r})")
-    return v
 
 
 @dataclass(frozen=True)
@@ -154,9 +146,9 @@ def joint_evolve_and_postselect(U: np.ndarray, psi: np.ndarray, Phi: np.ndarray,
     oracle every reduction in the package is checked against.
     """
     U = as_operator(U)
-    psi = _require_normalized(psi, "psi")
-    phi = _require_normalized(phi, "phi")
-    Phi = _require_normalized(Phi, "Phi")
+    psi = require_normalized(psi, "psi")
+    phi = require_normalized(phi, "phi")
+    Phi = require_normalized(Phi, "Phi")
     ds, da = psi.size, Phi.size
     if phi.size != ds:
         raise ValueError(f"phi dim {phi.size} != psi dim {ds}")
@@ -177,9 +169,9 @@ def postselection_probability_weak(coupling: CouplingSpec, sel: PrePostSelection
     The first-order formula is |<phi|psi>|^2 (1 + 2 g Im(A_w) <P>), with
     <P> = <Phi|P|Phi>.
     """
-    psi = _require_normalized(sel.psi, "psi")
-    phi = _require_normalized(sel.phi, "phi")
-    Phi = _require_normalized(Phi, "Phi")
+    psi = require_normalized(sel.psi, "psi")
+    phi = require_normalized(sel.phi, "phi")
+    Phi = require_normalized(Phi, "Phi")
     p_expect = float(np.vdot(Phi, coupling.P @ Phi).real)
     a_w = weak_value(coupling.A, sel)
     ov2 = abs(sel.overlap) ** 2
@@ -195,7 +187,7 @@ def kraus_slices(U: np.ndarray, Phi: np.ndarray, basis: np.ndarray) -> list[np.n
     For unitary U they satisfy sum_k A_k^dag A_k = I.
     """
     U = as_operator(U)
-    Phi = _require_normalized(Phi, "Phi")
+    Phi = require_normalized(Phi, "Phi")
     basis = require_orthonormal_basis(basis)
     da = basis.shape[0]
     if Phi.size != da:
@@ -238,7 +230,7 @@ def weak_limit_potent_values(coupling: CouplingSpec, Phi: np.ndarray, basis: np.
     complex in general so the generator is not anti-Hermitian, but P is
     Hermitian, so its eigendecomposition exponentiates any complex scale.
     """
-    Phi = _require_normalized(Phi, "Phi")
+    Phi = require_normalized(Phi, "Phi")
     basis = require_orthonormal_basis(basis)
     a_w = weak_value(coupling.A, sel)
     meter_amps = basis.conj().T @ Phi
@@ -271,7 +263,7 @@ def potent_completeness_residual(U: np.ndarray, phi: np.ndarray, basis: np.ndarr
     which is <= 1e-10 for any unitary U and complete orthonormal {psi_n}.
     """
     U = require_unitary(U, name="joint evolution")
-    phi = _require_normalized(phi, "phi")
+    phi = require_normalized(phi, "phi")
     basis = require_orthonormal_basis(basis)
     ds = basis.shape[0]
     if phi.size != ds:

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 import yaml
 
-from . import pauli
+from . import linalg, pauli
 from .linalg import general_exponential, hermitian_exponential, normalize, tensor_product
 from .meters import (
     QubitMeter,
@@ -64,8 +64,7 @@ from .sampling import (
 from .timemachine import (
     SuperpositionSpec,
     TimeTranslationSpec,
-    time_machine_control_unitary,
-    time_machine_selection,
+    potent_time_superposition,
     time_translation_machine,
 )
 
@@ -251,7 +250,7 @@ def _parse_matrix(value, key: str) -> np.ndarray:
     m = np.array(rows)
     if m.shape[0] != m.shape[1]:
         raise ConfigError(f"'{key}' must be square, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > 1e-12:
+    if not linalg.hermiticity_defect(m) <= linalg.HERMITIAN_TOL:
         raise ConfigError(f"'{key}' must be Hermitian")
     return m
 
@@ -377,8 +376,8 @@ def parse_config_mapping(doc) -> ScenarioConfig:
     if not isinstance(name, str) or name not in KINDS:
         raise ConfigError(f"'scenario' must be one of {list(KINDS)}, got {name!r}")
     seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"'seed' must be an integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"'seed' must be a non-negative integer, got {seed!r}")
     out_format = out_path = None
     if "output" in doc:
         output = doc["output"]
@@ -584,7 +583,7 @@ def _time_machine_residual(spec: TimeTranslationSpec, Phi: np.ndarray):
     control-register potent operator applied to Phi against the direct
     coefficient sum."""
     result = time_translation_machine(spec, Phi)
-    op = potent_operator(time_machine_control_unitary(spec), time_machine_selection(spec))
+    op = potent_time_superposition(spec, spec.coefficients)
     return result, float(np.max(np.abs(op.apply(Phi) - result[0])))
 
 

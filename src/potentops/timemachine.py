@@ -11,18 +11,22 @@ import numpy as np
 
 from .linalg import (
     HERMITIAN_TOL,
+    ZERO_NORM_TOL,
     as_operator,
     as_state,
-    basis_state,
     hermitian_exponential,
     hermitian_exponentials,
     require_hermitian,
-    tensor_product,
+    require_normalized,
 )
-from .pps import PotentOperator, PrePostSelection, potent_operator
+from .pps import (
+    WEAK_SUM_TOL,
+    PotentOperator,
+    PrePostSelection,
+    potent_operator,
+    system_controlled_unitary,
+)
 
-COEFF_SUM_TOL = 1e-12
-EMPTY_STATE_TOL = 1e-14
 # Complex entries one stacked eigendecomposition of the fit scan may hold
 # (16 MiB); a longer scan is split into chunks of this size.
 SCAN_STACK_ENTRIES = 2**20
@@ -81,7 +85,7 @@ class SuperpositionSpec:
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a nonempty 1-D sequence")
         total = complex(np.sum(c))
-        if not abs(total - 1.0) <= COEFF_SUM_TOL:
+        if not abs(total - 1.0) <= WEAK_SUM_TOL:
             raise ValueError(f"coefficients sum to {total}, not 1")
         object.__setattr__(self, "coefficients", c)
 
@@ -131,9 +135,7 @@ def superposed_evolution(family: EvolutionFamily, spec: SuperpositionSpec, Phi: 
     """
     if len(spec) != len(family.parameters):
         raise ValueError(f"{len(family.parameters)} parameters but {len(spec)} coefficients")
-    Phi = as_state(Phi)
-    if not abs(np.linalg.norm(Phi) - 1.0) <= 1e-10:
-        raise ValueError("Phi must be normalized")
+    Phi = require_normalized(Phi, "Phi")
     unitaries = family.branch_unitaries()
     for a, u in zip(family.parameters, unitaries):
         if u.shape[1] != Phi.size:
@@ -141,39 +143,26 @@ def superposed_evolution(family: EvolutionFamily, spec: SuperpositionSpec, Phi: 
     return _superpose(spec.coefficients, unitaries, Phi)
 
 
-def control_register_unitary(branch_unitaries) -> np.ndarray:
-    """sum_i |i><i| (x) U_i: a control register steering which evolution runs."""
-    unis = [as_operator(u) for u in branch_unitaries]
-    n = len(unis)
-    da = unis[0].shape[0]
-    joint = np.zeros((n * da, n * da), dtype=complex)
-    for i, u in enumerate(unis):
-        proj = np.outer(basis_state(n, i), basis_state(n, i).conj())
-        joint += tensor_product(proj, u)
-    return joint
+def potent_time_superposition(evolutions: EvolutionFamily | TimeTranslationSpec,
+                               spec: SuperpositionSpec) -> PotentOperator:
+    """Realize sum_i c_i U_i, with U_i the branch unitaries of a family or a
+    time-translation spec, as the potent operator of the system-controlled
+    unitary sum_i |i><i| (x) U_i on a control register pre-selected along the
+    coefficients and post-selected on the uniform superposition.
 
-
-def _superposition_selection(spec: SuperpositionSpec) -> PrePostSelection:
-    n = len(spec)
-    psi = spec.coefficients / np.linalg.norm(spec.coefficients)
-    phi = np.ones(n, dtype=complex) / np.sqrt(n)
-    return PrePostSelection(psi=psi, phi=phi)
-
-
-def potent_time_superposition(family: EvolutionFamily, spec: SuperpositionSpec) -> PotentOperator:
-    """Realize sum_i c_i exp(-i H(a_i) T) as the potent operator of a control
-    register pre-selected along the coefficients and post-selected on the
-    uniform superposition.
-
-    The selection ratio is scale invariant, so normalizing the pre-selected
-    state internally still reproduces the coefficient sum exactly (this is
-    where sum_i c_i = 1 matters).
+    For that selection <|i><i|>_w = c_i / sum_j c_j = c_i (Aharonov, Anandan,
+    Popescu and Vaidman, PRL 64, 2965 (1990)). The selection ratio is scale
+    invariant, so normalizing the pre-selected state still reproduces the
+    coefficient sum exactly (this is where sum_i c_i = 1 matters).
     """
-    if len(spec) != len(family.parameters):
-        raise ValueError(f"{len(family.parameters)} parameters but {len(spec)} coefficients")
-    joint = control_register_unitary(family.branch_unitaries())
-    sel = _superposition_selection(spec)
-    return potent_operator(joint, sel)
+    branches = evolutions.branch_unitaries()
+    if len(branches) != len(spec):
+        raise ValueError(f"{len(branches)} branches but {len(spec)} coefficients")
+    n = len(spec)
+    register = [np.diag(e) for e in np.eye(n)]
+    sel = PrePostSelection(psi=spec.coefficients / np.linalg.norm(spec.coefficients),
+                           phi=np.ones(n, dtype=complex) / np.sqrt(n))
+    return potent_operator(system_controlled_unitary(register, branches), sel)
 
 
 def effective_parameter_fit(family: EvolutionFamily, spec: SuperpositionSpec,
@@ -199,7 +188,7 @@ def effective_parameter_fit(family: EvolutionFamily, spec: SuperpositionSpec,
     if not (np.isfinite(a_lo) and np.isfinite(a_hi) and a_hi > a_lo):
         raise ValueError(f"bad search interval [{a_lo}, {a_hi}]")
     state, success = superposed_evolution(family, spec, Phi)
-    if success <= EMPTY_STATE_TOL:
+    if success <= ZERO_NORM_TOL:
         raise ValueError("superposed state is numerically zero; nothing to fit")
     super_state = state / success
     Phi = as_state(Phi)
@@ -293,26 +282,14 @@ def time_translation_machine(spec: TimeTranslationSpec, Phi: np.ndarray):
     steer the meter toward its past. The branches exp(-i H T_i) and the
     target exp(-i H T') come from one eigendecomposition of H.
     """
-    Phi = as_state(Phi)
-    if not abs(np.linalg.norm(Phi) - 1.0) <= 1e-10:
-        raise ValueError("Phi must be normalized")
+    Phi = require_normalized(Phi, "Phi")
     if spec.hamiltonian.shape[1] != Phi.size:
         raise ValueError(f"H has shape {spec.hamiltonian.shape}, Phi has shape {Phi.shape}")
     t_eff = spec.effective_duration
     *branches, evolution = hermitian_exponentials(
         spec.hamiltonian, [-1j * t for t in (*spec.durations, t_eff)])
     state, success = _superpose(spec.coefficients.coefficients, branches, Phi)
-    if success <= EMPTY_STATE_TOL:
+    if success <= ZERO_NORM_TOL:
         raise ValueError("superposed state is numerically zero")
     fid = float(abs(np.vdot(evolution @ Phi, state)) / success)
     return state, t_eff, fid, success
-
-
-def time_machine_control_unitary(spec: TimeTranslationSpec) -> np.ndarray:
-    """Control-register unitary whose potent operator is the time machine."""
-    return control_register_unitary(spec.branch_unitaries())
-
-
-def time_machine_selection(spec: TimeTranslationSpec) -> PrePostSelection:
-    """The pre/post-selection realizing the machine on the control register."""
-    return _superposition_selection(spec.coefficients)

@@ -116,6 +116,13 @@ class TestOutputs:
         run_cli("completeness", "--seed", "2", "--out", str(b))
         assert a.read_bytes() != b.read_bytes()
 
+    @pytest.mark.parametrize("command", ["weak-value", "completeness", "verify"])
+    def test_negative_seed_names_the_key(self, capsys, command):
+        assert run_cli(command, "--seed", "-1") == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "'seed' must be a non-negative integer, got -1" in captured.err
+        assert captured.out == ""
+
     def test_config_output_block_respected(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         dest = tmp_path / "rows.json"

@@ -144,7 +144,7 @@ class TestJointEvolveAndPostselect:
         states = {"psi": np.array([1.0, 0.0]), "phi": KET_PLUS.copy(),
                   "Phi": np.array([0.0, 1.0])}
         states[state] = np.array([np.nan, 1.0])
-        with pytest.raises(ValueError, match=f"{state} must be normalized"):
+        with pytest.raises(ValueError, match=rf"^{state} must be normalized \(norm = nan\)$"):
             joint_evolve_and_postselect(np.eye(4), states["psi"], states["Phi"], states["phi"])
 
     def test_no_interaction(self):

@@ -115,6 +115,9 @@ class TestParseConfig:
             parse_config("scenario: weak-value\nseed: soon")
         with pytest.raises(ConfigError, match="seed"):
             parse_config("scenario: weak-value\nseed: true")
+        with pytest.raises(ConfigError,
+                           match="^'seed' must be a non-negative integer, got -1$"):
+            parse_config("scenario: weak-value\nseed: -1")
 
     def test_output_block(self):
         cfg = parse_config("scenario: weak-value\noutput: {format: json, path: out.json}")

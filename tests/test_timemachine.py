@@ -10,18 +10,17 @@ from potentops import (
     PrePostSelection,
     SuperpositionSpec,
     TimeTranslationSpec,
-    control_register_unitary,
     effective_parameter_fit,
     hermitian_exponential,
     potent_operator,
     potent_time_superposition,
     superposed_evolution,
+    system_controlled_unitary,
     time_translation_machine,
 )
 from potentops import timemachine
 from potentops.pauli import SIGMA_X, SIGMA_Z
-from potentops.sampling import random_hermitian, random_state
-from potentops.timemachine import time_machine_control_unitary, time_machine_selection
+from potentops.sampling import random_hermitian, random_state, random_unitary
 
 
 def linear_family(parameters, h0, duration):
@@ -198,7 +197,7 @@ class TestPotentTimeSuperposition:
         spec = SuperpositionSpec(np.array([2.0, -1.0]))
         op = potent_time_superposition(family, spec)
         branch = family.branch_unitaries()
-        joint = control_register_unitary(branch)
+        joint = system_controlled_unitary([np.diag(e) for e in np.eye(2)], branch)
         rng = np.random.default_rng(4)
         for _ in range(5):
             lam = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
@@ -206,6 +205,36 @@ class TestPotentTimeSuperposition:
             phi = np.ones(2, dtype=complex) * complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
             rescaled = potent_operator(joint, PrePostSelection(psi, phi))
             np.testing.assert_allclose(rescaled.matrix, op.matrix, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_register_controlled_unitary_is_block_diagonal(self, n, d):
+        # the control register of potent_time_superposition is
+        # system_controlled_unitary over |i><i|: exactly diag(U_1, ..., U_n)
+        rng = np.random.default_rng(10 * n + d)
+        branches = [random_unitary(d, rng) for _ in range(n)]
+        expected = np.zeros((n * d, n * d), dtype=complex)
+        for i, u in enumerate(branches):
+            expected[i * d:(i + 1) * d, i * d:(i + 1) * d] = u
+        joint = system_controlled_unitary([np.diag(e) for e in np.eye(n)], branches)
+        assert np.array_equal(joint, expected)
+
+    def test_family_count_mismatch_refused(self):
+        family = linear_family((0.1, 0.2), SIGMA_Z, 1.0)
+        with pytest.raises(ValueError, match="^2 branches but 3 coefficients$"):
+            potent_time_superposition(family, SuperpositionSpec([0.5, 0.25, 0.25]))
+
+    def test_time_translation_count_mismatch_refused(self):
+        spec = TimeTranslationSpec(durations=(1.0, 2.0),
+                                   coefficients=SuperpositionSpec([2.0, -1.0]),
+                                   hamiltonian=SIGMA_Z)
+        other = TimeTranslationSpec(durations=(0.5, 1.0, 1.5),
+                                    coefficients=SuperpositionSpec([0.5, 0.25, 0.25]),
+                                    hamiltonian=SIGMA_X)
+        with pytest.raises(ValueError, match="^2 branches but 3 coefficients$"):
+            potent_time_superposition(spec, other.coefficients)
+        with pytest.raises(ValueError, match="^3 branches but 2 coefficients$"):
+            potent_time_superposition(other, spec.coefficients)
 
 
 class TestEffectiveParameterFit:
@@ -439,6 +468,5 @@ class TestTimeTranslationMachine:
                                    hamiltonian=random_hermitian(4, rng))
         Phi = random_state(4, rng)
         state, _, _, _ = time_translation_machine(spec, Phi)
-        op = potent_operator(time_machine_control_unitary(spec),
-                             time_machine_selection(spec))
+        op = potent_time_superposition(spec, spec.coefficients)
         assert np.max(np.abs(op.apply(Phi) - state)) <= 1e-12
