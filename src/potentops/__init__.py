@@ -18,11 +18,9 @@ from .linalg import (
 from .meters import (
     GaussianPointer,
     Grid,
-    MomentumOperator,
     PointerShiftReport,
     QubitMeter,
     build_gaussian_pointer,
-    momentum_operator,
     pointer_shift_sweep,
     pointer_statistics,
 )

@@ -130,6 +130,8 @@ def _run_sweep_command(args) -> int:
 
 
 def _run_verify(args) -> int:
+    if args.config:
+        raise ConfigError("verify runs its seeded suite and reads no --config")
     rows = verification_suite(seed=args.seed if args.seed is not None else 0)
     failures = 0
     for row in rows:

@@ -78,12 +78,6 @@ def require_normalized(v: np.ndarray, name: str) -> np.ndarray:
     return v
 
 
-def hermitize(m: np.ndarray) -> np.ndarray:
-    """(M + M^dag)/2; exactly Hermitian in floating point."""
-    m = as_operator(m)
-    return (m + m.conj().T) / 2
-
-
 def tensor_product(x, y) -> np.ndarray:
     """Kronecker product of two states or two operators (system-major order).
 

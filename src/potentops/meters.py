@@ -1,7 +1,7 @@
 """Concrete apparatus models: a two-level meter coupled through the |1><1|
 projector, and a Gaussian pointer on a periodic position grid whose momentum
-operator is built spectrally (exact translation generator on the grid, so
-pointer-shift checks are not polluted by finite-difference error)."""
+operator is diagonal on the FFT lattice (exact translation generator on the
+grid, so pointer-shift checks are not polluted by finite-difference error)."""
 
 from __future__ import annotations
 
@@ -15,11 +15,9 @@ from .linalg import (
     as_state,
     fidelity,
     hermitian_exponentials,
-    hermitize,
-    require_hermitian,
     tensor_product,
 )
-from .pps import PrePostSelection, weak_value
+from .pps import PrePostSelection, diagonal_potent_operator, spectral_weights, weak_value
 
 # Larger grids are refused before any array is built; the oracle raises one
 # lattice-step exponential to every power up to N/2, and its rounding grows
@@ -112,12 +110,6 @@ class GaussianPointer:
         return self.amplitudes * np.sqrt(self.grid.dx)
 
 
-@dataclass(frozen=True)
-class MomentumOperator:
-    grid: Grid
-    matrix: np.ndarray
-
-
 def build_gaussian_pointer(grid_size: int, x_min: float, x_max: float,
                            sigma: float, x0: float) -> GaussianPointer:
     """Construct a grid-normalized Gaussian pointer.
@@ -139,27 +131,12 @@ def build_gaussian_pointer(grid_size: int, x_min: float, x_max: float,
     return GaussianPointer(grid=grid, sigma=sigma, x0=x0, amplitudes=amp)
 
 
-def momentum_operator(grid: Grid) -> MomentumOperator:
-    """Dense spectral momentum P = F^dag diag(p_m) F on the periodic grid.
-
-    Plane waves on the momentum lattice are exact eigenvectors, so
-    exp(-i c P) translates grid functions by exactly c (modulo the period).
-    The pointer engine never builds this O(N^2) matrix; it is the dense
-    route that tests and the verify suite check the FFT evolution against.
-    """
-    n = grid.grid_size
-    j = np.arange(n)
-    f = np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
-    matrix = (f.conj().T * grid.momentum_lattice) @ f
-    return MomentumOperator(grid=grid, matrix=hermitize(matrix))
-
-
 def pointer_statistics(state: np.ndarray, grid: Grid):
     """(mean position, position variance, mean momentum) of a grid state.
 
     Probability weights are renormalized internally, so grid-normalized and
     l2-normalized amplitudes give identical statistics. The momentum mean is
-    computed in Fourier space, independently of the dense momentum matrix.
+    computed in Fourier space.
     """
     state = as_state(state)
     if state.size != grid.grid_size:
@@ -230,19 +207,18 @@ def pointer_shift_sweep(A: np.ndarray, sel: PrePostSelection, gs,
 
     P is diagonal in momentum space, so the post-selected pointer at momentum
     p_k is Phi~(p_k) <phi|exp(-i g p_k A)|psi>. That is computed twice: as the
-    branch sum over the eigenpairs of A, sum_n <phi|v_n><v_n|psi>
-    exp(-i g lam_n p_k) (the reported state), and by :func:`_lattice_elements`
-    from two Pade exponentials of one lattice step, raised to integer powers,
-    which uses no eigendecomposition. The max-entry disagreement of the two
-    position-space states is each report's oracle_residual.
+    branch sum over the eigenpairs of A, <phi|psi> times
+    :func:`~potentops.pps.diagonal_potent_operator` on the momentum lattice
+    (the reported state), and by :func:`_lattice_elements` from two Pade
+    exponentials of one lattice step, raised to integer powers, which uses no
+    eigendecomposition. The max-entry disagreement of the two position-space
+    states is each report's oracle_residual.
 
     The weak-limit state multiplies Phi~ by exp(-i g A_w p); a complex A_w
     makes that grow like exp(g |Im A_w| |p|), and couplings where it would
     overflow a double are refused.
     """
-    A = require_hermitian(A, name="A")
-    if A.shape[0] != sel.dim:
-        raise ValueError(f"observable dim {A.shape[0]} != selection dim {sel.dim}")
+    lam, w = spectral_weights(A, sel)
     grid = pointer.grid
     p = grid.momentum_lattice
     gs = [float(g) for g in np.atleast_1d(gs)]
@@ -257,13 +233,12 @@ def pointer_shift_sweep(A: np.ndarray, sel: PrePostSelection, gs,
     phi = sel.phi / np.linalg.norm(sel.phi)
     meter_k = np.fft.fft(pointer.unit_amplitudes, norm="ortho")
     mean_p0, var_p0 = momentum_moments(pointer.amplitudes, grid)
-    lam, vecs = np.linalg.eigh(A)
-    amps = (phi.conj() @ vecs) * (vecs.conj().T @ psi)
+    overlap = np.vdot(phi, psi)
 
     oracle = _lattice_elements(A, gs, grid, phi, psi)
     reports = []
     for g, elements in zip(gs, oracle):
-        state_k = meter_k * (np.exp(-1j * g * np.outer(p, lam)) @ amps)
+        state_k = meter_k * (overlap * diagonal_potent_operator(lam, w, g, p))
         oracle_k = meter_k * elements
         state = np.fft.ifft(state_k, norm="ortho")
         residual = float(np.max(np.abs(np.fft.ifft(state_k - oracle_k, norm="ortho"))))

@@ -128,13 +128,27 @@ def weak_value(A: np.ndarray, sel: PrePostSelection) -> complex:
     return complex(np.vdot(sel.phi, A @ sel.psi)) / sel.overlap
 
 
-def modular_value(A: np.ndarray, g: float, sel: PrePostSelection) -> complex:
-    """<phi|exp(-i g A)|psi> / <phi|psi> for Hermitian A."""
+def spectral_weights(A: np.ndarray, sel: PrePostSelection):
+    """(lam, w) from one eigendecomposition of Hermitian A: its eigenvalues and
+    the weak values w_n = <phi|v_n><v_n|psi> / <phi|psi> of its eigenprojectors.
+    The potent operator of exp(-i g A (x) P) is sum_n w_n exp(-i g lam_n P)."""
     A = require_hermitian(A, name="A")
     if A.shape[0] != sel.dim:
         raise ValueError(f"operator dim {A.shape[0]} != selection dim {sel.dim}")
-    u = hermitian_exponential(A, -1j * g)
-    return complex(np.vdot(sel.phi, u @ sel.psi)) / sel.overlap
+    lam, vecs = np.linalg.eigh(A)
+    return lam, (sel.phi.conj() @ vecs) * (vecs.conj().T @ sel.psi) / sel.overlap
+
+
+def diagonal_potent_operator(lam: np.ndarray, w: np.ndarray, g: float, p) -> np.ndarray:
+    """Diagonal of the potent operator of exp(-i g A (x) P) for a diagonal P
+    with entries p, from the :func:`spectral_weights` (lam, w) of A: entry k
+    is sum_n w_n exp(-i g lam_n p_k). At p = 1 this is the modular value."""
+    return np.exp(-1j * g * np.outer(p, lam)) @ w
+
+
+def modular_value(A: np.ndarray, g: float, sel: PrePostSelection) -> complex:
+    """<phi|exp(-i g A)|psi> / <phi|psi> for Hermitian A."""
+    return complex(diagonal_potent_operator(*spectral_weights(A, sel), g, [1.0])[0])
 
 
 def joint_evolve_and_postselect(U: np.ndarray, psi: np.ndarray, Phi: np.ndarray,

@@ -35,7 +35,6 @@ from .linalg import general_exponential, hermitian_exponential, normalize, tenso
 from .meters import (
     QubitMeter,
     build_gaussian_pointer,
-    momentum_operator,
     pointer_shift_sweep,
     pointer_statistics,
 )
@@ -43,6 +42,7 @@ from .pps import (
     PrePostSelection,
     apparatus_controlled_unitary,
     apparatus_state_from_potent_values,
+    diagonal_potent_operator,
     joint_evolve_and_postselect,
     kraus_slices,
     modular_value,
@@ -51,6 +51,7 @@ from .pps import (
     potent_operator_apparatus_controlled,
     potent_operator_system_controlled,
     potent_values,
+    spectral_weights,
     system_controlled_unitary,
     weak_value,
 )
@@ -429,15 +430,14 @@ def scenario_template(kind: str) -> dict:
 # runners and the oracle checks they share with the verify suite
 
 
-def _qubit_meter_points(p: dict):
-    """(g, U, post-selected meter state, its probability) for each coupling g,
-    with U = exp(-i g A (x) |1><1|): every qubit-meter kind is this one
-    construction, read out differently."""
-    meter = p["meter"]
-    for g, joint in zip(p["g"], meter.coupling_unitaries(p["observable"], p["g"])):
-        apparatus, p_exact = joint_evolve_and_postselect(
-            joint, p["psi"], meter.state, p["phi"], check_unitary=False)
-        yield g, joint, apparatus, p_exact
+def _qubit_meter_points(p: dict, sel: PrePostSelection, lam, w):
+    """(g, diagonal d of the potent operator diag(1, A_M), probability) for each
+    coupling of exp(-i g A (x) |1><1|), by the branch sum over the (lam, w) of
+    :func:`spectral_weights`: the meter leaves as <phi|psi> d * (alpha, beta).
+    Every qubit-meter kind is this one construction, read out differently."""
+    for g in p["g"]:
+        d = diagonal_potent_operator(lam, w, g, [0.0, 1.0])
+        yield g, d, float(np.linalg.norm(sel.overlap * d * p["meter"].state) ** 2)
 
 
 def _run_weak_value(cfg: ScenarioConfig) -> list[dict]:
@@ -446,24 +446,34 @@ def _run_weak_value(cfg: ScenarioConfig) -> list[dict]:
     value = weak_value(p["observable"], sel)
     # Independent route: spectral decomposition turns A_w into an
     # eigenvalue-weighted sum of projector weak values.
-    lam, vecs = np.linalg.eigh(p["observable"])
-    spectral = complex(np.sum(lam * (sel.phi.conj() @ vecs) * (vecs.conj().T @ sel.psi))
-                       / sel.overlap)
-    residual = abs(value - spectral)
+    lam, w = spectral_weights(p["observable"], sel)
+    residual = abs(value - complex(lam @ w))
     return [{"scenario": cfg.kind, "g": g, "value_re": value.real, "value_im": value.imag,
              "prob_exact": p_exact, "residual": residual}
-            for g, _, _, p_exact in _qubit_meter_points(p)]
+            for g, _, p_exact in _qubit_meter_points(p, sel, lam, w)]
+
+
+def _qubit_meter_runs(p: dict):
+    """The selection, and each coupling's point of :func:`_qubit_meter_points`
+    paired with its oracle: the post-selected meter and its probability from
+    the dense joint exp(-i g A (x) |1><1|), which shares no decomposition."""
+    sel = PrePostSelection(p["psi"], p["phi"])
+    points = _qubit_meter_points(p, sel, *spectral_weights(p["observable"], sel))
+    meter = p["meter"]
+    oracle = (joint_evolve_and_postselect(u, p["psi"], meter.state, p["phi"], check_unitary=False)
+              for u in meter.coupling_unitaries(p["observable"], p["g"]))
+    return sel, zip(points, oracle)
 
 
 def _run_modular_value(cfg: ScenarioConfig) -> list[dict]:
     p = cfg.params
-    sel = PrePostSelection(p["psi"], p["phi"])
+    sel, runs = _qubit_meter_runs(p)
     rows = []
-    for g, _, apparatus, p_exact in _qubit_meter_points(p):
-        value = modular_value(p["observable"], g, sel)
+    for (g, d, p_exact), (oracle, _) in runs:
+        value = complex(d[1])
         # Independent route: dense joint evolution; the |1> amplitude of the
         # post-selected meter is overlap * beta * modular value.
-        from_joint = complex(apparatus[1] / (sel.overlap * p["meter"].beta))
+        from_joint = complex(oracle[1] / (sel.overlap * p["meter"].beta))
         rows.append({"scenario": cfg.kind, "g": g, "value_re": value.real,
                      "value_im": value.imag, "prob_exact": p_exact,
                      "residual": abs(value - from_joint)})
@@ -472,15 +482,14 @@ def _run_modular_value(cfg: ScenarioConfig) -> list[dict]:
 
 def _run_potent_values(cfg: ScenarioConfig) -> list[dict]:
     p = cfg.params
-    sel = PrePostSelection(p["psi"], p["phi"])
+    sel, runs = _qubit_meter_runs(p)
     rows = []
-    for g, joint, apparatus, p_exact in _qubit_meter_points(p):
-        pvs = potent_values(joint, p["meter"].state, np.eye(2, dtype=complex), sel)
-        reconstructed = apparatus_state_from_potent_values(pvs)
-        state_residual = float(np.max(np.abs(reconstructed - normalize(apparatus))))
-        prob_residual = abs(np.linalg.norm(pvs.values) ** 2 * abs(sel.overlap) ** 2 - p_exact)
+    for (g, d, p_exact), (oracle, oracle_p) in runs:
+        values = d * p["meter"].state
+        state_residual = float(np.max(np.abs(normalize(values) - normalize(oracle))))
+        prob_residual = abs(np.linalg.norm(values) ** 2 * abs(sel.overlap) ** 2 - oracle_p)
         residual = max(state_residual, prob_residual)
-        for k, value in enumerate(pvs.values):
+        for k, value in enumerate(values):
             rows.append({"scenario": cfg.kind, "g": g, "k": k, "value_re": value.real,
                          "value_im": value.imag, "prob_exact": p_exact, "residual": residual})
     return rows
@@ -488,18 +497,15 @@ def _run_potent_values(cfg: ScenarioConfig) -> list[dict]:
 
 def _run_potent_operator(cfg: ScenarioConfig) -> list[dict]:
     p = cfg.params
-    sel = PrePostSelection(p["psi"], p["phi"])
+    _, runs = _qubit_meter_runs(p)
     rows = []
-    for g, joint, apparatus, p_exact in _qubit_meter_points(p):
-        op = potent_operator(joint, sel)
-        applied = normalize(op.apply(p["meter"].state))
-        residual = float(np.max(np.abs(applied - normalize(apparatus))))
-        for r in range(op.matrix.shape[0]):
-            for c in range(op.matrix.shape[1]):
-                entry = op.matrix[r, c]
-                rows.append({"scenario": cfg.kind, "g": g, "row": r, "col": c,
-                             "value_re": entry.real, "value_im": entry.imag,
-                             "prob_exact": p_exact, "residual": residual})
+    for (g, d, p_exact), (oracle, _) in runs:
+        applied = normalize(d * p["meter"].state)
+        residual = float(np.max(np.abs(applied - normalize(oracle))))
+        for (r, c), entry in np.ndenumerate(np.diag(d)):
+            rows.append({"scenario": cfg.kind, "g": g, "row": r, "col": c,
+                         "value_re": entry.real, "value_im": entry.imag,
+                         "prob_exact": p_exact, "residual": residual})
     return rows
 
 
@@ -705,8 +711,11 @@ def run_sweep(base: dict, sweep: dict, seed: int | None = None):
     Returns (rows, kind): each row gains a leading 'point' index following the
     declared sweep order. A sweep whose 'scenario' values name more than one
     kind is refused before any point runs: its rows would not share columns
-    or a tolerance.
+    or a tolerance. So is 'output' in the base or the sweep: --format and
+    --out place the one table.
     """
+    if "output" in base or any(k.split(".")[0] == "output" for k in sweep):
+        raise ConfigError("'output' is not read in a sweep config; use --format and --out")
     kinds = []
     for value in sweep.get("scenario", []):
         if value not in kinds:
@@ -824,16 +833,18 @@ def verification_suite(seed: int = 0) -> list[dict]:
     check("weak_value_scale_invariance",
           abs(weak_value(A_scale, scaled) - weak_value(A_scale, sel)), 1e-12)
 
-    # Gaussian pointer: translation generator and momentum lattice (small grid)
+    # Gaussian pointer: translation by a momentum phase; FFT index of lattice waves
     pointer = build_gaussian_pointer(128, -8.0, 8.0, 1.0, 0.0)
-    mom = momentum_operator(pointer.grid)
+    grid = pointer.grid
     shift = 0.6
-    translated = hermitian_exponential(mom.matrix, -1j * shift) @ pointer.unit_amplitudes
-    mean_x, _, _ = pointer_statistics(translated, pointer.grid)
+    translated = np.fft.ifft(np.exp(-1j * shift * grid.momentum_lattice)
+                             * np.fft.fft(pointer.unit_amplitudes))
+    mean_x, _, _ = pointer_statistics(translated, grid)
     check("pointer_translation", abs(mean_x - shift), 1e-6)
-    check("momentum_lattice",
-          np.max(np.abs(np.sort(np.linalg.eigvalsh(mom.matrix))
-                        - np.sort(pointer.grid.momentum_lattice))), 1e-8)
+    ms = [0, 1, grid.grid_size // 2 - 1, grid.grid_size // 2, grid.grid_size - 1]
+    spectra = np.fft.fft(np.exp(1j * np.outer(grid.momentum_lattice[ms], grid.x - grid.x_min)))
+    spectra[range(len(ms)), ms] -= grid.grid_size
+    check("momentum_lattice", np.max(np.abs(spectra)) / grid.grid_size, 1e-8)
 
     # Time machine: potent route equals the direct superposition (Eq-level identity)
     spec = TimeTranslationSpec(durations=(1.0, 2.0),

@@ -143,6 +143,14 @@ class TestVerify:
         assert run_cli("verify", "--tolerance-override", "-1") == EXIT_RESIDUAL
         assert "FAIL" in capsys.readouterr().out
 
+    def test_config_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("scenario: weak-value\n")
+        assert run_cli("verify", "--config", str(cfg)) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "--config" in captured.err
+        assert captured.out == ""
+
 
 def test_nan_residual_exits_2(monkeypatch, capsys, tmp_path):
     # A runner whose residual comes out NaN must fail the oracle check (exit
@@ -198,6 +206,30 @@ class TestSweep:
         assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == EXIT_VALIDATION
         assert "one scenario kind" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        "base:\n  scenario: modular-value\n  output: {{format: json, path: {dest}}}\n"
+        "sweep:\n  g: [0.1, 0.2]\n",
+        "base:\n  scenario: modular-value\nsweep:\n  g: [0.1, 0.2]\n"
+        "  output.path: [{dest}]\n",
+    ], ids=["base", "sweep-key"])
+    def test_output_in_sweep_config_refused(self, capsys, tmp_path, doc):
+        dest = tmp_path / "rows.json"
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(doc.format(dest=dest.as_posix()))
+        assert run_cli("sweep", "--config", str(cfg)) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "'output'" in captured.err
+        assert captured.out == ""
+        assert not dest.exists()
+
+    def test_format_and_out_flags(self, tmp_path):
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text("base:\n  scenario: modular-value\nsweep:\n  g: [0.1, 0.2]\n")
+        out = tmp_path / "rows.json"
+        assert run_cli("sweep", "--config", str(cfg), "--format", "json",
+                       "--out", str(out)) == EXIT_OK
+        assert [row["point"] for row in json.loads(out.read_text())] == [0, 1]
 
     def test_forced_tolerance_failure_still_writes_rows(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.yaml"

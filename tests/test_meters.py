@@ -13,7 +13,6 @@ from potentops import (
     hermitian_exponential,
     joint_evolve_and_postselect,
     modular_value,
-    momentum_operator,
     normalize,
     pointer_shift_sweep,
     pointer_statistics,
@@ -25,6 +24,8 @@ from potentops.linalg import hermiticity_defect
 from potentops.meters import GRID_SIZE_CAP, _lattice_elements, momentum_moments
 from potentops.pauli import AMPLIFICATION_PHI, AMPLIFICATION_PSI, IDENTITY_2, SIGMA_Z
 from potentops.sampling import random_hermitian, random_selection, random_state
+
+from dense_oracles import momentum_operator
 
 
 @pytest.fixture(scope="module")

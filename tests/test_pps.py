@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from potentops import (
     CouplingSpec,
     OrthogonalSelectionError,
     PotentValueSet,
     PrePostSelection,
+    QubitMeter,
     apparatus_controlled_unitary,
     apparatus_state_from_potent_values,
     build_gaussian_pointer,
@@ -14,7 +18,6 @@ from potentops import (
     joint_evolve_and_postselect,
     kraus_slices,
     modular_value,
-    momentum_operator,
     normalize,
     postselection_probability_weak,
     potent_completeness_residual,
@@ -36,6 +39,7 @@ from potentops.pauli import (
     SIGMA_X,
     SIGMA_Z,
 )
+from potentops.pps import diagonal_potent_operator, spectral_weights
 from potentops.sampling import (
     complex_gaussian,
     random_hermitian,
@@ -44,6 +48,8 @@ from potentops.sampling import (
     random_state,
     random_unitary,
 )
+
+from dense_oracles import momentum_operator
 
 
 @pytest.fixture
@@ -136,6 +142,57 @@ class TestModularValue:
         for g in (0.1, 0.9, 2.4, np.pi):
             expected = np.cos(g) - 1j * np.sin(g) * a_w
             assert abs(modular_value(SIGMA_Z, g, amplification) - expected) <= 1e-12
+
+
+@st.composite
+def spectral_cases(draw):
+    """A Hermitian A of dim 1-5 with entries of modulus <= sqrt(2), and a
+    selection whose normalized overlap is at least 0.1."""
+    d = draw(st.integers(1, 5))
+    parts = draw(arrays(np.float64, (2, d, d + 2), elements=st.floats(-1, 1)))
+    z = parts[0] + 1j * parts[1]
+    A = (z[:, :d] + z[:, :d].conj().T) / 2
+    psi, phi = z[:, d], z[:, d + 1]
+    norms = np.linalg.norm(psi) * np.linalg.norm(phi)
+    assume(norms > 1e-3 and abs(np.vdot(phi, psi)) >= 0.1 * norms)
+    return A, PrePostSelection(psi, phi), draw(st.floats(-3, 3))
+
+
+class TestSpectralWeights:
+    """The branch engine: (lam, w) from one eigendecomposition of A, and the
+    diagonal potent operator sum_n w_n exp(-i g lam_n p)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=spectral_cases())
+    def test_weights_sum_to_one_and_give_the_weak_value(self, case):
+        A, sel, _ = case
+        lam, w = spectral_weights(A, sel)
+        assert abs(np.sum(w) - 1) <= 1e-12
+        assert abs(lam @ w - weak_value(A, sel)) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=spectral_cases())
+    def test_qubit_meter_diagonal_is_the_joint_potent_operator(self, case):
+        A, sel, g = case
+        d = diagonal_potent_operator(*spectral_weights(A, sel), g, [0.0, 1.0])
+        joint = QubitMeter(alpha=0.6, beta=0.8).coupling_unitary(A, g)
+        assert np.max(np.abs(np.diag(d) - potent_operator(joint, sel).matrix)) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=spectral_cases())
+    def test_modular_value_second_order_remainder(self, case):
+        # A_M - 1 + i g A_w = sum_n w_n (exp(-i g lam_n) - 1 + i g lam_n), and
+        # each bracket is at most (g lam_n)^2 / 2 in modulus
+        A, sel, g = case
+        lam, w = spectral_weights(A, sel)
+        remainder = modular_value(A, g, sel) - 1 + 1j * g * weak_value(A, sel)
+        assert abs(remainder) <= 0.5 * g ** 2 * np.sum(np.abs(w) * lam ** 2) + 1e-12
+
+    def test_guards(self, amplification):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            spectral_weights(np.array([[0, 1], [0, 0]]), amplification)
+        with pytest.raises(ValueError, match="operator dim 3 != selection dim 2"):
+            spectral_weights(np.eye(3), amplification)
 
 
 class TestJointEvolveAndPostselect:

@@ -252,22 +252,40 @@ QUBIT_METER_3 = {
 
 
 class TestSharedDecompositions:
-    # eigh calls on the observable itself: weak-value's spectral oracle takes
-    # one per run, modular_value one per coupling, the others none.
-    @pytest.mark.parametrize("kind, per_run, per_coupling", [
-        ("weak-value", 1, 0), ("modular-value", 0, 1),
-        ("potent-values", 0, 0), ("potent-operator", 0, 0),
+    # Per run, whatever the number of couplings: one eigh of the observable,
+    # shared by every coupling's branch sum (and by weak-value's spectral
+    # oracle), then one of the joint A (x) |1><1| for the oracle of every kind
+    # but weak-value, which builds no joint.
+    @pytest.mark.parametrize("kind, joint_eighs", [
+        ("weak-value", 0), ("modular-value", 1), ("potent-values", 1), ("potent-operator", 1),
     ])
     @pytest.mark.parametrize("n", [1, 5])
-    def test_qubit_meter_run_makes_one_joint_eigh(self, eigh_shapes, kind, per_run,
-                                                  per_coupling, n):
+    def test_qubit_meter_run_eigh_counts(self, eigh_shapes, kind, joint_eighs, n):
         g = [0.1 * (k + 1) for k in range(n)]
         rows = run_scenario(parse_config_mapping({"scenario": kind, "g": g, **QUBIT_METER_3}))
         assert all(within_tolerance(r["residual"], KINDS[kind].tolerance) for r in rows)
-        observable_eighs = per_run + per_coupling * n
-        assert eigh_shapes.count((6, 6)) == 1
-        assert eigh_shapes.count((3, 3)) == observable_eighs
-        assert len(eigh_shapes) == 1 + observable_eighs
+        assert eigh_shapes == [(3, 3)] + [(6, 6)] * joint_eighs
+
+    # A spectrum scaled by 1 + 1e-6 in either decomposition fails the run,
+    # because the rows and their oracle take separate ones. weak-value builds
+    # no joint, so only the observable's fault can reach it.
+    @pytest.mark.parametrize("kind, fails_at", [
+        ("weak-value", {(3, 3)}), ("modular-value", {(3, 3), (6, 6)}),
+        ("potent-values", {(3, 3), (6, 6)}), ("potent-operator", {(3, 3), (6, 6)}),
+    ], ids=["weak-value", "modular-value", "potent-values", "potent-operator"])
+    @pytest.mark.parametrize("shape", [(3, 3), (6, 6)], ids=["observable", "joint"])
+    def test_scaled_spectrum_in_one_decomposition(self, monkeypatch, kind, fails_at, shape):
+        eigh = np.linalg.eigh
+
+        def scaled_eigh(m, *args, **kwargs):
+            lam, vecs = eigh(m, *args, **kwargs)
+            return (lam * (1 + 1e-6) if np.shape(m) == shape else lam), vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", scaled_eigh)
+        rows = run_scenario(parse_config_mapping(
+            {"scenario": kind, "g": [0.3, 1.0], **QUBIT_METER_3}))
+        passed = all(within_tolerance(r["residual"], KINDS[kind].tolerance) for r in rows)
+        assert passed == (shape not in fails_at)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_time_machine_run_makes_two_eighs(self, eigh_shapes, n):
