@@ -10,7 +10,6 @@ from .linalg import (
     hermitian_exponential,
     hermitian_exponentials,
     inner_product,
-    norm,
     normalize,
     partial_matrix_element,
     tensor_product,

@@ -132,6 +132,8 @@ def _run_sweep_command(args) -> int:
 def _run_verify(args) -> int:
     if args.config:
         raise ConfigError("verify runs its seeded suite and reads no --config")
+    if args.format and not args.out:
+        raise ConfigError("verify prints a text report; --format needs --out")
     rows = verification_suite(seed=args.seed if args.seed is not None else 0)
     failures = 0
     for row in rows:

@@ -43,16 +43,23 @@ def as_operator(m) -> np.ndarray:
     return m
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    m = as_operator(m)
-    return float(np.max(np.abs(m - m.conj().T)))
+def hermiticity_defect(m: np.ndarray):
+    """max |M - M^dag| of a square matrix (a float) or of each matrix of a (..., d, d) stack
+    (an array), with one stack-sized temporary; NaN or inf where an entry is not finite."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+        raise ValueError(f"need a square matrix or a stack of them, got shape {m.shape}")
+    diff = m.conj().swapaxes(-1, -2)
+    diff -= m
+    defect = np.abs(diff).max(axis=(-2, -1))
+    return float(defect) if m.ndim == 2 else defect
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "operator") -> np.ndarray:
+def require_hermitian(m: np.ndarray, name: str = "operator") -> np.ndarray:
     m = as_operator(m)
     defect = hermiticity_defect(m)
-    if not defect <= tol:  # NaN compares False both ways: refuse it too
-        raise ValueError(f"{name} is not Hermitian (max |M - M^dag| = {defect:.3e} > {tol:.1e})")
+    if not defect <= HERMITIAN_TOL:  # NaN compares False both ways: refuse it too
+        raise ValueError(f"{name} is not Hermitian (max |M - M^dag| = {defect:.3e} > {HERMITIAN_TOL:.1e})")
     return m
 
 
@@ -62,11 +69,11 @@ def unitarity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m.conj().T @ m - eye)))
 
 
-def require_unitary(m: np.ndarray, tol: float = UNITARY_TOL, name: str = "operator") -> np.ndarray:
+def require_unitary(m: np.ndarray, name: str = "operator") -> np.ndarray:
     m = as_operator(m)
     defect = unitarity_defect(m)
-    if not defect <= tol:
-        raise ValueError(f"{name} is not unitary (max |U^dag U - I| = {defect:.3e} > {tol:.1e})")
+    if not defect <= UNITARY_TOL:
+        raise ValueError(f"{name} is not unitary (max |U^dag U - I| = {defect:.3e} > {UNITARY_TOL:.1e})")
     return m
 
 
@@ -104,18 +111,13 @@ def hermitian_exponential(h: np.ndarray, scale: complex) -> np.ndarray:
     Unitary (to tolerance) whenever scale is purely imaginary. The scale may be
     any complex number; the spectrum is exponentiated directly.
     """
-    return _spectral_exponentials(h, (scale,))[0]
+    return hermitian_exponentials(h, (scale,))[0]
 
 
 def hermitian_exponentials(h: np.ndarray, scales) -> list[np.ndarray]:
     """[exp(s * H) for s in scales], sharing one Hermiticity check and one
     eigendecomposition; entry i is bit-identical to
     ``hermitian_exponential(h, scales[i])``."""
-    return _spectral_exponentials(h, scales)
-
-
-def _spectral_exponentials(h: np.ndarray, scales) -> list[np.ndarray]:
-    """The one spectral route behind both public exponentials."""
     h = require_hermitian(h, name="exponential generator")
     w, v = np.linalg.eigh(h)
     vd = v.conj().T
@@ -193,14 +195,11 @@ def _pade_exponential(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def partial_matrix_element(u: np.ndarray, bra: np.ndarray, ket: np.ndarray, factor: str) -> np.ndarray:
-    """Contract a joint operator with <bra| ... |ket> on the named factor.
-
-    ``factor`` names the factor bra and ket live on; the result acts on the
-    other factor. With factor="system" and (bra, ket) = (phi, psi) this is
-    <phi|U|psi>, an operator on the apparatus; with factor="apparatus" and
-    (bra, ket) = (k, Phi) it is the Kraus slice <k|U|Phi> on the system.
-    Linear in U, conjugate-linear in bra, linear in ket.
+def partial_matrix_element(u: np.ndarray, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """<bra| U |ket> on the system factor: with (bra, ket) = (phi, psi) this is
+    <phi|U|psi>, an operator on the apparatus. (The apparatus-side contraction
+    <k|U|Phi> is :func:`potentops.pps.kraus_slices`.) Linear in U,
+    conjugate-linear in bra, linear in ket.
     """
     u = as_operator(u)
     bra, ket = as_state(bra), as_state(ket)
@@ -211,13 +210,8 @@ def partial_matrix_element(u: np.ndarray, bra: np.ndarray, ket: np.ndarray, fact
     if n % d != 0:
         raise ValueError(f"joint dim {n} is not divisible by factor dim {d}")
     other = n // d
-    if factor == "system":
-        u4 = u.reshape(d, other, d, other)
-        return np.einsum("s,satb,t->ab", bra.conj(), u4, ket)
-    if factor == "apparatus":
-        u4 = u.reshape(other, d, other, d)
-        return np.einsum("a,satb,b->st", bra.conj(), u4, ket)
-    raise ValueError(f"factor must be 'system' or 'apparatus', got {factor!r}")
+    u4 = u.reshape(d, other, d, other)
+    return np.einsum("s,satb,t->ab", bra.conj(), u4, ket)
 
 
 def inner_product(u: np.ndarray, v: np.ndarray) -> complex:
@@ -226,10 +220,6 @@ def inner_product(u: np.ndarray, v: np.ndarray) -> complex:
     if u.size != v.size:
         raise ValueError(f"dimension mismatch: {u.size} vs {v.size}")
     return complex(np.vdot(u, v))
-
-
-def norm(v: np.ndarray) -> float:
-    return float(np.linalg.norm(as_state(v)))
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
@@ -280,16 +270,15 @@ def orthonormality_defect(basis: np.ndarray) -> float:
     return float(np.max(np.abs(gram - np.eye(basis.shape[1]))))
 
 
-def require_orthonormal_basis(basis: np.ndarray, tol: float = ORTHONORMAL_TOL,
-                              complete: bool = True) -> np.ndarray:
+def require_orthonormal_basis(basis: np.ndarray) -> np.ndarray:
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim != 2:
         raise ValueError("basis must be a 2-D array with basis vectors as columns")
-    if complete and basis.shape[0] != basis.shape[1]:
+    if basis.shape[0] != basis.shape[1]:
         raise ValueError(
             f"basis with {basis.shape[1]} vectors is incomplete for dim {basis.shape[0]}"
         )
     defect = orthonormality_defect(basis)
-    if not defect <= tol:
-        raise ValueError(f"basis is not orthonormal (Gram defect {defect:.3e} > {tol:.1e})")
+    if not defect <= ORTHONORMAL_TOL:
+        raise ValueError(f"basis is not orthonormal (Gram defect {defect:.3e} > {ORTHONORMAL_TOL:.1e})")
     return basis

@@ -27,8 +27,6 @@ GRID_SIZE_CAP = 2 ** 16
 # exp(x) overflows a double for x above this.
 LOG_DBL_MAX = float(np.log(np.finfo(float).max))
 
-GRID_NORM_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class QubitMeter:

@@ -44,14 +44,13 @@ class PrePostSelection:
 
     Neither state needs to be normalized: all selection-conditioned values are
     invariant under rescaling of psi or phi. Construction fails when the
-    normalized overlap |<phi|psi>| / (|phi| |psi|) is at most eps_overlap,
+    normalized overlap |<phi|psi>| / (|phi| |psi|) is at most EPS_OVERLAP,
     where amplified values stop being numerically meaningful, and when either
     state has a non-finite entry.
     """
 
     psi: np.ndarray
     phi: np.ndarray
-    eps_overlap: float = EPS_OVERLAP
     overlap: complex = field(init=False)
 
     def __post_init__(self):
@@ -64,10 +63,10 @@ class PrePostSelection:
         norms = float(np.linalg.norm(phi) * np.linalg.norm(psi))
         if not np.isfinite(norms):
             raise ValueError(f"psi and phi must be finite (|phi||psi| = {norms})")
-        if abs(ov) <= self.eps_overlap * norms:
+        if abs(ov) <= EPS_OVERLAP * norms:
             cosine = abs(ov) / norms if norms > 0 else 0.0
             raise OrthogonalSelectionError(
-                f"|<phi|psi>|/(|phi||psi|) = {cosine:.3e} <= {self.eps_overlap:.1e}; "
+                f"|<phi|psi>|/(|phi||psi|) = {cosine:.3e} <= {EPS_OVERLAP:.1e}; "
                 "weak/modular/potent values need non-orthogonal selections"
             )
         object.__setattr__(self, "overlap", ov)
@@ -104,8 +103,6 @@ class PotentValueSet:
 
     basis: np.ndarray          # columns are the apparatus basis vectors
     values: np.ndarray
-    selection: PrePostSelection
-    meter_state: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,6 @@ class PotentOperator:
     system applies to the apparatus."""
 
     matrix: np.ndarray
-    selection: PrePostSelection
 
     def apply(self, Phi: np.ndarray) -> np.ndarray:
         return self.matrix @ as_state(Phi)
@@ -221,8 +217,7 @@ def potent_values(U: np.ndarray, Phi: np.ndarray, basis: np.ndarray,
     if slices.shape[1] != sel.dim:
         raise ValueError(f"system dim {slices.shape[1]} != selection dim {sel.dim}")
     values = np.einsum("s,kst,t->k", sel.phi.conj(), slices, sel.psi) / sel.overlap
-    return PotentValueSet(basis=np.asarray(basis, dtype=complex), values=values,
-                          selection=sel, meter_state=as_state(Phi))
+    return PotentValueSet(basis=np.asarray(basis, dtype=complex), values=values)
 
 
 def apparatus_state_from_potent_values(pvs: PotentValueSet) -> np.ndarray:
@@ -265,8 +260,7 @@ def potent_operator(U: np.ndarray, sel: PrePostSelection) -> PotentOperator:
     U = as_operator(U)
     if U.shape[0] % sel.dim != 0:
         raise ValueError(f"joint dim {U.shape[0]} not divisible by system dim {sel.dim}")
-    matrix = partial_matrix_element(U, sel.phi, sel.psi, "system") / sel.overlap
-    return PotentOperator(matrix=matrix, selection=sel)
+    return PotentOperator(matrix=partial_matrix_element(U, sel.phi, sel.psi) / sel.overlap)
 
 
 def potent_completeness_residual(U: np.ndarray, phi: np.ndarray, basis: np.ndarray) -> float:
@@ -287,7 +281,7 @@ def potent_completeness_residual(U: np.ndarray, phi: np.ndarray, basis: np.ndarr
         raise ValueError(f"joint dim {U.shape[0]} not divisible by system dim {ds}")
     total = np.zeros((da, da), dtype=complex)
     for n in range(basis.shape[1]):
-        m_n = partial_matrix_element(U, phi, basis[:, n], "system")
+        m_n = partial_matrix_element(U, phi, basis[:, n])
         total += m_n @ m_n.conj().T
     return float(np.max(np.abs(total - np.eye(da))))
 
@@ -330,9 +324,7 @@ def potent_operator_system_controlled(projectors, unitaries, sel: PrePostSelecti
     total = sum(weak_vals)
     if not abs(total - 1.0) <= WEAK_SUM_TOL:
         raise ValueError(f"projector weak values sum to {total}, not 1")
-    matrix = sum(w * u for w, u in zip(weak_vals, unis))
-    op = PotentOperator(matrix=matrix, selection=sel)
-    return op, weak_vals
+    return PotentOperator(matrix=sum(w * u for w, u in zip(weak_vals, unis))), weak_vals
 
 
 def potent_operator_apparatus_controlled(generators, projectors, lam: float,
@@ -352,9 +344,7 @@ def potent_operator_apparatus_controlled(generators, projectors, lam: float,
     if len(gens) != len(projs):
         raise ValueError(f"{len(projs)} projectors but {len(gens)} generators")
     modular_vals = [modular_value(a, lam, sel) for a in gens]
-    matrix = sum(m * p for m, p in zip(modular_vals, projs))
-    op = PotentOperator(matrix=matrix, selection=sel)
-    return op, modular_vals
+    return PotentOperator(matrix=sum(m * p for m, p in zip(modular_vals, projs))), modular_vals
 
 
 def system_controlled_unitary(projectors, unitaries) -> np.ndarray:

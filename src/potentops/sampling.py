@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
+SELECTION_FLOOR = 1e-6
+
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -17,8 +19,8 @@ def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    m = complex_gaussian(rng, (dim, dim)) * scale
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    m = complex_gaussian(rng, (dim, dim))
     return (m + m.conj().T) / 2
 
 
@@ -29,11 +31,11 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_selection(dim: int, rng: np.random.Generator, min_overlap: float = 1e-6):
-    """Random normalized (psi, phi) with |<phi|psi>| bounded away from zero."""
+def random_selection(dim: int, rng: np.random.Generator):
+    """Random normalized (psi, phi) with |<phi|psi>| >= SELECTION_FLOOR."""
     while True:
         psi, phi = random_state(dim, rng), random_state(dim, rng)
-        if abs(np.vdot(phi, psi)) >= min_overlap:
+        if abs(np.vdot(phi, psi)) >= SELECTION_FLOOR:
             return psi, phi
 
 

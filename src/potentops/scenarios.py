@@ -712,8 +712,11 @@ def run_sweep(base: dict, sweep: dict, seed: int | None = None):
     declared sweep order. A sweep whose 'scenario' values name more than one
     kind is refused before any point runs: its rows would not share columns
     or a tolerance. So is 'output' in the base or the sweep: --format and
-    --out place the one table.
+    --out place the one table. So is a key that is not a string.
     """
+    for key in sweep:
+        if not isinstance(key, str):
+            raise ConfigError(f"sweep key {key!r} is not a dotted key path string")
     if "output" in base or any(k.split(".")[0] == "output" for k in sweep):
         raise ConfigError("'output' is not read in a sweep config; use --format and --out")
     kinds = []

@@ -16,6 +16,7 @@ from .linalg import (
     as_state,
     hermitian_exponential,
     hermitian_exponentials,
+    hermiticity_defect,
     require_hermitian,
     require_normalized,
 )
@@ -30,6 +31,7 @@ from .pps import (
 # Complex entries one stacked eigendecomposition of the fit scan may hold
 # (16 MiB); a longer scan is split into chunks of this size.
 SCAN_STACK_ENTRIES = 2**20
+GOLDEN_TOL = 1e-12  # relative bracket width that ends the fit's golden-section refinement
 
 
 @dataclass(frozen=True)
@@ -237,7 +239,7 @@ def _stacked_overlaps(family: EvolutionFamily, parameters: list, Phi: np.ndarray
         if h.shape != (d, d):
             raise ValueError(f"H({a}) has shape {h.shape}, Phi has shape {Phi.shape}")
         stack[i] = h
-    defects = _hermiticity_defects(stack)
+    defects = hermiticity_defect(stack)
     bad = np.flatnonzero(~(defects <= HERMITIAN_TOL))
     if bad.size:
         i = int(bad[0])
@@ -249,20 +251,12 @@ def _stacked_overlaps(family: EvolutionFamily, parameters: list, Phi: np.ndarray
     return np.sum(bra * np.exp(1j * family.duration * lam) * ket, axis=1)
 
 
-def _hermiticity_defects(stack: np.ndarray) -> np.ndarray:
-    """max |M - M^dag| of each matrix in an (n, d, d) stack (NaN or inf
-    where an entry is not finite), with one stack-sized temporary."""
-    diff = stack.conj().swapaxes(1, 2)
-    diff -= stack
-    return np.max(np.abs(diff), axis=(1, 2))
-
-
-def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+def _golden_section_max(f, lo: float, hi: float) -> float:
     ratio = (np.sqrt(5) - 1) / 2
     a, b = lo, hi
     c, d = b - ratio * (b - a), a + ratio * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol * max(1.0, abs(a), abs(b)):
+    while b - a > GOLDEN_TOL * max(1.0, abs(a), abs(b)):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - ratio * (b - a)

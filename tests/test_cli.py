@@ -151,6 +151,19 @@ class TestVerify:
         assert "--config" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_format_without_out_refused(self, capsys, fmt):
+        assert run_cli("verify", "--format", fmt) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "--format" in captured.err
+        assert captured.out == ""
+
+    def test_format_with_out_writes_rows(self, capsys, tmp_path):
+        out = tmp_path / "verify.json"
+        assert run_cli("verify", "--format", "json", "--out", str(out)) == EXIT_OK
+        assert "checks passed" in capsys.readouterr().out
+        assert all(row["scenario"] == "verify" for row in json.loads(out.read_text()))
+
 
 def test_nan_residual_exits_2(monkeypatch, capsys, tmp_path):
     # A runner whose residual comes out NaN must fail the oracle check (exit
@@ -222,6 +235,18 @@ class TestSweep:
         assert "'output'" in captured.err
         assert captured.out == ""
         assert not dest.exists()
+
+    @pytest.mark.parametrize("key, named", [("1", "1"), ("true", "True"), ("~", "None"),
+                                            ("0.5", "0.5")])
+    def test_non_string_key_refused(self, capsys, tmp_path, key, named):
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(f"base:\n  scenario: modular-value\nsweep:\n  {key}: [0.1]\n")
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"sweep key {named} is not" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_format_and_out_flags(self, tmp_path):
         cfg = tmp_path / "sweep.yaml"

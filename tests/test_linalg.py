@@ -9,14 +9,17 @@ from hypothesis.extra.numpy import arrays
 from potentops import linalg
 from potentops.linalg import (
     EXP_NORM_CAP,
+    HERMITIAN_TOL,
+    ORTHONORMAL_TOL,
+    UNITARY_TOL,
     _pade_exponential,
     basis_state,
     fidelity,
     general_exponential,
     hermitian_exponential,
     hermitian_exponentials,
+    hermiticity_defect,
     inner_product,
-    norm,
     normalize,
     orthonormality_defect,
     partial_matrix_element,
@@ -160,6 +163,75 @@ class TestNonFiniteGuards:
             linalg.require_unitary(u)
 
 
+def _hermitian_with_defect(defect: float) -> np.ndarray:
+    m = np.diag([1.0, -1.0]).astype(complex)
+    m[0, 1] = defect  # max |M - M^dag| is exactly this entry
+    return m
+
+
+def _diagonal_with_gram_defect(defect: float) -> np.ndarray:
+    # D^dag D - I = diag(0, defect), up to rounding of the square root
+    return np.diag([1.0, np.sqrt(1.0 + defect)]).astype(complex)
+
+
+@pytest.mark.parametrize("guard, defect_of, build, tol, message", [
+    (linalg.require_hermitian, hermiticity_defect, _hermitian_with_defect, HERMITIAN_TOL,
+     "not Hermitian"),
+    (linalg.require_unitary, linalg.unitarity_defect, _diagonal_with_gram_defect, UNITARY_TOL,
+     "not unitary"),
+    (require_orthonormal_basis, orthonormality_defect, _diagonal_with_gram_defect,
+     ORTHONORMAL_TOL, "not orthonormal"),
+], ids=["hermitian", "unitary", "orthonormal"])
+class TestGuardsAtTheirConstants:
+    """Each guard reads its module tolerance: a defect of half the bound
+    passes, twice the bound is refused, and NaN is refused."""
+
+    def test_half_the_bound_passes(self, guard, defect_of, build, tol, message):
+        m = build(tol / 2)
+        assert defect_of(m) == pytest.approx(tol / 2, rel=1e-3)
+        np.testing.assert_array_equal(guard(m), m)
+
+    def test_twice_the_bound_refused(self, guard, defect_of, build, tol, message):
+        m = build(2 * tol)
+        assert defect_of(m) == pytest.approx(2 * tol, rel=1e-3)
+        with pytest.raises(ValueError, match=message) as info:
+            guard(m)
+        assert f"> {tol:.1e}" in str(info.value)
+
+    def test_nan_refused(self, guard, defect_of, build, tol, message):
+        m = build(0.0)
+        m[1, 1] = np.nan
+        with pytest.raises(ValueError, match=message):
+            guard(m)
+
+
+class TestHermiticityDefectStack:
+    @settings(max_examples=150, deadline=None)
+    @given(parts=st.integers(1, 5).flatmap(lambda n: st.integers(1, 6).flatmap(
+        lambda d: arrays(np.float64, (2, n, d, d),
+                         elements=st.one_of(st.floats(-1e3, 1e3), st.just(np.nan))))))
+    def test_matches_per_matrix_values(self, parts):
+        stack = parts[0] + 1j * parts[1]
+        out = hermiticity_defect(stack)
+        assert isinstance(out, np.ndarray) and out.shape == stack.shape[:1]
+        per_matrix = [hermiticity_defect(m) for m in stack]
+        by_definition = [np.max(np.abs(m - m.conj().T)) for m in stack]
+        np.testing.assert_array_equal(out, per_matrix)
+        np.testing.assert_array_equal(out, by_definition)
+        has_nan = np.isnan(stack).any(axis=(1, 2))
+        assert np.all(np.isnan(out[has_nan]))
+        assert np.all(np.isfinite(out[~has_nan]))
+
+    def test_matrix_gives_a_float(self):
+        assert hermiticity_defect(_hermitian_with_defect(0.25)) == 0.25
+        assert type(hermiticity_defect(np.eye(3))) is float
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (4, 2, 3), (0, 0), (2, 0, 0)])
+    def test_refuses_what_is_not_a_square_stack(self, shape):
+        with pytest.raises(ValueError, match="square matrix"):
+            hermiticity_defect(np.zeros(shape))
+
+
 class TestGeneralExponential:
     def test_zero(self):
         np.testing.assert_allclose(general_exponential(np.zeros((3, 3))), np.eye(3), atol=1e-15)
@@ -264,75 +336,65 @@ class TestPadeExponential:
                                scipy.linalg.expm(-3j * h)) <= 1e-13
 
 
-def _pme_bruteforce(u, bra, ket, factor):
-    # explicit index-sum definition of the contraction
+def _pme_bruteforce(u, bra, ket):
+    # explicit index-sum definition of the system-side contraction
     d = bra.size
     other = u.shape[0] // d
-    if factor == "system":
-        out = np.zeros((other, other), dtype=complex)
-        for a in range(other):
-            for b in range(other):
-                for s in range(d):
-                    for t in range(d):
-                        out[a, b] += bra[s].conjugate() * u[s * other + a, t * other + b] * ket[t]
-    else:
-        out = np.zeros((other, other), dtype=complex)
-        for s in range(other):
-            for t in range(other):
-                for a in range(d):
-                    for b in range(d):
-                        out[s, t] += bra[a].conjugate() * u[s * d + a, t * d + b] * ket[b]
+    out = np.zeros((other, other), dtype=complex)
+    for a in range(other):
+        for b in range(other):
+            for s in range(d):
+                for t in range(d):
+                    out[a, b] += bra[s].conjugate() * u[s * other + a, t * other + b] * ket[t]
     return out
 
 
 class TestPartialMatrixElement:
     def test_identity_contraction(self):
         u = np.eye(6, dtype=complex)
-        out = partial_matrix_element(u, basis_state(2, 0), basis_state(2, 0), "system")
+        out = partial_matrix_element(u, basis_state(2, 0), basis_state(2, 0))
         np.testing.assert_allclose(out, np.eye(3), atol=1e-15)
 
     def test_factorized_operator(self):
         rng = np.random.default_rng(5)
         b = complex_gaussian(rng, (3, 3))
         psi = random_state(2, rng)
-        out = partial_matrix_element(tensor_product(np.eye(2), b), psi, psi, "system")
+        out = partial_matrix_element(tensor_product(np.eye(2), b), psi, psi)
         np.testing.assert_allclose(out, b, atol=1e-14)
 
     def test_cnot_on_plus(self):
         cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
                         dtype=complex)
-        out = partial_matrix_element(cnot, KET_PLUS, KET_PLUS, "system")
+        out = partial_matrix_element(cnot, KET_PLUS, KET_PLUS)
         # explicit 4x4 contraction gives (I + X)/2
         np.testing.assert_allclose(out, (np.eye(2) + SIGMA_X) / 2, atol=1e-15)
 
-    @pytest.mark.parametrize("factor", ["system", "apparatus"])
     @pytest.mark.parametrize("dims", [(2, 2), (3, 4), (4, 3)])
-    def test_against_bruteforce(self, factor, dims):
-        rng = np.random.default_rng(hash((factor, dims)) % 2 ** 32)
+    def test_against_bruteforce(self, dims):
+        rng = np.random.default_rng(list(dims))
         ds, da = dims
         u = complex_gaussian(rng, (ds * da, ds * da))
-        d = ds if factor == "system" else da
-        bra, ket = complex_gaussian(rng, d), complex_gaussian(rng, d)
-        out = partial_matrix_element(u, bra, ket, factor)
-        np.testing.assert_allclose(out, _pme_bruteforce(u, bra, ket, factor), atol=1e-12)
+        bra, ket = complex_gaussian(rng, ds), complex_gaussian(rng, ds)
+        out = partial_matrix_element(u, bra, ket)
+        np.testing.assert_allclose(out, _pme_bruteforce(u, bra, ket), atol=1e-12)
 
     def test_linear_in_u_sesquilinear_in_states(self):
         rng = np.random.default_rng(6)
         u1, u2 = (complex_gaussian(rng, (6, 6)) for _ in range(2))
         bra, ket = complex_gaussian(rng, 2), complex_gaussian(rng, 2)
         lam, mu = 0.3 - 1.1j, -0.7 + 0.2j
-        combined = partial_matrix_element(lam * u1 + mu * u2, bra, ket, "system")
-        split = (lam * partial_matrix_element(u1, bra, ket, "system")
-                 + mu * partial_matrix_element(u2, bra, ket, "system"))
+        combined = partial_matrix_element(lam * u1 + mu * u2, bra, ket)
+        split = (lam * partial_matrix_element(u1, bra, ket)
+                 + mu * partial_matrix_element(u2, bra, ket))
         np.testing.assert_allclose(combined, split, atol=1e-12)
-        scaled = partial_matrix_element(u1, lam * bra, mu * ket, "system")
+        scaled = partial_matrix_element(u1, lam * bra, mu * ket)
         np.testing.assert_allclose(
-            scaled, np.conj(lam) * mu * partial_matrix_element(u1, bra, ket, "system"),
+            scaled, np.conj(lam) * mu * partial_matrix_element(u1, bra, ket),
             atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="not divisible"):
-            partial_matrix_element(np.eye(6), basis_state(4, 0), basis_state(4, 0), "system")
+            partial_matrix_element(np.eye(6), basis_state(4, 0), basis_state(4, 0))
 
 
 class TestInnerProductAndNorm:
@@ -353,9 +415,6 @@ class TestInnerProductAndNorm:
         u, v = complex_gaussian(rng, 4), complex_gaussian(rng, 4)
         lam = 0.6 + 0.9j
         assert abs(inner_product(lam * u, v) - np.conj(lam) * inner_product(u, v)) <= 1e-12
-
-    def test_norm(self):
-        assert abs(norm(np.array([3.0, 4.0])) - 5.0) <= 1e-15
 
 
 class TestNormalize:

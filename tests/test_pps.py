@@ -39,7 +39,7 @@ from potentops.pauli import (
     SIGMA_X,
     SIGMA_Z,
 )
-from potentops.pps import diagonal_potent_operator, spectral_weights
+from potentops.pps import EPS_OVERLAP, diagonal_potent_operator, spectral_weights
 from potentops.sampling import (
     complex_gaussian,
     random_hermitian,
@@ -66,12 +66,25 @@ class TestPrePostSelection:
         with pytest.raises(OrthogonalSelectionError):
             PrePostSelection(np.array([1, 0]), np.array([0, 1]))
 
-    def test_custom_floor(self):
-        psi = np.array([1, 0])
-        phi = np.array([1e-4, 1.0])
-        PrePostSelection(psi, phi)  # fine at the default floor
-        with pytest.raises(OrthogonalSelectionError):
-            PrePostSelection(psi, phi, eps_overlap=1e-3)
+    @staticmethod
+    def _at_cosine(c):
+        # normalized overlap |<phi|psi>| / (|phi||psi|) = c, up to rounding
+        return np.array([1.0, 0.0]), np.array([c, np.sqrt(1.0 - c * c)])
+
+    # The overlap guard refuses from below: twice the floor passes, half is refused.
+    def test_twice_the_floor_passes(self):
+        sel = PrePostSelection(*self._at_cosine(2 * EPS_OVERLAP))
+        assert abs(sel.overlap) == pytest.approx(2 * EPS_OVERLAP, rel=1e-12)
+
+    def test_half_the_floor_refused(self):
+        with pytest.raises(OrthogonalSelectionError, match=f"<= {EPS_OVERLAP:.1e}"):
+            PrePostSelection(*self._at_cosine(EPS_OVERLAP / 2))
+
+    def test_nan_overlap_refused(self):
+        psi, phi = self._at_cosine(0.5)
+        phi[0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            PrePostSelection(psi, phi)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dim"):
@@ -305,6 +318,23 @@ class TestKrausSlices:
         np.testing.assert_allclose(a1, beta * hermitian_exponential(SIGMA_Z, -1j * g),
                                    atol=1e-13)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 4), (4, 3)])
+    def test_against_bruteforce(self, dims):
+        # explicit index sum A_k[s, t] = sum_ab conj(<a|k>) U[(s, a), (t, b)] Phi[b]
+        rng = np.random.default_rng(list(dims))
+        ds, da = dims
+        u = complex_gaussian(rng, (ds * da, ds * da))
+        Phi, basis = random_state(da, rng), random_unitary(da, rng)
+        for k, a_k in enumerate(kraus_slices(u, Phi, basis)):
+            expected = np.zeros((ds, ds), dtype=complex)
+            for s in range(ds):
+                for t in range(ds):
+                    for a in range(da):
+                        for b in range(da):
+                            expected[s, t] += (basis[a, k].conjugate()
+                                               * u[s * da + a, t * da + b] * Phi[b])
+            np.testing.assert_allclose(a_k, expected, atol=1e-12)
+
     def test_completeness(self):
         rng = np.random.default_rng(9)
         joint = random_unitary(6, rng)
@@ -410,9 +440,8 @@ class TestApparatusState:
         np.testing.assert_allclose(apparatus_state_from_potent_values(pvs), expected,
                                    atol=1e-13)
 
-    def test_all_zero_values_rejected(self, amplification):
-        pvs = PotentValueSet(basis=np.eye(2, dtype=complex), values=np.zeros(2, dtype=complex),
-                             selection=amplification, meter_state=np.array([1, 0]))
+    def test_all_zero_values_rejected(self):
+        pvs = PotentValueSet(basis=np.eye(2, dtype=complex), values=np.zeros(2, dtype=complex))
         with pytest.raises(ValueError, match="vanish"):
             apparatus_state_from_potent_values(pvs)
 

@@ -376,6 +376,18 @@ sweep:
             run_sweep({"scenario": "weak-value"}, {"g": [0.1], "scenario": kinds})
         assert all(kind in str(info.value) for kind in kinds)
 
+    @pytest.mark.parametrize("key", [1, 0.5, True, None, ("g",)])
+    def test_rejects_non_string_key_before_running(self, key, monkeypatch):
+        import potentops.scenarios as scenarios
+
+        def must_not_run(cfg):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(scenarios, "run_scenario", must_not_run)
+        with pytest.raises(ConfigError, match="sweep key") as info:
+            run_sweep({"scenario": "modular-value"}, {"g": [0.1], key: [0.1]})
+        assert repr(key) in str(info.value)
+
     def test_single_kind_in_scenario_key_runs(self):
         rows, kind = run_sweep({"scenario": "weak-value", "g": [0.1]},
                                {"scenario": ["modular-value", "modular-value"]})
