@@ -5,8 +5,8 @@ suite) and ``sweep`` (Cartesian parameter grids over a base scenario). Every
 run cross-checks its results against an independent oracle route and exits
 non-zero when a residual exceeds its documented tolerance.
 
-Exit codes: 0 success, 1 validation error, 2 oracle-residual failure,
-3 I/O error.
+Exit codes: 0 success, 1 validation error or malformed command line,
+2 oracle-residual failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -82,7 +82,10 @@ def _tolerance(args, documented: float) -> float:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its help, or usage and an error
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"'seed' must be a non-negative integer, got {args.seed}")

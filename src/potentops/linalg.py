@@ -214,14 +214,6 @@ def partial_matrix_element(u: np.ndarray, bra: np.ndarray, ket: np.ndarray) -> n
     return np.einsum("s,satb,t->ab", bra.conj(), u4, ket)
 
 
-def inner_product(u: np.ndarray, v: np.ndarray) -> complex:
-    """<u|v>, conjugate-linear in the first argument."""
-    u, v = as_state(u), as_state(v)
-    if u.size != v.size:
-        raise ValueError(f"dimension mismatch: {u.size} vs {v.size}")
-    return complex(np.vdot(u, v))
-
-
 def normalize(v: np.ndarray) -> np.ndarray:
     """Unit-norm copy with the comparison phase convention applied.
 
@@ -253,14 +245,6 @@ def fidelity(u: np.ndarray, v: np.ndarray) -> float:
     return float(abs(np.vdot(u, v)) / (nu * nv))
 
 
-def basis_state(dim: int, k: int) -> np.ndarray:
-    if not 0 <= k < dim:
-        raise ValueError(f"basis index {k} out of range for dim {dim}")
-    e = np.zeros(dim, dtype=complex)
-    e[k] = 1.0
-    return e
-
-
 def orthonormality_defect(basis: np.ndarray) -> float:
     """Max entry of |B^dag B - I| for a (dim x n) matrix of basis columns."""
     basis = np.asarray(basis, dtype=complex)
@@ -272,13 +256,11 @@ def orthonormality_defect(basis: np.ndarray) -> float:
 
 def require_orthonormal_basis(basis: np.ndarray) -> np.ndarray:
     basis = np.asarray(basis, dtype=complex)
-    if basis.ndim != 2:
-        raise ValueError("basis must be a 2-D array with basis vectors as columns")
+    defect = orthonormality_defect(basis)
     if basis.shape[0] != basis.shape[1]:
         raise ValueError(
             f"basis with {basis.shape[1]} vectors is incomplete for dim {basis.shape[0]}"
         )
-    defect = orthonormality_defect(basis)
     if not defect <= ORTHONORMAL_TOL:
         raise ValueError(f"basis is not orthonormal (Gram defect {defect:.3e} > {ORTHONORMAL_TOL:.1e})")
     return basis

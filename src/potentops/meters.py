@@ -139,36 +139,25 @@ def pointer_statistics(state: np.ndarray, grid: Grid):
     state = as_state(state)
     if state.size != grid.grid_size:
         raise ValueError(f"state dim {state.size} != grid size {grid.grid_size}")
-    mean_x, var_x = _position_moments(state, grid)
-    mean_p, _ = _spectral_moments(np.fft.fft(state), grid.momentum_lattice)
+    mean_x, var_x = _moments(state, grid.x)
+    mean_p, _ = _moments(np.fft.fft(state), grid.momentum_lattice)
     return mean_x, var_x, mean_p
 
 
 def momentum_moments(state: np.ndarray, grid: Grid):
     """(mean, variance) of momentum, from the Fourier spectrum."""
-    return _spectral_moments(np.fft.fft(as_state(state)), grid.momentum_lattice)
+    return _moments(np.fft.fft(as_state(state)), grid.momentum_lattice)
 
 
-def _position_moments(state: np.ndarray, grid: Grid):
-    weights = np.abs(state) ** 2
+def _moments(amplitudes: np.ndarray, coords: np.ndarray):
+    """(mean, variance) of coords under the weights |amplitudes|^2, in any normalization."""
+    weights = np.abs(amplitudes) ** 2
     total = weights.sum()
     if total <= 0:
         raise ValueError("state has zero norm")
     weights = weights / total
-    mean_x = float(np.dot(grid.x, weights))
-    return mean_x, float(np.dot((grid.x - mean_x) ** 2, weights))
-
-
-def _spectral_moments(state_k: np.ndarray, p: np.ndarray):
-    """(mean, variance) of momentum from amplitudes on the momentum lattice p,
-    in any normalization."""
-    spectrum = np.abs(state_k) ** 2
-    total = spectrum.sum()
-    if total <= 0:
-        raise ValueError("state has zero norm")
-    spectrum = spectrum / total
-    mean_p = float(np.dot(p, spectrum))
-    return mean_p, float(np.dot((p - mean_p) ** 2, spectrum))
+    mean = float(np.dot(coords, weights))
+    return mean, float(np.dot((coords - mean) ** 2, weights))
 
 
 @dataclass(frozen=True)
@@ -242,8 +231,8 @@ def pointer_shift_sweep(A: np.ndarray, sel: PrePostSelection, gs,
         residual = float(np.max(np.abs(np.fft.ifft(state_k - oracle_k, norm="ortho"))))
 
         p_exact = float(np.linalg.norm(state) ** 2)
-        mean_x, _ = _position_moments(state, grid)
-        mean_p, _ = _spectral_moments(state_k, p)
+        mean_x, _ = _moments(state, grid.x)
+        mean_p, _ = _moments(state_k, p)
         # Fidelity is basis-independent, so the target stays in momentum
         # space; scaling it to unit max entry keeps its norm finite.
         target_k = meter_k * np.exp(-1j * g * a_w * p)

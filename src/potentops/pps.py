@@ -18,7 +18,6 @@ from .linalg import (
     as_operator,
     as_state,
     hermitian_exponential,
-    inner_product,
     normalize,
     partial_matrix_element,
     require_hermitian,
@@ -59,7 +58,7 @@ class PrePostSelection:
             raise ValueError(f"psi dim {psi.size} != phi dim {phi.size}")
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "phi", phi)
-        ov = inner_product(phi, psi)
+        ov = complex(np.vdot(phi, psi))
         norms = float(np.linalg.norm(phi) * np.linalg.norm(psi))
         if not np.isfinite(norms):
             raise ValueError(f"psi and phi must be finite (|phi||psi| = {norms})")
@@ -257,9 +256,6 @@ def weak_limit_potent_values(coupling: CouplingSpec, Phi: np.ndarray, basis: np.
 
 def potent_operator(U: np.ndarray, sel: PrePostSelection) -> PotentOperator:
     """<phi|U|psi> / <phi|psi> as an operator on the apparatus factor."""
-    U = as_operator(U)
-    if U.shape[0] % sel.dim != 0:
-        raise ValueError(f"joint dim {U.shape[0]} not divisible by system dim {sel.dim}")
     return PotentOperator(matrix=partial_matrix_element(U, sel.phi, sel.psi) / sel.overlap)
 
 

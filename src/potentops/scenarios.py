@@ -130,15 +130,6 @@ class Kind:
 
 
 @dataclass(frozen=True)
-class GaussianMeterSpec:
-    grid_size: int
-    x_min: float
-    x_max: float
-    sigma: float
-    x0: float
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     kind: str
     seed: int = 0
@@ -197,9 +188,9 @@ def _parse_complex(value, key: str) -> complex:
     raise ConfigError(f"'{key}' must be a number or an [re, im] pair, got {value!r}")
 
 
-def _parse_count(value) -> int:
+def _parse_count(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError("'count' must be a positive integer")
+        raise ConfigError(f"'{key}' must be a positive integer")
     return value
 
 
@@ -266,9 +257,7 @@ def _parse_sweep_values(value, key: str) -> list[float]:
         for k in ("start", "stop", "num"):
             if k not in value:
                 raise ConfigError(f"'{key}' range needs start/stop/num, missing {k!r}")
-        num = value["num"]
-        if isinstance(num, bool) or not isinstance(num, int) or num < 1:
-            raise ConfigError(f"'{key}.num' must be a positive integer")
+        num = _parse_count(value["num"], f"{key}.num")
         return [float(v) for v in np.linspace(_parse_number(value["start"], key),
                                               _parse_number(value["stop"], key), num)]
     raise ConfigError(f"'{key}' must be a number, a list, or a start/stop/num range")
@@ -284,15 +273,16 @@ def _parse_qubit_meter(value: dict, key: str) -> QubitMeter:
     return QubitMeter(alpha=complex(alpha), beta=complex(beta))
 
 
-def _parse_gaussian_meter(value: dict, key: str) -> GaussianMeterSpec:
+def _parse_gaussian_meter(value: dict, key: str) -> dict:
+    """The keyword arguments of build_gaussian_pointer, which runs at run time."""
     _require_keys(value, {"kind", "grid_size", "x_min", "x_max", "sigma", "x0"}, f"'{key}'")
     if value["kind"] != "gaussian":
         raise ConfigError(f"'{key}.kind' must be 'gaussian' for this scenario")
     grid_size = value["grid_size"]
     if isinstance(grid_size, bool) or not isinstance(grid_size, int) or grid_size < 2:
         raise ConfigError(f"'{key}.grid_size' must be an integer >= 2")
-    return GaussianMeterSpec(grid_size, *(_parse_number(value[k], f"{key}.{k}")
-                                          for k in ("x_min", "x_max", "sigma", "x0")))
+    return {"grid_size": grid_size, **{k: _parse_number(value[k], f"{key}.{k}")
+                                       for k in ("x_min", "x_max", "sigma", "x0")}}
 
 
 def _parse_selection(doc: dict, parse_meter) -> dict:
@@ -333,11 +323,11 @@ def _parse_completeness(doc: dict) -> dict:
             raise ConfigError(f"'dims' entries must be [system_dim, apparatus_dim] with "
                               f"integers >= 2, got {entry!r}")
         pairs.append((entry[0], entry[1]))
-    return {"dims": pairs, "count": _parse_count(doc["count"])}
+    return {"dims": pairs, "count": _parse_count(doc["count"], "count")}
 
 
 def _parse_conditional(doc: dict) -> dict:
-    count = _parse_count(doc["count"])
+    count = _parse_count(doc["count"], "count")
     variants = doc["variants"]
     if (not isinstance(variants, list) or not variants
             or any(v not in ("system", "apparatus") for v in variants)):
@@ -527,9 +517,8 @@ def _run_completeness(cfg: ScenarioConfig) -> list[dict]:
 def _run_pointer_shift(cfg: ScenarioConfig) -> list[dict]:
     p = cfg.params
     sel = PrePostSelection(p["psi"], p["phi"])
-    m = p["meter"]
-    pointer = build_gaussian_pointer(m.grid_size, m.x_min, m.x_max, m.sigma, m.x0)
-    reports = pointer_shift_sweep(p["observable"], sel, p["g"], pointer)
+    reports = pointer_shift_sweep(p["observable"], sel, p["g"],
+                                  build_gaussian_pointer(**p["meter"]))
     return [{"scenario": cfg.kind, "g": r.g, "weak_re": r.weak_val.real,
              "weak_im": r.weak_val.imag, "mean_shift": r.mean_shift,
              "predicted_shift": r.predicted_shift, "shift_error": r.shift_error,

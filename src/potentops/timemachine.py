@@ -12,7 +12,6 @@ import numpy as np
 from .linalg import (
     HERMITIAN_TOL,
     ZERO_NORM_TOL,
-    as_operator,
     as_state,
     hermitian_exponential,
     hermitian_exponentials,
@@ -53,22 +52,6 @@ class EvolutionFamily:
         object.__setattr__(self, "parameters", params)
         for a in params:
             require_hermitian(self.generator(a), name=f"H({a})")
-
-    @classmethod
-    def from_matrices(cls, parameters, matrices, duration: float) -> "EvolutionFamily":
-        """Family defined only at the listed parameters, by lookup."""
-        params = tuple(float(a) for a in parameters)
-        mats = [as_operator(m) for m in matrices]
-        if len(params) != len(mats):
-            raise ValueError(f"{len(params)} parameters but {len(mats)} matrices")
-
-        def lookup(a: float) -> np.ndarray:
-            for p, m in zip(params, mats):
-                if abs(a - p) <= 1e-12:
-                    return m
-            raise KeyError(f"generator defined only at {params}, not {a}")
-
-        return cls(parameters=params, generator=lookup, duration=duration)
 
     def branch_unitaries(self) -> list[np.ndarray]:
         return [hermitian_exponential(self.generator(a), -1j * self.duration)

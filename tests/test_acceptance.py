@@ -202,8 +202,8 @@ def test_criterion_7_time_machine():
         dim = int(rng.integers(2, 9))
         parameters = tuple(np.sort(rng.uniform(-1, 1, size=5)))
         matrices = [random_hermitian(dim, rng) for _ in parameters]
-        family = EvolutionFamily.from_matrices(parameters, matrices,
-                                               duration=float(rng.uniform(0.1, 2.0)))
+        family = EvolutionFamily(parameters, dict(zip(parameters, matrices)).__getitem__,
+                                 duration=float(rng.uniform(0.1, 2.0)))
         c = rng.normal(size=5) + 1j * rng.normal(size=5)
         if abs(c.sum()) < 0.3:
             c[0] += 1.0

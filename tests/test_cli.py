@@ -98,6 +98,21 @@ class TestExitCodes:
         dest = tmp_path / "no_such_dir" / "rows.csv"
         assert run_cli("weak-value", "--out", str(dest)) == EXIT_IO
 
+    # A typo on the command line is a validation error, never a residual failure.
+    @pytest.mark.parametrize("argv", [["weak-value", "--seed", "abc"],
+                                      ["weak-value", "--format", "xml"],
+                                      ["nosuch"], [], ["weak-value", "--bogus"]])
+    def test_malformed_command_line(self, capsys, argv):
+        assert run_cli(*argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: potentops")
+        assert ": error: " in captured.err
+
+    def test_help_exits_0(self, capsys):
+        assert run_cli("--help") == EXIT_OK
+        assert "usage: potentops" in capsys.readouterr().out
+
 
 class TestOutputs:
     def test_stdout_default(self, capsys):

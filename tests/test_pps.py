@@ -61,6 +61,13 @@ class TestPrePostSelection:
     def test_overlap_cache(self, amplification):
         recomputed = np.vdot(amplification.phi, amplification.psi)
         assert abs(amplification.overlap - recomputed) <= 1e-14
+        assert abs(amplification.overlap - 0.5) <= 1e-15
+        # <phi|psi> is conjugate-linear in phi
+        rng = np.random.default_rng(8)
+        psi, phi = complex_gaussian(rng, 4), complex_gaussian(rng, 4)
+        lam = 0.6 + 0.9j
+        scaled = PrePostSelection(psi, lam * phi).overlap
+        assert abs(scaled - np.conj(lam) * PrePostSelection(psi, phi).overlap) <= 1e-12
 
     def test_orthogonal_rejected(self):
         with pytest.raises(OrthogonalSelectionError):
@@ -699,3 +706,65 @@ class TestModularWeakLimit:
                          for g in (0.1, 0.05, 0.025)]
             assert residuals[0] / residuals[1] == pytest.approx(2.0, abs=0.5)
             assert residuals[1] / residuals[2] == pytest.approx(2.0, abs=0.5)
+
+
+# A seed for numpy's generator, system and apparatus dimensions in 2-4, and a
+# coupling g in [0, 2 pi].
+SEEDED_DRAWS = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(2, 4),
+                         st.floats(0, 2 * np.pi))
+
+
+def _selection_at_overlap(dim, rng):
+    """Random unit (psi, phi) with |<phi|psi>| >= 0.1."""
+    psi, phi = random_state(dim, rng), random_state(dim, rng)
+    assume(abs(np.vdot(phi, psi)) >= 0.1)
+    return psi, phi
+
+
+class TestIdentityProperties:
+    """The paper's identities over random draws, at the tolerances verify
+    holds them to."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=SEEDED_DRAWS)
+    def test_kraus_completeness(self, case):
+        seed, ds, da, _ = case
+        rng = np.random.default_rng(seed)
+        joint = random_unitary(ds * da, rng)
+        slices = kraus_slices(joint, random_state(da, rng), random_unitary(da, rng))
+        assert np.max(np.abs(sum(s.conj().T @ s for s in slices) - np.eye(ds))) <= 1e-10
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=SEEDED_DRAWS)
+    def test_completeness_over_a_random_preselection_basis(self, case):
+        seed, ds, da, _ = case
+        rng = np.random.default_rng(seed)
+        joint = random_unitary(ds * da, rng)
+        phi = random_state(ds, rng)
+        assert potent_completeness_residual(joint, phi, random_unitary(ds, rng)) <= 1e-10
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=SEEDED_DRAWS)
+    def test_qubit_meter_reduction(self, case):
+        seed, d, _, g = case
+        rng = np.random.default_rng(seed)
+        alpha, beta = random_state(2, rng)
+        meter = QubitMeter(alpha=alpha, beta=beta)
+        A = random_hermitian(d, rng)
+        sel = PrePostSelection(*_selection_at_overlap(d, rng))
+        pvs = potent_values(meter.coupling_unitary(A, g), meter.state,
+                            np.eye(2, dtype=complex), sel)
+        expected = np.array([alpha, beta * modular_value(A, g, sel)])
+        assert np.max(np.abs(pvs.values - expected)) <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=SEEDED_DRAWS)
+    def test_potent_operator_scale_invariance(self, case):
+        seed, ds, da, _ = case
+        rng = np.random.default_rng(seed)
+        joint = random_unitary(ds * da, rng)
+        psi, phi = _selection_at_overlap(ds, rng)
+        lam, mu = (complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)) for _ in range(2))
+        base = potent_operator(joint, PrePostSelection(psi, phi)).matrix
+        scaled = potent_operator(joint, PrePostSelection(lam * psi, mu * phi)).matrix
+        assert np.max(np.abs(scaled - base)) <= 1e-12

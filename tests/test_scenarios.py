@@ -124,6 +124,15 @@ class TestParseConfig:
         assert cfg.output_format == "json"
         assert cfg.output_path == "out.json"
 
+    @pytest.mark.parametrize("doc, key", [
+        ("scenario: completeness\ncount: 0", "count"),
+        ("scenario: conditional\ncount: true", "count"),
+        ("scenario: weak-value\ng: {start: 0, stop: 1, num: 0}", "g.num"),
+        ("scenario: weak-value\ng: {start: 0, stop: 1, num: 2.0}", "g.num")])
+    def test_positive_integer_named(self, doc, key):
+        with pytest.raises(ConfigError, match=f"^'{key}' must be a positive integer$"):
+            parse_config(doc)
+
     def test_completeness_dims_validation(self):
         with pytest.raises(ConfigError, match="dims"):
             parse_config("scenario: completeness\ndims: [[2, 1]]")

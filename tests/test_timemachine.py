@@ -89,12 +89,6 @@ class TestSpecs:
         with pytest.raises(ValueError, match="duration"):
             linear_family((0.5,), SIGMA_Z, -1.0)
 
-    def test_from_matrices_lookup(self):
-        family = EvolutionFamily.from_matrices((0.1, 0.2), [SIGMA_Z, SIGMA_X], 1.0)
-        np.testing.assert_array_equal(family.generator(0.2), SIGMA_X)
-        with pytest.raises(KeyError):
-            family.generator(0.15)
-
     def test_effective_duration(self):
         spec = TimeTranslationSpec(durations=(1.0, 2.0),
                                    coefficients=SuperpositionSpec([2.0, -1.0]),
@@ -148,9 +142,10 @@ class TestSuperposedEvolution:
                 c[0] += 1.0
             c = c / c.sum()
             spec = SuperpositionSpec(c)
-            family = EvolutionFamily.from_matrices(
-                np.arange(n) * 0.31 + 0.1, [random_hermitian(3, rng) for _ in range(n)],
-                duration=float(rng.uniform(0.1, 2.0)))
+            params = np.arange(n) * 0.31 + 0.1
+            matrices = [random_hermitian(3, rng) for _ in range(n)]
+            family = EvolutionFamily(params, dict(zip(params, matrices)).__getitem__,
+                                     duration=float(rng.uniform(0.1, 2.0)))
             Phi = random_state(3, rng)
             _, success = superposed_evolution(family, spec, Phi)
             assert success ** 2 <= np.sum(np.abs(c)) ** 2 + 1e-12
@@ -183,10 +178,10 @@ class TestPotentTimeSuperposition:
             if abs(c.sum()) < 0.3:
                 c[0] += 1.0
             spec = SuperpositionSpec(c / c.sum())
-            family = EvolutionFamily.from_matrices(
-                np.sort(rng.uniform(-1, 1, size=n)),
-                [random_hermitian(dim, rng) for _ in range(n)],
-                duration=float(rng.uniform(0.1, 2.0)))
+            params = np.sort(rng.uniform(-1, 1, size=n))
+            matrices = [random_hermitian(dim, rng) for _ in range(n)]
+            family = EvolutionFamily(params, dict(zip(params, matrices)).__getitem__,
+                                     duration=float(rng.uniform(0.1, 2.0)))
             Phi = random_state(dim, rng)
             op = potent_time_superposition(family, spec)
             direct, _ = superposed_evolution(family, spec, Phi)
