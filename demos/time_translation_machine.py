@@ -16,9 +16,12 @@ from potentops import (
     EvolutionFamily,
     SuperpositionSpec,
     TimeTranslationSpec,
+    general_exponential,
     hermitian_exponential,
     potent_time_superposition,
     superposed_evolution,
+    system_controlled_unitary,
+    tensor_product,
     time_translation_machine,
 )
 from potentops.pauli import SIGMA_Z
@@ -48,8 +51,14 @@ _, t_past, fid_past, _ = time_translation_machine(past, Phi)
 print(f"\nc = (2, -1), T = (1, 3): T' = {t_past} (toward the past), "
       f"eigenstate fidelity = {fid_past:.12f}")
 
-# the machine IS a potent operator of a control register
-op = potent_time_superposition(spec, spec.coefficients)
+# the machine IS a potent operator: the register-controlled branches are one
+# product coupling, sum_i |i><i| (x) exp(-i H T_i) = exp(-i diag(T_i) (x) H)
+branches = [hermitian_exponential(SIGMA_Z, -1j * t) for t in spec.durations]
+controlled = system_controlled_unitary([np.diag(e) for e in np.eye(2)], branches)
+product = general_exponential(tensor_product(np.diag(spec.durations), SIGMA_Z), -1j)
+print(f"\nsum_i |i><i| (x) exp(-i H T_i) vs exp(-i diag(T_i) (x) H): "
+      f"{np.max(np.abs(controlled - product)):.2e}")
+op = potent_time_superposition(branches, spec.coefficients)
 direct = 2 * hermitian_exponential(SIGMA_Z, -1j) - hermitian_exponential(SIGMA_Z, -2j)
 print(f"\npotent-operator route vs direct coefficient sum: "
       f"{np.max(np.abs(op.matrix - direct)):.2e}")
@@ -59,7 +68,7 @@ print(f"\npotent-operator route vs direct coefficient sum: "
 family = EvolutionFamily(parameters=(0.1, 0.2), generator=lambda a: a * SIGMA_Z,
                          duration=1.0)
 fam_spec = SuperpositionSpec(np.array([2.0, -1.0]))
-fam_op = potent_time_superposition(family, fam_spec)
+fam_op = potent_time_superposition(family.branch_unitaries(), fam_spec)
 out, norm_out = superposed_evolution(family, fam_spec, Phi)
 print(f"\nfamily a = (0.1, 0.2), c = (2, -1): effective a' = sum c_i a_i = 0.0,")
 print(f"potent route vs direct: {np.max(np.abs(fam_op.apply(Phi) - out)):.2e}")

@@ -14,7 +14,6 @@ from .linalg import (
     ZERO_NORM_TOL,
     as_state,
     hermitian_exponential,
-    hermitian_exponentials,
     hermiticity_defect,
     require_hermitian,
     require_normalized,
@@ -23,6 +22,7 @@ from .pps import (
     WEAK_SUM_TOL,
     PotentOperator,
     PrePostSelection,
+    diagonal_potent_operator,
     potent_operator,
     system_controlled_unitary,
 )
@@ -47,8 +47,8 @@ class EvolutionFamily:
         params = tuple(float(a) for a in self.parameters)
         if len(params) == 0:
             raise ValueError("need at least one parameter")
-        if not self.duration >= 0:
-            raise ValueError("duration must be >= 0")
+        if not 0 <= self.duration < np.inf:
+            raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
         object.__setattr__(self, "parameters", params)
         for a in params:
             require_hermitian(self.generator(a), name=f"H({a})")
@@ -89,6 +89,8 @@ class TimeTranslationSpec:
 
     def __post_init__(self):
         ts = tuple(float(t) for t in self.durations)
+        if not all(np.isfinite(ts)):
+            raise ValueError(f"durations must be finite, got {ts}")
         if len(ts) != len(self.coefficients):
             raise ValueError(f"{len(ts)} durations but {len(self.coefficients)} coefficients")
         object.__setattr__(self, "durations", ts)
@@ -96,20 +98,11 @@ class TimeTranslationSpec:
 
     @property
     def effective_duration(self) -> float:
+        """T' = sum_i c_i T_i, the clock diag(T_i)'s weak value on the register."""
         total = complex(np.dot(self.coefficients.coefficients, self.durations))
         if not abs(total.imag) <= 1e-12:
             raise ValueError(f"effective duration {total} is not real")
         return total.real
-
-    def branch_unitaries(self) -> list[np.ndarray]:
-        """exp(-i H T_i) for every duration, from one eigendecomposition of H."""
-        return hermitian_exponentials(self.hamiltonian, [-1j * t for t in self.durations])
-
-
-def _superpose(coefficients, unitaries, Phi: np.ndarray):
-    """sum_i c_i U_i|Phi>, unnormalized, and its norm."""
-    state = sum(c * (u @ Phi) for c, u in zip(coefficients, unitaries))
-    return state, float(np.linalg.norm(state))
 
 
 def superposed_evolution(family: EvolutionFamily, spec: SuperpositionSpec, Phi: np.ndarray):
@@ -125,14 +118,14 @@ def superposed_evolution(family: EvolutionFamily, spec: SuperpositionSpec, Phi: 
     for a, u in zip(family.parameters, unitaries):
         if u.shape[1] != Phi.size:
             raise ValueError(f"H({a}) has shape {u.shape}, Phi has shape {Phi.shape}")
-    return _superpose(spec.coefficients, unitaries, Phi)
+    state = sum(c * (u @ Phi) for c, u in zip(spec.coefficients, unitaries))
+    return state, float(np.linalg.norm(state))
 
 
-def potent_time_superposition(evolutions: EvolutionFamily | TimeTranslationSpec,
-                               spec: SuperpositionSpec) -> PotentOperator:
-    """Realize sum_i c_i U_i, with U_i the branch unitaries of a family or a
-    time-translation spec, as the potent operator of the system-controlled
-    unitary sum_i |i><i| (x) U_i on a control register pre-selected along the
+def potent_time_superposition(branches, spec: SuperpositionSpec) -> PotentOperator:
+    """Realize sum_i c_i U_i, for branch unitaries U_i given as a list or an
+    (n, d, d) stack, as the potent operator of the system-controlled unitary
+    sum_i |i><i| (x) U_i on a control register pre-selected along the
     coefficients and post-selected on the uniform superposition.
 
     For that selection <|i><i|>_w = c_i / sum_j c_j = c_i (Aharonov, Anandan,
@@ -140,7 +133,6 @@ def potent_time_superposition(evolutions: EvolutionFamily | TimeTranslationSpec,
     invariant, so normalizing the pre-selected state still reproduces the
     coefficient sum exactly (this is where sum_i c_i = 1 matters).
     """
-    branches = evolutions.branch_unitaries()
     if len(branches) != len(spec):
         raise ValueError(f"{len(branches)} branches but {len(spec)} coefficients")
     n = len(spec)
@@ -256,17 +248,23 @@ def time_translation_machine(spec: TimeTranslationSpec, Phi: np.ndarray):
 
     Returns (unnormalized state, T', fidelity against exp(-i H T')|Phi>,
     success norm). T' = sum_i c_i T_i may be negative: post-selection can
-    steer the meter toward its past. The branches exp(-i H T_i) and the
-    target exp(-i H T') come from one eigendecomposition of H.
+    steer the meter toward its past.
+
+    sum_i |i><i| (x) exp(-i H T_i) = exp(-i diag(T_i) (x) H): the machine is
+    the potent operator of one product coupling at g = 1, with clock weights
+    <|i><i|>_w = c_i. In H's eigenbasis that is diagonal_potent_operator(T,
+    c, 1, E), and the one eigh of H also gives the target exp(-i H T').
     """
     Phi = require_normalized(Phi, "Phi")
     if spec.hamiltonian.shape[1] != Phi.size:
         raise ValueError(f"H has shape {spec.hamiltonian.shape}, Phi has shape {Phi.shape}")
     t_eff = spec.effective_duration
-    *branches, evolution = hermitian_exponentials(
-        spec.hamiltonian, [-1j * t for t in (*spec.durations, t_eff)])
-    state, success = _superpose(spec.coefficients.coefficients, branches, Phi)
+    energies, vecs = np.linalg.eigh(spec.hamiltonian)
+    amps = vecs.conj().T @ Phi
+    state = diagonal_potent_operator(spec.durations, spec.coefficients.coefficients, 1.0,
+                                     energies) * amps
+    success = float(np.linalg.norm(state))
     if success <= ZERO_NORM_TOL:
         raise ValueError("superposed state is numerically zero")
-    fid = float(abs(np.vdot(evolution @ Phi, state)) / success)
-    return state, t_eff, fid, success
+    fid = float(abs(np.vdot(np.exp(-1j * t_eff * energies) * amps, state)) / success)
+    return vecs @ state, t_eff, fid, success

@@ -209,7 +209,7 @@ def test_criterion_7_time_machine():
             c[0] += 1.0
         spec = SuperpositionSpec(c / c.sum())
         Phi = random_state(dim, rng)
-        op = potent_time_superposition(family, spec)
+        op = potent_time_superposition(family.branch_unitaries(), spec)
         direct, _ = superposed_evolution(family, spec, Phi)
         worst = max(worst, float(np.max(np.abs(op.apply(Phi) - direct))))
     preset = TimeTranslationSpec(durations=(1.0, 2.0),

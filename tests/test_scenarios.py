@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import yaml
 
+from potentops import linalg
+from potentops.cli import EXIT_RESIDUAL, main
 from potentops.scenarios import (
     KINDS,
     ConfigError,
@@ -297,14 +299,33 @@ class TestSharedDecompositions:
         assert passed == (shape not in fails_at)
 
     @pytest.mark.parametrize("n", [2, 4])
-    def test_time_machine_run_makes_two_eighs(self, eigh_shapes, n):
+    def test_time_machine_run_makes_one_eigh(self, eigh_shapes, n):
         doc = {"scenario": "time-machine", "coefficients": [2.0] + [-1.0 / (n - 1)] * (n - 1),
                "durations": [0.5 * k for k in range(n)],
                "hamiltonian": QUBIT_METER_3["observable"], "meter_state": [0.6, 0.0, 0.8]}
         (row,) = run_scenario(parse_config_mapping(doc))
         assert within_tolerance(row["residual"], KINDS["time-machine"].tolerance)
-        # one for the machine's branches and target, one for the oracle's branches
-        assert eigh_shapes == [(3, 3), (3, 3)]
+        # one of H for the rows and their target; the Pade oracle takes none
+        assert eigh_shapes == [(3, 3)]
+
+    # The time machine's rows take one eigh and its oracle one stacked Pade
+    # exponential, so a fault in either fails the kind and verify's check.
+    @pytest.mark.parametrize("fault", ["eigh", "pade"])
+    def test_time_machine_fault_exits_2(self, monkeypatch, capsys, fault):
+        if fault == "eigh":
+            eigh = np.linalg.eigh
+
+            def scaled_eigh(m, *args, **kwargs):
+                lam, vecs = eigh(m, *args, **kwargs)
+                return lam * (1 + 1e-6), vecs
+
+            monkeypatch.setattr(np.linalg, "eigh", scaled_eigh)
+        else:
+            pade = linalg._pade_exponential
+            monkeypatch.setattr(linalg, "_pade_exponential", lambda a: pade(a) * (1 + 1e-9))
+        assert main(["time-machine"]) == EXIT_RESIDUAL
+        assert main(["verify"]) == EXIT_RESIDUAL
+        assert "FAIL time_machine_potent_route" in capsys.readouterr().out
 
 
 class TestEmission:

@@ -4,6 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from potentops import (
     EvolutionFamily,
@@ -11,14 +14,17 @@ from potentops import (
     SuperpositionSpec,
     TimeTranslationSpec,
     effective_parameter_fit,
+    general_exponential,
     hermitian_exponential,
     potent_operator,
     potent_time_superposition,
     superposed_evolution,
     system_controlled_unitary,
     time_translation_machine,
+    weak_value,
 )
 from potentops import timemachine
+from potentops.linalg import _pade_exponential
 from potentops.pauli import SIGMA_X, SIGMA_Z
 from potentops.sampling import random_hermitian, random_state, random_unitary
 
@@ -72,12 +78,23 @@ class TestSpecs:
             SuperpositionSpec(np.array(bad))
 
     def test_nan_effective_duration_rejected(self):
-        spec = TimeTranslationSpec(durations=(1.0, np.nan),
-                                   coefficients=SuperpositionSpec([complex(0.5, 0.5),
-                                                                   complex(0.5, -0.5)]),
-                                   hamiltonian=SIGMA_Z)
-        with pytest.raises(ValueError, match="not real"):
-            spec.effective_duration
+        with pytest.raises(ValueError, match=r"^durations must be finite, got \(1\.0, nan\)$"):
+            TimeTranslationSpec(durations=(1.0, np.nan),
+                                coefficients=SuperpositionSpec([complex(0.5, 0.5),
+                                                                complex(0.5, -0.5)]),
+                                hamiltonian=SIGMA_Z)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_durations_rejected(self, bad):
+        # real coefficients: nothing downstream would turn the infinity into a NaN
+        with pytest.raises(ValueError, match="^durations must be finite"):
+            TimeTranslationSpec(durations=(bad, 1.0), coefficients=SuperpositionSpec([2.0, -1.0]),
+                                hamiltonian=SIGMA_Z)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_family_duration_rejected(self, bad):
+        with pytest.raises(ValueError, match=rf"^duration must be finite and >= 0, got {bad}$"):
+            linear_family((0.5,), SIGMA_Z, bad)
 
     def test_generator_must_be_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -154,7 +171,8 @@ class TestSuperposedEvolution:
 class TestPotentTimeSuperposition:
     def test_single_parameter(self):
         family = linear_family((0.6,), SIGMA_Z, 1.1)
-        op = potent_time_superposition(family, SuperpositionSpec(np.array([1.0])))
+        op = potent_time_superposition(family.branch_unitaries(),
+                                       SuperpositionSpec(np.array([1.0])))
         np.testing.assert_allclose(op.matrix, hermitian_exponential(0.6 * SIGMA_Z, -1.1j),
                                    atol=1e-13)
 
@@ -162,7 +180,8 @@ class TestPotentTimeSuperposition:
         # 2 exp(-i 0.1 sigma_x) - exp(-i 0.2 sigma_x), via the rotation formula
         # exp(-i t sigma_x) = cos(t) I - i sin(t) sigma_x
         family = linear_family((0.1, 0.2), SIGMA_X, 1.0)
-        op = potent_time_superposition(family, SuperpositionSpec(np.array([2.0, -1.0])))
+        op = potent_time_superposition(family.branch_unitaries(),
+                                       SuperpositionSpec(np.array([2.0, -1.0])))
         expected = (2 * (np.cos(0.1) * np.eye(2) - 1j * np.sin(0.1) * SIGMA_X)
                     - (np.cos(0.2) * np.eye(2) - 1j * np.sin(0.2) * SIGMA_X))
         np.testing.assert_allclose(op.matrix, expected, atol=1e-12)
@@ -183,15 +202,15 @@ class TestPotentTimeSuperposition:
             family = EvolutionFamily(params, dict(zip(params, matrices)).__getitem__,
                                      duration=float(rng.uniform(0.1, 2.0)))
             Phi = random_state(dim, rng)
-            op = potent_time_superposition(family, spec)
+            op = potent_time_superposition(family.branch_unitaries(), spec)
             direct, _ = superposed_evolution(family, spec, Phi)
             assert np.max(np.abs(op.apply(Phi) - direct)) <= 1e-12
 
     def test_scale_invariant_in_preselection_normalization(self):
         family = linear_family((0.1, 0.5), SIGMA_Z, 1.0)
         spec = SuperpositionSpec(np.array([2.0, -1.0]))
-        op = potent_time_superposition(family, spec)
         branch = family.branch_unitaries()
+        op = potent_time_superposition(branch, spec)
         joint = system_controlled_unitary([np.diag(e) for e in np.eye(2)], branch)
         rng = np.random.default_rng(4)
         for _ in range(5):
@@ -215,21 +234,14 @@ class TestPotentTimeSuperposition:
         assert np.array_equal(joint, expected)
 
     def test_family_count_mismatch_refused(self):
+        # a list of a family's branches, and an (n, d, d) stack of durations'
         family = linear_family((0.1, 0.2), SIGMA_Z, 1.0)
         with pytest.raises(ValueError, match="^2 branches but 3 coefficients$"):
-            potent_time_superposition(family, SuperpositionSpec([0.5, 0.25, 0.25]))
-
-    def test_time_translation_count_mismatch_refused(self):
-        spec = TimeTranslationSpec(durations=(1.0, 2.0),
-                                   coefficients=SuperpositionSpec([2.0, -1.0]),
-                                   hamiltonian=SIGMA_Z)
-        other = TimeTranslationSpec(durations=(0.5, 1.0, 1.5),
-                                    coefficients=SuperpositionSpec([0.5, 0.25, 0.25]),
-                                    hamiltonian=SIGMA_X)
-        with pytest.raises(ValueError, match="^2 branches but 3 coefficients$"):
-            potent_time_superposition(spec, other.coefficients)
+            potent_time_superposition(family.branch_unitaries(),
+                                      SuperpositionSpec([0.5, 0.25, 0.25]))
+        stack = _pade_exponential(np.multiply.outer(-1j * np.array([0.5, 1.0, 1.5]), SIGMA_X))
         with pytest.raises(ValueError, match="^3 branches but 2 coefficients$"):
-            potent_time_superposition(other, spec.coefficients)
+            potent_time_superposition(stack, SuperpositionSpec([2.0, -1.0]))
 
 
 class TestEffectiveParameterFit:
@@ -463,5 +475,52 @@ class TestTimeTranslationMachine:
                                    hamiltonian=random_hermitian(4, rng))
         Phi = random_state(4, rng)
         state, _, _, _ = time_translation_machine(spec, Phi)
-        op = potent_time_superposition(spec, spec.coefficients)
+        branches = [general_exponential(spec.hamiltonian, -1j * t) for t in spec.durations]
+        op = potent_time_superposition(branches, spec.coefficients)
         assert np.max(np.abs(op.apply(Phi) - state)) <= 1e-12
+
+
+@st.composite
+def machine_cases(draw):
+    """n 2-4 durations in [-3, 3] with real coefficients summing to 1 (the
+    free ones in [-2, 2]), a Hermitian H of dim 2-5 with entries of modulus
+    <= sqrt(2), and a normalized meter state."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(2, 5))
+    free = draw(arrays(np.float64, n - 1, elements=st.floats(-2, 2)))
+    durations = draw(arrays(np.float64, n, elements=st.floats(-3, 3)))
+    parts = draw(arrays(np.float64, (2, d, d + 1), elements=st.floats(-1, 1)))
+    z = parts[0] + 1j * parts[1]
+    Phi = z[:, d]
+    assume(np.linalg.norm(Phi) > 1e-3)
+    spec = TimeTranslationSpec(durations=tuple(durations),
+                               coefficients=SuperpositionSpec(np.append(free, 1 - free.sum())),
+                               hamiltonian=(z[:, :d] + z[:, :d].conj().T) / 2)
+    return spec, Phi / np.linalg.norm(Phi)
+
+
+class TestProductCouplingProperty:
+    """The machine is the potent operator of exp(-i diag(T) (x) H) on a clock
+    register, and T' is the clock's weak value."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=machine_cases())
+    def test_rows_match_pade_register_oracle(self, case):
+        spec, Phi = case
+        state, _, _, _ = time_translation_machine(spec, Phi)
+        branches = _pade_exponential(
+            np.multiply.outer(-1j * np.array(spec.durations), spec.hamiltonian))
+        oracle = potent_time_superposition(branches, spec.coefficients).apply(Phi)
+        assert np.max(np.abs(state - oracle)) <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=machine_cases())
+    def test_effective_duration_is_the_clock_weak_value(self, case):
+        spec, _ = case
+        c = spec.coefficients.coefficients
+        n = len(c)
+        register = PrePostSelection(psi=c / np.linalg.norm(c),
+                                    phi=np.ones(n, dtype=complex) / np.sqrt(n))
+        t_prime = spec.effective_duration
+        clock = weak_value(np.diag(spec.durations), register)
+        assert abs(clock - t_prime) <= 1e-14 * max(1.0, abs(t_prime))
