@@ -15,13 +15,13 @@ import numpy as np
 
 from potentops import (
     PrePostSelection,
-    apparatus_controlled_unitary,
+    conditional_unitary,
+    general_exponential,
     hermitian_exponential,
     potent_completeness_residual,
     potent_operator,
     potent_operator_apparatus_controlled,
     potent_operator_system_controlled,
-    system_controlled_unitary,
     tensor_product,
 )
 from potentops.pauli import AMPLIFICATION_PHI, AMPLIFICATION_PSI, SIGMA_X, SIGMA_Z
@@ -38,7 +38,7 @@ for n, w in enumerate(weak_vals):
     print(f"  <Pi_{n}>_w = {w:.6f}")
 print(f"  sum = {sum(weak_vals):.6f} (always exactly 1)")
 
-assembled = potent_operator(system_controlled_unitary(projectors, unitaries), sel)
+assembled = potent_operator(conditional_unitary(projectors, unitaries), sel)
 print(f"  matches potent operator of assembled U: "
       f"{np.max(np.abs(op.matrix - assembled.matrix)):.2e}")
 print("  note <Pi_1>_w = -1/2: a 'negative probability' weight on branch 1")
@@ -50,7 +50,9 @@ aop, modular_vals = potent_operator_apparatus_controlled(generators, projectors,
 print("\napparatus-controlled branch weights (modular values at lambda=1.1):")
 for n, m in enumerate(modular_vals):
     print(f"  <A_{n}>_M = {m:.6f}")
-assembled = potent_operator(apparatus_controlled_unitary(generators, projectors, lam), sel)
+# the assembled joint takes its branches exp(-i lam A_n) from the Pade route
+branches = [general_exponential(a, -1j * lam) for a in generators]
+assembled = potent_operator(conditional_unitary(branches, projectors), sel)
 print(f"  matches potent operator of assembled U: "
       f"{np.max(np.abs(aop.matrix - assembled.matrix)):.2e}")
 

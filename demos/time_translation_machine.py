@@ -16,11 +16,11 @@ from potentops import (
     EvolutionFamily,
     SuperpositionSpec,
     TimeTranslationSpec,
+    conditional_unitary,
     general_exponential,
     hermitian_exponential,
     potent_time_superposition,
     superposed_evolution,
-    system_controlled_unitary,
     tensor_product,
     time_translation_machine,
 )
@@ -54,7 +54,7 @@ print(f"\nc = (2, -1), T = (1, 3): T' = {t_past} (toward the past), "
 # the machine IS a potent operator: the register-controlled branches are one
 # product coupling, sum_i |i><i| (x) exp(-i H T_i) = exp(-i diag(T_i) (x) H)
 branches = [hermitian_exponential(SIGMA_Z, -1j * t) for t in spec.durations]
-controlled = system_controlled_unitary([np.diag(e) for e in np.eye(2)], branches)
+controlled = conditional_unitary([np.diag(e) for e in np.eye(2)], branches)
 product = general_exponential(tensor_product(np.diag(spec.durations), SIGMA_Z), -1j)
 print(f"\nsum_i |i><i| (x) exp(-i H T_i) vs exp(-i diag(T_i) (x) H): "
       f"{np.max(np.abs(controlled - product)):.2e}")

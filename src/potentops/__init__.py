@@ -7,7 +7,6 @@ from .linalg import (
     fidelity,
     general_exponential,
     hermitian_exponential,
-    hermitian_exponentials,
     normalize,
     partial_matrix_element,
     tensor_product,
@@ -27,8 +26,8 @@ from .pps import (
     PotentOperator,
     PotentValueSet,
     PrePostSelection,
-    apparatus_controlled_unitary,
     apparatus_state_from_potent_values,
+    conditional_unitary,
     joint_evolve_and_postselect,
     kraus_slices,
     modular_value,
@@ -38,7 +37,6 @@ from .pps import (
     potent_operator_apparatus_controlled,
     potent_operator_system_controlled,
     potent_values,
-    system_controlled_unitary,
     weak_limit_potent_values,
     weak_value,
 )

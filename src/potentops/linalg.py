@@ -111,17 +111,9 @@ def hermitian_exponential(h: np.ndarray, scale: complex) -> np.ndarray:
     Unitary (to tolerance) whenever scale is purely imaginary. The scale may be
     any complex number; the spectrum is exponentiated directly.
     """
-    return hermitian_exponentials(h, (scale,))[0]
-
-
-def hermitian_exponentials(h: np.ndarray, scales) -> list[np.ndarray]:
-    """[exp(s * H) for s in scales], sharing one Hermiticity check and one
-    eigendecomposition; entry i is bit-identical to
-    ``hermitian_exponential(h, scales[i])``."""
     h = require_hermitian(h, name="exponential generator")
     w, v = np.linalg.eigh(h)
-    vd = v.conj().T
-    return [(v * np.exp(s * w)) @ vd for s in scales]
+    return (v * np.exp(scale * w)) @ v.conj().T
 
 
 def general_exponential(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:

@@ -9,14 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pauli
-from .linalg import (
-    _pade_exponential,
-    as_state,
-    fidelity,
-    hermitian_exponentials,
-    tensor_product,
-)
+from . import linalg, pauli
+from .linalg import as_state, fidelity, require_hermitian, tensor_product
 from .pps import PrePostSelection, diagonal_potent_operator, spectral_weights, weak_value
 
 # Larger grids are refused before any array is built; the oracle raises one
@@ -45,12 +39,12 @@ class QubitMeter:
     def state(self) -> np.ndarray:
         return np.array([self.alpha, self.beta], dtype=complex)
 
-    def coupling_unitaries(self, A: np.ndarray, gs) -> list[np.ndarray]:
+    def coupling_unitaries(self, A: np.ndarray, gs) -> np.ndarray:
         """exp(-i g A (x) |1><1|) on the system-major joint space for every g
-        in gs, from one eigendecomposition of the joint generator. The
-        exponential refuses a non-Hermitian generator, and A (x) |1><1| has
-        the Hermiticity defect of A, so A needs no check of its own."""
-        return hermitian_exponentials(tensor_product(A, pauli.PROJECT_1), [-1j * g for g in gs])
+        in gs, as an (n, 2d, 2d) stack from one stacked Pade exponential: the
+        qubit-meter oracle, which takes no eigendecomposition."""
+        generator = tensor_product(require_hermitian(A, name="A"), pauli.PROJECT_1)
+        return linalg._pade_exponential(np.multiply.outer(-1j * np.asarray(gs), generator))
 
     def coupling_unitary(self, A: np.ndarray, g: float) -> np.ndarray:
         """exp(-i g A (x) |1><1|) at one coupling."""
@@ -267,7 +261,7 @@ def _lattice_elements(A: np.ndarray, gs, grid: Grid, phi: np.ndarray,
     """
     half = grid.grid_size // 2
     steps = np.multiply.outer(2 * np.pi / grid.length * np.atleast_1d(gs), A)
-    pairs = _pade_exponential(np.stack([-1j * steps, 1j * steps], axis=1))
+    pairs = linalg._pade_exponential(np.stack([-1j * steps, 1j * steps], axis=1))
     bra = phi.conj()
     out = np.empty((len(steps), grid.grid_size), dtype=complex)
     for k, (forward, backward) in enumerate(pairs):

@@ -28,7 +28,6 @@ from .linalg import (
 )
 
 EPS_OVERLAP = 1e-10
-WEAK_SUM_TOL = 1e-12
 PROJECTOR_TOL = 1e-10
 
 
@@ -152,23 +151,27 @@ def joint_evolve_and_postselect(U: np.ndarray, psi: np.ndarray, Phi: np.ndarray,
 
     Returns the unnormalized apparatus state (<phi| (x) I) U (|psi> (x) |Phi>)
     and its squared norm, the exact post-selection probability. This is the
-    oracle every reduction in the package is checked against.
+    oracle every reduction in the package is checked against. U may also be
+    an (n, D, D) stack of joints, giving an (n, da) array of states and an
+    array of n probabilities; each joint of a stack is checked for unitarity.
     """
-    U = as_operator(U)
+    U = np.asarray(U, dtype=complex)
     psi = require_normalized(psi, "psi")
     phi = require_normalized(phi, "phi")
     Phi = require_normalized(Phi, "Phi")
     ds, da = psi.size, Phi.size
     if phi.size != ds:
         raise ValueError(f"phi dim {phi.size} != psi dim {ds}")
-    if U.shape[0] != ds * da:
-        raise ValueError(f"joint dim {U.shape[0]} != {ds} * {da}")
+    if U.ndim not in (2, 3) or U.shape[-2:] != (ds * da, ds * da):
+        raise ValueError(f"joint shape {U.shape} is not ({ds} * {da})^2 or a stack of those")
     if check_unitary:
-        require_unitary(U, name="joint evolution")
-    evolved = (U @ tensor_product(psi, Phi)).reshape(ds, da)
+        for u in U.reshape(-1, ds * da, ds * da):
+            require_unitary(u, name="joint evolution")
+    evolved = (U @ tensor_product(psi, Phi)).reshape(*U.shape[:-2], ds, da)
     apparatus = phi.conj() @ evolved
-    p_exact = float(np.linalg.norm(apparatus) ** 2)
-    return apparatus, p_exact
+    if U.ndim == 3:
+        return apparatus, np.linalg.norm(apparatus, axis=-1) ** 2
+    return apparatus, float(np.linalg.norm(apparatus) ** 2)
 
 
 def postselection_probability_weak(coupling: CouplingSpec, sel: PrePostSelection,
@@ -307,7 +310,8 @@ def potent_operator_system_controlled(projectors, unitaries, sel: PrePostSelecti
     control projectors weight the branch unitaries.
 
     Returns (PotentOperator, list of <Pi_n>_w). The weak values of a complete
-    projector family sum to 1; that is verified to 1e-12 here.
+    projector family sum to 1; that is verified here to the bound
+    d PROJECTOR_TOL |phi||psi| / |<phi|psi>| that the projector guard implies.
     """
     projs = _require_projector_decomposition(projectors, sel.dim, "system projectors")
     unis = [require_unitary(u, name=f"U_{n}") for n, u in enumerate(unitaries)]
@@ -318,7 +322,10 @@ def potent_operator_system_controlled(projectors, unitaries, sel: PrePostSelecti
         raise ValueError("apparatus unitaries must share one dimension")
     weak_vals = [weak_value(p, sel) for p in projs]
     total = sum(weak_vals)
-    if not abs(total - 1.0) <= WEAK_SUM_TOL:
+    # |total - 1| = |<phi|E|psi>| / |<phi|psi>| for E = sum_n Pi_n - I, whose
+    # entries the projector guard holds within PROJECTOR_TOL
+    bound = sel.dim * PROJECTOR_TOL * np.linalg.norm(sel.phi) * np.linalg.norm(sel.psi)
+    if not abs(total - 1.0) <= bound / abs(sel.overlap):
         raise ValueError(f"projector weak values sum to {total}, not 1")
     return PotentOperator(matrix=sum(w * u for w, u in zip(weak_vals, unis))), weak_vals
 
@@ -343,13 +350,8 @@ def potent_operator_apparatus_controlled(generators, projectors, lam: float,
     return PotentOperator(matrix=sum(m * p for m, p in zip(modular_vals, projs))), modular_vals
 
 
-def system_controlled_unitary(projectors, unitaries) -> np.ndarray:
-    """Assemble sum_n Pi_n (x) U_n on the joint space."""
-    return sum(tensor_product(as_operator(p), as_operator(u))
-               for p, u in zip(projectors, unitaries))
-
-
-def apparatus_controlled_unitary(generators, projectors, lam: float) -> np.ndarray:
-    """Assemble sum_n exp(-i lam A_n) (x) P_n on the joint space."""
-    return sum(tensor_product(hermitian_exponential(a, -1j * lam), as_operator(p))
-               for a, p in zip(generators, projectors))
+def conditional_unitary(system_factors, apparatus_factors) -> np.ndarray:
+    """Assemble sum_n S_n (x) M_n on the joint space: Pi_n (x) U_n for a
+    system-controlled unitary, exp(-i lam A_n) (x) P_n for an
+    apparatus-controlled one. Either list may be an (n, d, d) stack."""
+    return sum(tensor_product(s, m) for s, m in zip(system_factors, apparatus_factors))

@@ -40,8 +40,8 @@ from .meters import (
 )
 from .pps import (
     PrePostSelection,
-    apparatus_controlled_unitary,
     apparatus_state_from_potent_values,
+    conditional_unitary,
     diagonal_potent_operator,
     joint_evolve_and_postselect,
     kraus_slices,
@@ -52,7 +52,6 @@ from .pps import (
     potent_operator_system_controlled,
     potent_values,
     spectral_weights,
-    system_controlled_unitary,
     weak_value,
 )
 from .sampling import (
@@ -446,13 +445,23 @@ def _run_weak_value(cfg: ScenarioConfig) -> list[dict]:
 def _qubit_meter_runs(p: dict):
     """The selection, and each coupling's point of :func:`_qubit_meter_points`
     paired with its oracle: the post-selected meter and its probability from
-    the dense joint exp(-i g A (x) |1><1|), which shares no decomposition."""
+    the dense joints exp(-i g A (x) |1><1|) of one stacked Pade exponential,
+    which shares no decomposition, evolved and post-selected in one call."""
     sel = PrePostSelection(p["psi"], p["phi"])
     points = _qubit_meter_points(p, sel, *spectral_weights(p["observable"], sel))
     meter = p["meter"]
-    oracle = (joint_evolve_and_postselect(u, p["psi"], meter.state, p["phi"], check_unitary=False)
-              for u in meter.coupling_unitaries(p["observable"], p["g"]))
-    return sel, zip(points, oracle)
+    oracle = joint_evolve_and_postselect(meter.coupling_unitaries(p["observable"], p["g"]),
+                                         p["psi"], meter.state, p["phi"], check_unitary=False)
+    return sel, zip(points, zip(*oracle))
+
+
+def _meter_residual(values: np.ndarray, sel: PrePostSelection, oracle: np.ndarray,
+                    oracle_p: float) -> float:
+    """Rows' post-selected meter values, up to the overlap, against the oracle:
+    the larger of the normalized-state residual and of the probability
+    identity |values|^2 |<phi|psi>|^2 = p, which sees a uniform scale error."""
+    state_residual = float(np.max(np.abs(normalize(values) - normalize(oracle))))
+    return max(state_residual, abs(np.linalg.norm(values) ** 2 * abs(sel.overlap) ** 2 - oracle_p))
 
 
 def _run_modular_value(cfg: ScenarioConfig) -> list[dict]:
@@ -474,11 +483,9 @@ def _run_potent_values(cfg: ScenarioConfig) -> list[dict]:
     p = cfg.params
     sel, runs = _qubit_meter_runs(p)
     rows = []
-    for (g, d, p_exact), (oracle, oracle_p) in runs:
+    for (g, d, p_exact), oracle in runs:
         values = d * p["meter"].state
-        state_residual = float(np.max(np.abs(normalize(values) - normalize(oracle))))
-        prob_residual = abs(np.linalg.norm(values) ** 2 * abs(sel.overlap) ** 2 - oracle_p)
-        residual = max(state_residual, prob_residual)
+        residual = _meter_residual(values, sel, *oracle)
         for k, value in enumerate(values):
             rows.append({"scenario": cfg.kind, "g": g, "k": k, "value_re": value.real,
                          "value_im": value.imag, "prob_exact": p_exact, "residual": residual})
@@ -487,11 +494,10 @@ def _run_potent_values(cfg: ScenarioConfig) -> list[dict]:
 
 def _run_potent_operator(cfg: ScenarioConfig) -> list[dict]:
     p = cfg.params
-    _, runs = _qubit_meter_runs(p)
+    sel, runs = _qubit_meter_runs(p)
     rows = []
-    for (g, d, p_exact), (oracle, _) in runs:
-        applied = normalize(d * p["meter"].state)
-        residual = float(np.max(np.abs(applied - normalize(oracle))))
+    for (g, d, p_exact), oracle in runs:
+        residual = _meter_residual(d * p["meter"].state, sel, *oracle)
         for (r, c), entry in np.ndenumerate(np.diag(d)):
             rows.append({"scenario": cfg.kind, "g": g, "row": r, "col": c,
                          "value_re": entry.real, "value_im": entry.imag,
@@ -532,20 +538,21 @@ def _system_controlled_residuals(projectors, unitaries, sel: PrePostSelection):
     """(closed form vs assembled joint, |sum of projector weak values - 1|)
     for U = sum_n Pi_n (x) U_n."""
     op, wvals = potent_operator_system_controlled(projectors, unitaries, sel)
-    assembled = potent_operator(system_controlled_unitary(projectors, unitaries), sel)
+    assembled = potent_operator(conditional_unitary(projectors, unitaries), sel)
     return float(np.max(np.abs(op.matrix - assembled.matrix))), float(abs(sum(wvals) - 1.0))
 
 
 def _apparatus_controlled_residuals(projectors, generators, lam: float, sel: PrePostSelection):
     """(closed form vs assembled joint, modular values by the spectral route vs
-    by the Pade exponential) for U = sum_n exp(-i lam A_n) (x) P_n."""
-    op, mvals = potent_operator_apparatus_controlled(projectors=projectors,
-                                                     generators=generators, lam=lam, sel=sel)
-    assembled = potent_operator(apparatus_controlled_unitary(generators, projectors, lam), sel)
-    direct = [complex(np.vdot(sel.phi, general_exponential(a, -1j * lam) @ sel.psi)
-                      / sel.overlap) for a in generators]
+    by the Pade exponential) for U = sum_n exp(-i lam A_n) (x) P_n. The closed
+    form takes eigh; one stacked Pade exponential gives every exp(-i lam A_n),
+    both for the assembled joint and for the direct <phi|exp(-i lam A_n)|psi>."""
+    op, mvals = potent_operator_apparatus_controlled(generators, projectors, lam, sel)
+    branches = linalg._pade_exponential(-1j * lam * np.asarray(generators))
+    assembled = potent_operator(conditional_unitary(branches, projectors), sel)
+    direct = sel.phi.conj() @ branches @ sel.psi / sel.overlap
     return (float(np.max(np.abs(op.matrix - assembled.matrix))),
-            float(max(abs(m - d) for m, d in zip(mvals, direct))))
+            float(np.max(np.abs(np.array(mvals) - direct))))
 
 
 def _run_conditional(cfg: ScenarioConfig) -> list[dict]:

@@ -19,18 +19,18 @@ from .linalg import (
     require_normalized,
 )
 from .pps import (
-    WEAK_SUM_TOL,
     PotentOperator,
     PrePostSelection,
+    conditional_unitary,
     diagonal_potent_operator,
     potent_operator,
-    system_controlled_unitary,
 )
 
 # Complex entries one stacked eigendecomposition of the fit scan may hold
 # (16 MiB); a longer scan is split into chunks of this size.
 SCAN_STACK_ENTRIES = 2**20
 GOLDEN_TOL = 1e-12  # relative bracket width that ends the fit's golden-section refinement
+WEAK_SUM_TOL = 1e-12  # |sum_i c_i - 1|; the c_i are the register's clock weak values
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def potent_time_superposition(branches, spec: SuperpositionSpec) -> PotentOperat
     register = [np.diag(e) for e in np.eye(n)]
     sel = PrePostSelection(psi=spec.coefficients / np.linalg.norm(spec.coefficients),
                            phi=np.ones(n, dtype=complex) / np.sqrt(n))
-    return potent_operator(system_controlled_unitary(register, branches), sel)
+    return potent_operator(conditional_unitary(register, branches), sel)
 
 
 def effective_parameter_fit(family: EvolutionFamily, spec: SuperpositionSpec,

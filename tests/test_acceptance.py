@@ -17,9 +17,10 @@ import pytest
 from potentops import (
     PrePostSelection,
     QubitMeter,
-    apparatus_controlled_unitary,
     apparatus_state_from_potent_values,
     build_gaussian_pointer,
+    conditional_unitary,
+    general_exponential,
     joint_evolve_and_postselect,
     modular_value,
     normalize,
@@ -31,7 +32,6 @@ from potentops import (
     potent_time_superposition,
     potent_values,
     superposed_evolution,
-    system_controlled_unitary,
     time_translation_machine,
     weak_value,
 )
@@ -174,7 +174,7 @@ def test_criterion_6_conditional_reductions():
         projectors = random_projector_decomposition(ds, blocks, rng)
         unitaries = [random_unitary(da, rng) for _ in projectors]
         op, wvals = potent_operator_system_controlled(projectors, unitaries, sel)
-        assembled = potent_operator(system_controlled_unitary(projectors, unitaries), sel)
+        assembled = potent_operator(conditional_unitary(projectors, unitaries), sel)
         worst_system = max(worst_system, float(np.max(np.abs(op.matrix - assembled.matrix))))
         worst_sum = max(worst_sum, abs(sum(wvals) - 1.0))
         blocks = int(rng.integers(1, da + 1))
@@ -182,8 +182,8 @@ def test_criterion_6_conditional_reductions():
         generators = [random_hermitian(ds, rng) for _ in aprojs]
         lam = float(rng.uniform(0.1, 2 * np.pi))
         aop, _ = potent_operator_apparatus_controlled(generators, aprojs, lam, sel)
-        aassembled = potent_operator(
-            apparatus_controlled_unitary(generators, aprojs, lam), sel)
+        branches = [general_exponential(a, -1j * lam) for a in generators]
+        aassembled = potent_operator(conditional_unitary(branches, aprojs), sel)
         worst_apparatus = max(worst_apparatus,
                               float(np.max(np.abs(aop.matrix - aassembled.matrix))))
     ok = worst_system <= 1e-12 and worst_apparatus <= 1e-12 and worst_sum <= 1e-12

@@ -180,6 +180,24 @@ class TestVerify:
         assert all(row["scenario"] == "verify" for row in json.loads(out.read_text()))
 
 
+def test_projector_weak_sum_row_can_fail(monkeypatch, capsys):
+    # Pi_last + 4e-11 I keeps every projector axiom within PROJECTOR_TOL, so
+    # the family passes the guards, and shifts the weak-value sum by exactly
+    # 4e-11: the row, not a refusal, reports it against its 1e-12 tolerance.
+    from potentops import scenarios
+
+    draw = scenarios.random_projector_decomposition
+
+    def shifted(dim, blocks, rng):
+        projectors = draw(dim, blocks, rng)
+        return projectors[:-1] + [projectors[-1] + 4e-11 * np.eye(dim)]
+
+    monkeypatch.setattr(scenarios, "random_projector_decomposition", shifted)
+    assert run_cli("verify") == EXIT_RESIDUAL
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert [line.split()[1] for line in fails] == ["projector_weak_values_sum"]
+
+
 def test_nan_residual_exits_2(monkeypatch, capsys, tmp_path):
     # A runner whose residual comes out NaN must fail the oracle check (exit
     # 2), not be refused as a non-finite value (exit 1).

@@ -16,7 +16,6 @@ from potentops.linalg import (
     fidelity,
     general_exponential,
     hermitian_exponential,
-    hermitian_exponentials,
     hermiticity_defect,
     normalize,
     orthonormality_defect,
@@ -114,26 +113,6 @@ class TestHermitianExponential:
         scale = complex(0.4, -0.8)
         prod = hermitian_exponential(h, scale) @ hermitian_exponential(h, -scale)
         assert np.max(np.abs(prod - np.eye(6))) <= 1e-10
-
-    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
-    def test_shared_decomposition_is_bit_identical(self, dim):
-        h = random_hermitian(dim, np.random.default_rng(30 + dim))
-        scales = [0.0, 1.0, -0.7j, complex(0.4, -0.8), np.complex128(-2.5j)]
-        outs = hermitian_exponentials(h, scales)
-        assert len(outs) == len(scales)
-        for out, s in zip(outs, scales):
-            assert np.array_equal(out, hermitian_exponential(h, s))
-
-    def test_one_check_and_one_eigh_for_all_scales(self, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
-        h = random_hermitian(4, np.random.default_rng(2))
-        hermitian_exponentials(h, [-0.1j * k for k in range(7)])
-        assert calls == [(4, 4)]
-        with pytest.raises(ValueError, match="not Hermitian"):
-            hermitian_exponentials(np.array([[0, 1], [0, 0]], dtype=complex), [1.0, 2.0])
-        assert calls == [(4, 4)]
 
 
 # A non-finite entry makes the defect NaN or inf; "defect > tol" is False for

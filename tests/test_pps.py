@@ -10,10 +10,11 @@ from potentops import (
     PotentValueSet,
     PrePostSelection,
     QubitMeter,
-    apparatus_controlled_unitary,
     apparatus_state_from_potent_values,
     build_gaussian_pointer,
+    conditional_unitary,
     fidelity,
+    general_exponential,
     hermitian_exponential,
     joint_evolve_and_postselect,
     kraus_slices,
@@ -25,7 +26,6 @@ from potentops import (
     potent_operator_apparatus_controlled,
     potent_operator_system_controlled,
     potent_values,
-    system_controlled_unitary,
     tensor_product,
     weak_limit_potent_values,
     weak_value,
@@ -256,6 +256,23 @@ class TestJointEvolveAndPostselect:
         psi, phi = random_selection(2, rng)
         with pytest.raises(ValueError, match="not unitary"):
             joint_evolve_and_postselect(np.eye(4) * 2, psi, random_state(2, rng), phi)
+
+    def test_stack_matches_each_joint(self):
+        rng = np.random.default_rng(7)
+        psi, phi = random_selection(2, rng)
+        Phi = random_state(3, rng)
+        joints = np.stack([random_unitary(6, rng) for _ in range(3)])
+        states, probs = joint_evolve_and_postselect(joints, psi, Phi, phi)
+        assert states.shape == (3, 3) and probs.shape == (3,)
+        for u, state, p in zip(joints, states, probs):
+            one, p_one = joint_evolve_and_postselect(u, psi, Phi, phi)
+            np.testing.assert_allclose(state, one, atol=1e-15)
+            assert abs(p - p_one) <= 1e-15
+        joints[1] *= 2
+        with pytest.raises(ValueError, match="not unitary"):
+            joint_evolve_and_postselect(joints, psi, Phi, phi)
+        with pytest.raises(ValueError, match=r"joint shape \(5, 5\)"):
+            joint_evolve_and_postselect(np.eye(5), psi, Phi, phi)
 
     def test_rejects_unnormalized_states(self):
         rng = np.random.default_rng(6)
@@ -623,9 +640,20 @@ class TestSystemControlled:
         unitaries = [np.eye(2, dtype=complex),
                      hermitian_exponential(random_hermitian(2, rng), -0.9j)]
         op, _ = potent_operator_system_controlled(projectors, unitaries, amplification)
-        assembled = potent_operator(system_controlled_unitary(projectors, unitaries),
-                                    amplification)
+        assembled = potent_operator(conditional_unitary(projectors, unitaries), amplification)
         np.testing.assert_allclose(op.matrix, assembled.matrix, atol=1e-12)
+
+    def test_weak_sum_bound_follows_the_projector_guard(self, amplification):
+        # sum Pi_n - I = diag(0, 5e-11) is within PROJECTOR_TOL, so the family
+        # is admitted; its weak values then sum to 1 + 5e-11 phi_1^* psi_1 /
+        # <phi|psi>, which is more than 1e-12 away from 1 and must not be refused
+        projectors = [np.diag([1, 0]).astype(complex), np.diag([0, 1 + 5e-11]).astype(complex)]
+        _, weak_vals = potent_operator_system_controlled(projectors, [np.eye(2)] * 2,
+                                                         amplification)
+        expected = 1 + 5e-11 * np.conj(AMPLIFICATION_PHI[1]) * AMPLIFICATION_PSI[1] \
+            / amplification.overlap
+        assert abs(sum(weak_vals) - 1) > 1e-12
+        assert abs(sum(weak_vals) - expected) <= 1e-15
 
     def test_projector_axioms_enforced(self, amplification):
         overlapping = [np.diag([1, 0]).astype(complex), np.diag([1, 1]).astype(complex)]
@@ -689,8 +717,8 @@ class TestApparatusControlled:
         lam = 1.21
         op, _ = potent_operator_apparatus_controlled(generators, projectors, lam,
                                                      amplification)
-        assembled = potent_operator(
-            apparatus_controlled_unitary(generators, projectors, lam), amplification)
+        branches = [general_exponential(a, -1j * lam) for a in generators]
+        assembled = potent_operator(conditional_unitary(branches, projectors), amplification)
         np.testing.assert_allclose(op.matrix, assembled.matrix, atol=1e-12)
 
 
@@ -768,3 +796,12 @@ class TestIdentityProperties:
         base = potent_operator(joint, PrePostSelection(psi, phi)).matrix
         scaled = potent_operator(joint, PrePostSelection(lam * psi, mu * phi)).matrix
         assert np.max(np.abs(scaled - base)) <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=SEEDED_DRAWS)
+    def test_projector_weak_values_sum_to_one(self, case):
+        seed, d, _, _ = case
+        rng = np.random.default_rng(seed)
+        projectors = random_projector_decomposition(d, int(rng.integers(1, d + 1)), rng)
+        sel = PrePostSelection(*_selection_at_overlap(d, rng))
+        assert abs(sum(weak_value(p, sel) for p in projectors) - 1) <= 1e-12

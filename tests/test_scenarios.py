@@ -3,12 +3,16 @@ import json
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from potentops import linalg
-from potentops.cli import EXIT_RESIDUAL, main
+from potentops import QubitMeter, linalg
+from potentops.cli import EXIT_OK, EXIT_RESIDUAL, main
+from potentops.sampling import random_hermitian, random_state
 from potentops.scenarios import (
     KINDS,
     ConfigError,
+    ScenarioConfig,
     emit_results,
     format_rows,
     parse_config,
@@ -265,38 +269,38 @@ QUBIT_METER_3 = {
 class TestSharedDecompositions:
     # Per run, whatever the number of couplings: one eigh of the observable,
     # shared by every coupling's branch sum (and by weak-value's spectral
-    # oracle), then one of the joint A (x) |1><1| for the oracle of every kind
-    # but weak-value, which builds no joint.
-    @pytest.mark.parametrize("kind, joint_eighs", [
+    # oracle), and one stacked Pade exponential of the joints A (x) |1><1|
+    # for the oracle of every kind but weak-value, which builds no joint.
+    @pytest.mark.parametrize("kind, pade_calls", [
         ("weak-value", 0), ("modular-value", 1), ("potent-values", 1), ("potent-operator", 1),
     ])
     @pytest.mark.parametrize("n", [1, 5])
-    def test_qubit_meter_run_eigh_counts(self, eigh_shapes, kind, joint_eighs, n):
+    def test_qubit_meter_run_eigh_counts(self, eigh_shapes, monkeypatch, kind, pade_calls, n):
+        pade = linalg._pade_exponential
+        stacks = []
+        monkeypatch.setattr(linalg, "_pade_exponential",
+                            lambda a: stacks.append(np.shape(a)) or pade(a))
         g = [0.1 * (k + 1) for k in range(n)]
         rows = run_scenario(parse_config_mapping({"scenario": kind, "g": g, **QUBIT_METER_3}))
         assert all(within_tolerance(r["residual"], KINDS[kind].tolerance) for r in rows)
-        assert eigh_shapes == [(3, 3)] + [(6, 6)] * joint_eighs
+        assert eigh_shapes == [(3, 3)]
+        assert stacks == [(n, 6, 6)] * pade_calls
 
-    # A spectrum scaled by 1 + 1e-6 in either decomposition fails the run,
-    # because the rows and their oracle take separate ones. weak-value builds
-    # no joint, so only the observable's fault can reach it.
-    @pytest.mark.parametrize("kind, fails_at", [
-        ("weak-value", {(3, 3)}), ("modular-value", {(3, 3), (6, 6)}),
-        ("potent-values", {(3, 3), (6, 6)}), ("potent-operator", {(3, 3), (6, 6)}),
-    ], ids=["weak-value", "modular-value", "potent-values", "potent-operator"])
-    @pytest.mark.parametrize("shape", [(3, 3), (6, 6)], ids=["observable", "joint"])
-    def test_scaled_spectrum_in_one_decomposition(self, monkeypatch, kind, fails_at, shape):
+    # Eigenvectors scaled by 1 + 1e-6 scale every branch weight, and so every
+    # row, by about 1 + 2e-6 without turning the post-selected meter: only the
+    # probability identity sees that, and each kind with a joint oracle holds it.
+    @pytest.mark.parametrize("kind", ["modular-value", "potent-values", "potent-operator"])
+    def test_uniform_scale_error_in_rows_fails(self, monkeypatch, kind):
         eigh = np.linalg.eigh
 
-        def scaled_eigh(m, *args, **kwargs):
+        def scaled_vectors(m, *args, **kwargs):
             lam, vecs = eigh(m, *args, **kwargs)
-            return (lam * (1 + 1e-6) if np.shape(m) == shape else lam), vecs
+            return lam, (vecs * (1 + 1e-6) if np.shape(m) == (3, 3) else vecs)
 
-        monkeypatch.setattr(np.linalg, "eigh", scaled_eigh)
+        monkeypatch.setattr(np.linalg, "eigh", scaled_vectors)
         rows = run_scenario(parse_config_mapping(
             {"scenario": kind, "g": [0.3, 1.0], **QUBIT_METER_3}))
-        passed = all(within_tolerance(r["residual"], KINDS[kind].tolerance) for r in rows)
-        assert passed == (shape not in fails_at)
+        assert not any(within_tolerance(r["residual"], KINDS[kind].tolerance) for r in rows)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_time_machine_run_makes_one_eigh(self, eigh_shapes, n):
@@ -308,24 +312,67 @@ class TestSharedDecompositions:
         # one of H for the rows and their target; the Pade oracle takes none
         assert eigh_shapes == [(3, 3)]
 
-    # The time machine's rows take one eigh and its oracle one stacked Pade
-    # exponential, so a fault in either fails the kind and verify's check.
-    @pytest.mark.parametrize("fault", ["eigh", "pade"])
-    def test_time_machine_fault_exits_2(self, monkeypatch, capsys, fault):
-        if fault == "eigh":
-            eigh = np.linalg.eigh
 
-            def scaled_eigh(m, *args, **kwargs):
-                lam, vecs = eigh(m, *args, **kwargs)
-                return lam * (1 + 1e-6), vecs
+class TestQubitMeterOracleProperty:
+    # Each joint kind's rows (one eigh of A) against its stacked Pade joint
+    # oracle, at the kind's own tolerance, for A of dimension 2-4, a random
+    # meter, a selection of normalized overlap >= 0.1 and g in [0, 5].
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 4), g=st.floats(0, 5))
+    def test_rows_match_the_pade_joint(self, seed, d, g):
+        rng = np.random.default_rng(seed)
+        A = random_hermitian(d, rng)
+        psi, phi = random_state(d, rng), random_state(d, rng)
+        assume(abs(np.vdot(phi, psi)) >= 0.1)
+        alpha, beta = random_state(2, rng)
+        params = {"observable": A, "psi": psi, "phi": phi, "g": [g],
+                  "meter": QubitMeter(alpha=alpha, beta=beta)}
+        for kind in ("modular-value", "potent-values", "potent-operator"):
+            rows = run_scenario(ScenarioConfig(kind=kind, params=params))
+            assert all(within_tolerance(r["residual"], KINDS[kind].tolerance) for r in rows)
 
-            monkeypatch.setattr(np.linalg, "eigh", scaled_eigh)
-        else:
-            pade = linalg._pade_exponential
-            monkeypatch.setattr(linalg, "_pade_exponential", lambda a: pade(a) * (1 + 1e-9))
-        assert main(["time-machine"]) == EXIT_RESIDUAL
+
+def _scale_eigenvalues(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def scaled_eigh(m, *args, **kwargs):
+        lam, vecs = eigh(m, *args, **kwargs)
+        return lam * (1 + 1e-6), vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", scaled_eigh)
+
+
+def _scale_pade(monkeypatch):
+    pade = linalg._pade_exponential
+    monkeypatch.setattr(linalg, "_pade_exponential", lambda a: pade(a) * (1 + 1e-9))
+
+
+FAULTS = {"eigh": _scale_eigenvalues, "pade": _scale_pade}
+
+
+class TestFaultMatrix:
+    """Rows take eigh and joint oracles take the Pade exponential, so a fault
+    in either routine fails every kind whose residual compares the two routes.
+    Completeness takes neither routine, and weak-value takes no Pade exponential."""
+
+    PASSING = {"eigh": {"completeness"}, "pade": {"weak-value", "completeness"}}
+    VERIFY_FAILS = {"general_vs_hermitian_exponential", "qubit_meter_potent_values",
+                    "qubit_meter_potent_operator", "apparatus_controlled_reduction",
+                    "time_machine_potent_route"}
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_kind(self, monkeypatch, capsys, fault, kind):
+        FAULTS[fault](monkeypatch)
+        expected = EXIT_OK if kind in self.PASSING[fault] else EXIT_RESIDUAL
+        assert main([kind]) == expected
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_verify(self, monkeypatch, capsys, fault):
+        FAULTS[fault](monkeypatch)
         assert main(["verify"]) == EXIT_RESIDUAL
-        assert "FAIL time_machine_potent_route" in capsys.readouterr().out
+        out = capsys.readouterr().out.splitlines()
+        assert {line.split()[1] for line in out if line.startswith("FAIL")} == self.VERIFY_FAILS
 
 
 class TestEmission:

@@ -13,13 +13,13 @@ from potentops import (
     PrePostSelection,
     SuperpositionSpec,
     TimeTranslationSpec,
+    conditional_unitary,
     effective_parameter_fit,
     general_exponential,
     hermitian_exponential,
     potent_operator,
     potent_time_superposition,
     superposed_evolution,
-    system_controlled_unitary,
     time_translation_machine,
     weak_value,
 )
@@ -211,7 +211,7 @@ class TestPotentTimeSuperposition:
         spec = SuperpositionSpec(np.array([2.0, -1.0]))
         branch = family.branch_unitaries()
         op = potent_time_superposition(branch, spec)
-        joint = system_controlled_unitary([np.diag(e) for e in np.eye(2)], branch)
+        joint = conditional_unitary([np.diag(e) for e in np.eye(2)], branch)
         rng = np.random.default_rng(4)
         for _ in range(5):
             lam = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
@@ -224,13 +224,13 @@ class TestPotentTimeSuperposition:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_register_controlled_unitary_is_block_diagonal(self, n, d):
         # the control register of potent_time_superposition is
-        # system_controlled_unitary over |i><i|: exactly diag(U_1, ..., U_n)
+        # conditional_unitary over |i><i|: exactly diag(U_1, ..., U_n)
         rng = np.random.default_rng(10 * n + d)
         branches = [random_unitary(d, rng) for _ in range(n)]
         expected = np.zeros((n * d, n * d), dtype=complex)
         for i, u in enumerate(branches):
             expected[i * d:(i + 1) * d, i * d:(i + 1) * d] = u
-        joint = system_controlled_unitary([np.diag(e) for e in np.eye(n)], branches)
+        joint = conditional_unitary([np.diag(e) for e in np.eye(n)], branches)
         assert np.array_equal(joint, expected)
 
     def test_family_count_mismatch_refused(self):
