@@ -25,6 +25,11 @@ ORTHONORMAL_TOL = 1e-10
 # exp(scale * M) is refused beyond this 1-norm; scaling-and-squaring loses
 # accuracy and overflow sets in well before double-precision infinities.
 EXP_NORM_CAP = 128.0
+# _pade_exponential refuses an exponent beyond this 1-norm before forming any
+# power. Every gated oracle residual has already failed well below it (the
+# sigma_z qubit-meter oracle reads 5.8e-10 at 1-norm 1e7), and the ~log2(norm)
+# squarings would otherwise run on to overflow.
+PADE_NORM_CAP = 2.0 ** 23
 
 
 def as_state(v) -> np.ndarray:
@@ -156,6 +161,7 @@ def _pade_exponential(a: np.ndarray) -> np.ndarray:
     the stack, so one call shares a single schedule: the lowest m in
     {3, 5, 7, 9} whose theta_m covers that norm, else m = 13 on a / 2^s.
     No eigendecomposition is used, so this stays independent of ``eigh``.
+    A stack whose 1-norm is not finite or above PADE_NORM_CAP is refused.
 
     Degree 13 scales to theta_13 / 2, one halving more than Higham's choice:
     at theta_13 itself rounding in the numerator and denominator cost a
@@ -166,6 +172,9 @@ def _pade_exponential(a: np.ndarray) -> np.ndarray:
     norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
     if not np.isfinite(norm):
         raise ValueError(f"cannot exponentiate a matrix of non-finite 1-norm {norm}")
+    if norm > PADE_NORM_CAP:
+        raise ValueError(f"cannot exponentiate a matrix of 1-norm {norm:.3e}, "
+                         f"above the cap {PADE_NORM_CAP:.3e}")
     m = next((k for k in (3, 5, 7, 9) if norm <= _PADE_THETA[k]), 13)
     s = max(0, int(np.ceil(np.log2(2 * norm / _PADE_THETA[13])))) if m == 13 else 0
     if s:

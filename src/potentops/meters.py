@@ -256,31 +256,18 @@ def _lattice_elements(A: np.ndarray, gs, grid: Grid, phi: np.ndarray,
     The lattice is p_m = m dp with dp = 2 pi / length and m in [-N/2, N/2), so
     exp(-i g p_m A) = E^m with E = exp(-i g dp A). E and its inverse direction
     exp(+i g dp A) are separate Pade exponentials (neither is assumed unitary),
-    taken for all couplings in one stacked call; the rows <phi|E^m are built by
-    binary doubling.
+    taken for both directions and every coupling in one (2, n, d, d) stacked
+    call. One binary-doubling loop builds the rows <phi|E^m, m = 0 .. N/2, for
+    the whole stack: each round multiplies the rows already built by
+    E^(rows built), appends the products and squares that power.
     """
     half = grid.grid_size // 2
     steps = np.multiply.outer(2 * np.pi / grid.length * np.atleast_1d(gs), A)
-    pairs = linalg._pade_exponential(np.stack([-1j * steps, 1j * steps], axis=1))
-    bra = phi.conj()
-    out = np.empty((len(steps), grid.grid_size), dtype=complex)
-    for k, (forward, backward) in enumerate(pairs):
-        # m = 0 .. N/2 - 1, then m = -N/2 .. -1
-        rows = np.concatenate([_power_rows(forward, bra, half),
-                               _power_rows(backward, bra, half + 1)[:0:-1]])
-        out[k] = np.einsum("kt,t->k", rows, psi)
+    powers = linalg._pade_exponential(np.stack([-1j * steps, 1j * steps]))
+    rows = np.broadcast_to(phi.conj(), (*powers.shape[:2], 1, phi.size))
+    while rows.shape[2] <= half:
+        rows = np.concatenate([rows, rows[:, :, :half + 1 - rows.shape[2]] @ powers], axis=2)
+        powers = powers @ powers
+    # m = 0 .. N/2 - 1, then m = -N/2 .. -1
+    out = np.concatenate([rows[0, :, :half], rows[1, :, half:0:-1]], axis=1) @ psi
     return out if np.ndim(gs) else out[0]
-
-
-def _power_rows(E: np.ndarray, row: np.ndarray, count: int) -> np.ndarray:
-    """The (count, d) stack of row vectors row E^m for m = 0 .. count - 1.
-
-    Each round multiplies the rows already built by E^len(rows), appends the
-    products, and squares E^len(rows). The products on the (n, d) stack go
-    through einsum, which keeps them out of the threaded BLAS.
-    """
-    rows = row[None, :]
-    while len(rows) < count:
-        rows = np.concatenate([rows, np.einsum("ks,st->kt", rows[:count - len(rows)], E)])
-        E = E @ E
-    return rows

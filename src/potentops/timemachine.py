@@ -29,7 +29,7 @@ from .pps import (
 # Complex entries one stacked eigendecomposition of the fit scan may hold
 # (16 MiB); a longer scan is split into chunks of this size.
 SCAN_STACK_ENTRIES = 2**20
-GOLDEN_TOL = 1e-12  # relative bracket width that ends the fit's golden-section refinement
+BRACKET_TOL = 1e-12  # relative bracket width that ends the fit's zoom
 WEAK_SUM_TOL = 1e-12  # |sum_i c_i - 1|; the c_i are the register's clock weak values
 
 
@@ -147,19 +147,21 @@ def effective_parameter_fit(family: EvolutionFamily, spec: SuperpositionSpec,
     """Search for the single parameter a' whose evolution best matches the
     superposed one, maximizing |<Phi_target(a')|Phi_super>| over the interval.
 
-    A 1000-point scan brackets the optimum and golden-section refines it. When
-    the magnitude objective is flat (phase-only action, e.g. eigenstate
-    meters), the refinement switches to the real part of the overlap, which
-    picks the a' whose phase matches; the reported fidelity is still the
-    phase-invariant magnitude. No claim that the fidelity is near 1 in general.
+    A 1000-point scan brackets the optimum, then the fit zooms: it re-scans
+    the bracket [grid[best-1], grid[best+1]] at 17 points, which cuts it by 8,
+    until the bracket is narrower than BRACKET_TOL * max(1, |lo|, |hi|), and
+    returns the best scanned point. When the magnitude objective of the first
+    scan is flat (phase-only action, e.g. eigenstate meters), every scan ranks
+    by the real part of the overlap instead, which picks the a' whose phase
+    matches; the reported fidelity is still the phase-invariant magnitude. No
+    claim that the fidelity is near 1 in general.
 
-    The scan and every refinement step evaluate the overlap by one route,
-    :func:`_target_overlaps`: the scan stacks all 1000 generators H(a) and
-    diagonalizes them in one batched ``eigh``, the refinement passes one
-    parameter at a time. The stack is chunked at ``SCAN_STACK_ENTRIES``
-    complex entries, so peak memory grows with d^2 times the chunk, not with
-    d^2 times the grid. A generator that is not Hermitian, not finite or not
-    d x d at any scan point is refused with a ValueError naming that a.
+    Every scan evaluates the overlap by one route, :func:`_target_overlaps`,
+    which stacks the generators H(a) and diagonalizes them in one batched
+    ``eigh``. The stack is chunked at ``SCAN_STACK_ENTRIES`` complex entries,
+    so peak memory grows with d^2 times the chunk, not with d^2 times the
+    grid. A generator that is not Hermitian, not finite or not d x d at any
+    scan point is refused with a ValueError naming that a.
     """
     a_lo, a_hi = (float(interval[0]), float(interval[1]))
     if not (np.isfinite(a_lo) and np.isfinite(a_hi) and a_hi > a_lo):
@@ -170,23 +172,17 @@ def effective_parameter_fit(family: EvolutionFamily, spec: SuperpositionSpec,
     super_state = state / success
     Phi = as_state(Phi)
 
-    def overlap(a: float) -> complex:
-        return complex(_target_overlaps(family, [a], Phi, super_state)[0])
-
     grid = np.linspace(a_lo, a_hi, 1000)
     overlaps = _target_overlaps(family, grid, Phi, super_state)
     mags = np.abs(overlaps)
-    flat = mags.max() - mags.min() <= 1e-12
-    if flat:
-        objective = lambda a: overlap(a).real
-        best = int(np.argmax(overlaps.real))
-    else:
-        objective = lambda a: abs(overlap(a))
-        best = int(np.argmax(mags))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
-    a_star = _golden_section_max(objective, lo, hi)
-    return a_star, abs(overlap(a_star))
+    score = np.real if mags.max() - mags.min() <= 1e-12 else np.abs
+    while True:
+        best = int(np.argmax(score(overlaps)))
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+        if hi - lo <= BRACKET_TOL * max(1.0, abs(lo), abs(hi)):
+            return float(grid[best]), float(abs(overlaps[best]))
+        grid = np.linspace(lo, hi, 17)
+        overlaps = _target_overlaps(family, grid, Phi, super_state)
 
 
 def _target_overlaps(family: EvolutionFamily, parameters, Phi: np.ndarray,
@@ -224,23 +220,6 @@ def _stacked_overlaps(family: EvolutionFamily, parameters: list, Phi: np.ndarray
     bra = Phi.conj() @ v                    # conj(V^dag Phi), one row per a
     ket = (super_state.conj() @ v).conj()   # V^dag super_state
     return np.sum(bra * np.exp(1j * family.duration * lam) * ket, axis=1)
-
-
-def _golden_section_max(f, lo: float, hi: float) -> float:
-    ratio = (np.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c, d = b - ratio * (b - a), a + ratio * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > GOLDEN_TOL * max(1.0, abs(a), abs(b)):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = f(d)
-    return (a + b) / 2
 
 
 def time_translation_machine(spec: TimeTranslationSpec, Phi: np.ndarray):

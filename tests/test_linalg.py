@@ -11,6 +11,7 @@ from potentops.linalg import (
     EXP_NORM_CAP,
     HERMITIAN_TOL,
     ORTHONORMAL_TOL,
+    PADE_NORM_CAP,
     UNITARY_TOL,
     _pade_exponential,
     fidelity,
@@ -301,6 +302,17 @@ class TestPadeExponential:
     def test_non_finite_refused(self):
         with pytest.raises(ValueError, match="non-finite"):
             _pade_exponential(np.array([[np.nan, 0], [0, 1]]))
+
+    def test_norm_cap(self):
+        # a stack at the cap runs to a unitary result; one just above it is
+        # refused before any power is formed
+        at_cap = -1j * np.stack([PADE_NORM_CAP * SIGMA_Z, SIGMA_X])
+        u = _pade_exponential(at_cap)
+        assert np.all(np.isfinite(u))
+        assert max(linalg.unitarity_defect(x) for x in u) <= 1e-6
+        above = np.nextafter(PADE_NORM_CAP, np.inf)
+        with pytest.raises(ValueError, match=r"1-norm 8\.389e\+06, above the cap 8\.389e\+06"):
+            _pade_exponential(-1j * np.stack([above * SIGMA_Z, SIGMA_X]))
 
     def test_no_eigendecomposition(self, monkeypatch):
         def refuse(*args, **kwargs):

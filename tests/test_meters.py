@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from potentops import (
     Grid,
@@ -12,6 +14,7 @@ from potentops import (
     build_gaussian_pointer,
     hermitian_exponential,
     joint_evolve_and_postselect,
+    linalg,
     modular_value,
     normalize,
     pointer_shift_sweep,
@@ -24,6 +27,7 @@ from potentops.linalg import hermiticity_defect
 from potentops.meters import GRID_SIZE_CAP, _lattice_elements, momentum_moments
 from potentops.pauli import AMPLIFICATION_PHI, AMPLIFICATION_PSI, IDENTITY_2, SIGMA_Z
 from potentops.sampling import random_hermitian, random_selection, random_state
+from potentops.scenarios import KINDS, parse_config, run_scenario, within_tolerance
 
 from dense_oracles import momentum_operator
 
@@ -301,6 +305,64 @@ def test_lattice_elements_at_grid_cap(observable, g):
     reference = np.einsum("s,kst,t->k", phi.conj(),
                           scipy.linalg.expm((-1j * g * p)[:, None, None] * A), psi)
     assert np.max(np.abs(elements[idx] - reference)) <= 1e-10
+
+
+@pytest.mark.parametrize("grid_size", [8, 512])
+def test_lattice_elements_stack_matches_scalar_calls(grid_size):
+    rng = np.random.default_rng(305)
+    A, (psi, phi) = random_hermitian(3, rng), random_selection(3, rng)
+    grid = Grid(grid_size, -12.0, 12.0)
+    # a stacked Pade call takes one schedule from its largest norm; these
+    # couplings share degree 7 with their scalar calls (couplings of other
+    # degrees differ by up to 4.3e-14 at N = 512, as before the doubling loop)
+    gs = [0.5, 0.6, 0.7]
+    stacked = _lattice_elements(A, gs, grid, phi, psi)
+    assert stacked.shape == (3, grid_size)
+    for g, row in zip(gs, stacked):
+        assert np.max(np.abs(row - _lattice_elements(A, g, grid, phi, psi))) <= 1e-14
+
+
+@pytest.mark.parametrize("gs", [[0.3], [0.05, 0.2, 0.7, 2.0]])
+def test_one_pade_call_per_run(monkeypatch, gs):
+    # both lattice directions of every coupling come from one stacked call
+    shapes = []
+    pade = linalg._pade_exponential
+
+    def counting_pade(a):
+        shapes.append(a.shape)
+        return pade(a)
+
+    monkeypatch.setattr(linalg, "_pade_exponential", counting_pade)
+    rows = run_scenario(parse_config(f"scenario: pointer-shift\ng: {gs}"))
+    assert all(within_tolerance(r["residual"], KINDS["pointer-shift"].tolerance) for r in rows)
+    assert shapes == [(2, len(gs), 2, 2)]
+
+
+@st.composite
+def complex_weak_selections(draw):
+    """A random Hermitian A of dim 2-3 with a selection where
+    |<phi|psi>| >= 0.3, |Im A_w| >= 0.1 and |A_w| <= 5."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = draw(st.integers(2, 3))
+    A, psi, phi = random_hermitian(d, rng), random_state(d, rng), random_state(d, rng)
+    assume(abs(np.vdot(phi, psi)) >= 0.3)
+    sel = PrePostSelection(psi, phi)
+    a_w = weak_value(A, sel)
+    assume(abs(a_w.imag) >= 0.1 and abs(a_w) <= 5)
+    return A, sel
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=complex_weak_selections())
+def test_complex_weak_value_moves_momentum(case):
+    # Jozsa, PRA 76, 044103 (2007): the momentum shifts by 2 g Im(A_w) Var_p,
+    # with a relative error of order g^2
+    A, sel = case
+    pointer = build_gaussian_pointer(512, -12.0, 12.0, 1.0, 0.0)
+    errors = [r.momentum_error / abs(r.predicted_momentum_shift)
+              for r in pointer_shift_sweep(A, sel, [1e-3, 5e-4], pointer)]
+    assert errors[0] <= 1e-4
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
 
 
 def test_oracle_shares_nothing_with_branch_sum(monkeypatch, tmp_path, capsys):

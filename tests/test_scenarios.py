@@ -6,7 +6,7 @@ import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from potentops import QubitMeter, linalg
+from potentops import QubitMeter, linalg, meters
 from potentops.cli import EXIT_OK, EXIT_RESIDUAL, main
 from potentops.sampling import random_hermitian, random_state
 from potentops.scenarios import (
@@ -347,18 +347,28 @@ def _scale_pade(monkeypatch):
     monkeypatch.setattr(linalg, "_pade_exponential", lambda a: pade(a) * (1 + 1e-9))
 
 
-FAULTS = {"eigh": _scale_eigenvalues, "pade": _scale_pade}
+def _negate_lattice(monkeypatch):
+    lattice = meters.Grid.momentum_lattice
+    monkeypatch.setattr(meters.Grid, "momentum_lattice", property(lambda grid: -lattice.fget(grid)))
+
+
+FAULTS = {"eigh": _scale_eigenvalues, "pade": _scale_pade, "lattice": _negate_lattice}
 
 
 class TestFaultMatrix:
     """Rows take eigh and joint oracles take the Pade exponential, so a fault
     in either routine fails every kind whose residual compares the two routes.
-    Completeness takes neither routine, and weak-value takes no Pade exponential."""
+    Completeness takes neither routine, and weak-value takes no Pade exponential.
+    The pointer rows read Grid.momentum_lattice and its oracle builds its own
+    lattice order, so a negated lattice fails pointer-shift alone."""
 
-    PASSING = {"eigh": {"completeness"}, "pade": {"weak-value", "completeness"}}
-    VERIFY_FAILS = {"general_vs_hermitian_exponential", "qubit_meter_potent_values",
+    PASSING = {"eigh": {"completeness"}, "pade": {"weak-value", "completeness"},
+               "lattice": set(KINDS) - {"pointer-shift"}}
+    MATRIX_FAILS = {"general_vs_hermitian_exponential", "qubit_meter_potent_values",
                     "qubit_meter_potent_operator", "apparatus_controlled_reduction",
                     "time_machine_potent_route"}
+    VERIFY_FAILS = {"eigh": MATRIX_FAILS, "pade": MATRIX_FAILS,
+                    "lattice": {"pointer_translation", "momentum_lattice"}}
 
     @pytest.mark.parametrize("fault", FAULTS)
     @pytest.mark.parametrize("kind", KINDS)
@@ -372,7 +382,7 @@ class TestFaultMatrix:
         FAULTS[fault](monkeypatch)
         assert main(["verify"]) == EXIT_RESIDUAL
         out = capsys.readouterr().out.splitlines()
-        assert {line.split()[1] for line in out if line.startswith("FAIL")} == self.VERIFY_FAILS
+        assert {line.split()[1] for line in out if line.startswith("FAIL")} == self.VERIFY_FAILS[fault]
 
 
 class TestEmission:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from potentops import (
     weak_value,
 )
 from potentops import timemachine
+from potentops.cli import EXIT_VALIDATION, main
 from potentops.linalg import _pade_exponential
 from potentops.pauli import SIGMA_X, SIGMA_Z
 from potentops.sampling import random_hermitian, random_state, random_unitary
@@ -48,22 +50,22 @@ def per_point_overlap(family, a, Phi, super_state):
 
 
 def per_point_fit(family, spec, Phi, interval):
-    """effective_parameter_fit's scan, bracket and refinement, with every
-    overlap taken by per_point_overlap. Returns (a*, fidelity, best index)."""
+    """effective_parameter_fit's scan and zoom, with every overlap taken by
+    per_point_overlap. Returns (a*, fidelity, best index of the first scan)."""
     state, success = superposed_evolution(family, spec, Phi)
     super_state = state / success
     grid = np.linspace(interval[0], interval[1], 1000)
     overlaps = np.array([per_point_overlap(family, a, Phi, super_state) for a in grid])
     mags = np.abs(overlaps)
-    if mags.max() - mags.min() <= 1e-12:
-        objective = lambda a: per_point_overlap(family, a, Phi, super_state).real
-        best = int(np.argmax(overlaps.real))
-    else:
-        objective = lambda a: abs(per_point_overlap(family, a, Phi, super_state))
-        best = int(np.argmax(mags))
-    a_star = timemachine._golden_section_max(objective, grid[max(best - 1, 0)],
-                                             grid[min(best + 1, grid.size - 1)])
-    return a_star, abs(per_point_overlap(family, a_star, Phi, super_state)), best
+    score = np.real if mags.max() - mags.min() <= 1e-12 else np.abs
+    first = int(np.argmax(score(overlaps)))
+    while True:
+        best = int(np.argmax(score(overlaps)))
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+        if hi - lo <= timemachine.BRACKET_TOL * max(1.0, abs(lo), abs(hi)):
+            return grid[best], abs(overlaps[best]), first
+        grid = np.linspace(lo, hi, 17)
+        overlaps = np.array([per_point_overlap(family, a, Phi, super_state) for a in grid])
 
 
 class TestSpecs:
@@ -328,9 +330,29 @@ class TestStackedScan:
         family = quadratic_family(dim, rng, parameters=(0.3, 0.4))
         effective_parameter_fit(family, SuperpositionSpec(np.array([0.5, 0.5])),
                                 random_state(dim, rng), (0.0, 1.0))
-        assert 1 < len(stacks) <= math.ceil(1000 / chunk)
-        assert sum(shape[0] for shape in stacks) == 1000
-        assert all(n * d * d <= timemachine.SCAN_STACK_ENTRIES for n, d, _ in stacks)
+        # the first scan's 1000 points in chunks, then one 17-point stack per zoom round
+        first = math.ceil(1000 / chunk)
+        assert 1 < first < len(stacks)
+        assert sum(shape[0] for shape in stacks[:first]) == 1000
+        assert all(n * d * d <= timemachine.SCAN_STACK_ENTRIES for n, d, _ in stacks[:first])
+        assert all(shape == (17, dim, dim) for shape in stacks[first:])
+
+    def test_zoom_rounds_on_a_width_4_interval(self, monkeypatch):
+        # one 1000-point scan, then 11 rounds that cut the 8e-3 bracket by 8
+        # down to 1e-12; the 2-D calls are superposed_evolution's branches
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(m, *args, **kwargs):
+            shapes.append(m.shape)
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        rng = np.random.default_rng(1)
+        family = quadratic_family(3, rng, parameters=(0.3, 0.7))
+        effective_parameter_fit(family, SuperpositionSpec(np.array([0.5, 0.5])),
+                                random_state(3, rng), (-2.0, 2.0))
+        assert shapes == [(3, 3)] * 2 + [(1000, 3, 3)] + [(17, 3, 3)] * 11
 
     def test_peak_memory_bounded_by_chunk(self):
         dim = 128
@@ -467,6 +489,18 @@ class TestTimeTranslationMachine:
                                    hamiltonian=SIGMA_Z)
         with pytest.raises(ValueError, match="zero"):
             time_translation_machine(spec, np.array([0.0, 1.0], dtype=complex))
+
+    def test_duration_beyond_the_pade_cap_refused(self, tmp_path, capsys):
+        # the oracle's squarings used to run on to overflow, a nan residual and exit 2
+        cfg = tmp_path / "far.yaml"
+        cfg.write_text("scenario: time-machine\ndurations: [1.0e50, 1]\nhamiltonian: sigma_x\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["time-machine", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert not caught
+        err = capsys.readouterr().err
+        assert "validation error: cannot exponentiate a matrix of 1-norm 1.000e+50" in err
+        assert "above the cap 8.389e+06" in err and "Warning" not in err
 
     def test_potent_route_equivalence(self):
         rng = np.random.default_rng(9)
