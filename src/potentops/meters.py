@@ -18,9 +18,6 @@ from .pps import PrePostSelection, diagonal_potent_operator, spectral_weights, w
 # with the power (about 1e-11 at 2**16 points and g = 2).
 GRID_SIZE_CAP = 2 ** 16
 
-# exp(x) overflows a double for x above this.
-LOG_DBL_MAX = float(np.log(np.finfo(float).max))
-
 
 @dataclass(frozen=True)
 class QubitMeter:
@@ -88,39 +85,37 @@ class Grid:
 
 @dataclass(frozen=True)
 class GaussianPointer:
-    """Gaussian wavepacket exp(-(x - x0)^2 / (4 sigma^2)) on a Grid, normalized
-    under the grid inner product sum |Phi|^2 dx = 1."""
-
-    grid: Grid
-    sigma: float
-    x0: float
-    amplitudes: np.ndarray
-
-    @property
-    def unit_amplitudes(self) -> np.ndarray:
-        """l2-normalized amplitudes, the form joint evolutions consume."""
-        return self.amplitudes * np.sqrt(self.grid.dx)
-
-
-def build_gaussian_pointer(grid_size: int, x_min: float, x_max: float,
-                           sigma: float, x0: float) -> GaussianPointer:
-    """Construct a grid-normalized Gaussian pointer.
+    """Gaussian wavepacket exp(-(x - x0)^2 / (4 sigma^2)) on a Grid.
 
     Rejects packets the grid cannot resolve: sigma must span at least 4 grid
     steps, and the +-6 sigma support must lie inside [x_min, x_max], keeping
     periodic wrap-around (aliasing) below the tolerances this package tests at.
     """
-    grid = Grid(grid_size, float(x_min), float(x_max))
-    sigma, x0 = float(sigma), float(x0)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if sigma < 4 * grid.dx:
-        raise ValueError(f"sigma = {sigma} under-resolved: needs at least 4*dx = {4 * grid.dx}")
-    if x0 - 6 * sigma < grid.x_min or x0 + 6 * sigma > grid.x_max:
-        raise ValueError("packet support (+-6 sigma) leaves the grid; widen the extent")
-    amp = np.exp(-((grid.x - x0) ** 2) / (4 * sigma ** 2)).astype(complex)
-    amp /= np.sqrt(np.sum(np.abs(amp) ** 2) * grid.dx)
-    return GaussianPointer(grid=grid, sigma=sigma, x0=x0, amplitudes=amp)
+
+    grid: Grid
+    sigma: float
+    x0: float
+
+    def __post_init__(self):
+        grid, sigma, x0 = self.grid, self.sigma, self.x0
+        if sigma <= 0:
+            raise ValueError("sigma must be positive")
+        if sigma < 4 * grid.dx:
+            raise ValueError(f"sigma = {sigma} under-resolved: needs at least 4*dx = {4 * grid.dx}")
+        if x0 - 6 * sigma < grid.x_min or x0 + 6 * sigma > grid.x_max:
+            raise ValueError("packet support (+-6 sigma) leaves the grid; widen the extent")
+
+    @property
+    def unit_amplitudes(self) -> np.ndarray:
+        """l2-normalized samples, the form joint evolutions consume."""
+        amp = np.exp(-((self.grid.x - self.x0) ** 2) / (4 * self.sigma ** 2)).astype(complex)
+        return amp / np.sqrt(np.sum(np.abs(amp) ** 2) * self.grid.dx) * np.sqrt(self.grid.dx)
+
+
+def build_gaussian_pointer(grid_size: int, x_min: float, x_max: float,
+                           sigma: float, x0: float) -> GaussianPointer:
+    """A Gaussian pointer on the grid of grid_size points over [x_min, x_max)."""
+    return GaussianPointer(Grid(grid_size, float(x_min), float(x_max)), float(sigma), float(x0))
 
 
 def pointer_statistics(state: np.ndarray, grid: Grid):
@@ -136,11 +131,6 @@ def pointer_statistics(state: np.ndarray, grid: Grid):
     mean_x, var_x = _moments(state, grid.x)
     mean_p, _ = _moments(np.fft.fft(state), grid.momentum_lattice)
     return mean_x, var_x, mean_p
-
-
-def momentum_moments(state: np.ndarray, grid: Grid):
-    """(mean, variance) of momentum, from the Fourier spectrum."""
-    return _moments(np.fft.fft(as_state(state)), grid.momentum_lattice)
 
 
 def _moments(amplitudes: np.ndarray, coords: np.ndarray):
@@ -195,25 +185,30 @@ def pointer_shift_sweep(A: np.ndarray, sel: PrePostSelection, gs,
     eigendecomposition. The max-entry disagreement of the two position-space
     states is each report's oracle_residual.
 
-    The weak-limit state multiplies Phi~ by exp(-i g A_w p); a complex A_w
-    makes that grow like exp(g |Im A_w| |p|), and couplings where it would
-    overflow a double are refused.
+    The weak-limit state is the packet's closed-form spectrum times
+    exp(-i g A_w p), exponentiated in the log domain. A run is refused before
+    any row when a packet it forms would wrap around the periodic grid: a
+    branch centre x0 + g lam_n or the target centre x0 + g Re(A_w) within
+    6 sigma of an edge, or the target's momentum centre g Im(A_w) / (2 sigma^2)
+    within 3 / sigma of the lattice edge pi / dx.
     """
     lam, w = spectral_weights(A, sel)
-    grid = pointer.grid
+    grid, sigma, x0 = pointer.grid, pointer.sigma, pointer.x0
     p = grid.momentum_lattice
     gs = [float(g) for g in np.atleast_1d(gs)]
     a_w = weak_value(A, sel)
-    growth = max((abs(g) for g in gs), default=0.0) * abs(a_w.imag) * float(np.max(np.abs(p)))
-    if growth > LOG_DBL_MAX:
-        raise ValueError(
-            f"weak-limit state exp(-i g A_w P)|Phi> overflows: g*|Im A_w|*max|p| = "
-            f"{growth:.3e} exceeds ln(DBL_MAX) = {LOG_DBL_MAX:.1f}")
+    for g in gs:
+        centres = [x0 + g * v for v in (float(lam[0]), float(lam[-1]), a_w.real)]  # lam ascends
+        if (min(centres) - 6 * sigma < grid.x_min or max(centres) + 6 * sigma > grid.x_max
+                or abs(g * a_w.imag) / (2 * sigma ** 2) + 3 / sigma > np.pi / grid.dx):
+            raise ValueError(f"at g = {g} a translated packet leaves the grid's support (+-6 "
+                             "sigma in x, +-3/sigma in p); widen the extent or refine the grid")
 
     psi = sel.psi / np.linalg.norm(sel.psi)
     phi = sel.phi / np.linalg.norm(sel.phi)
     meter_k = np.fft.fft(pointer.unit_amplitudes, norm="ortho")
-    mean_p0, var_p0 = momentum_moments(pointer.amplitudes, grid)
+    mean_p0, var_p0 = _moments(meter_k, p)
+    log_spectrum = -(sigma * p) ** 2 - 1j * p * (x0 - grid.x_min)  # of meter_k, up to a constant
     overlap = np.vdot(phi, psi)
 
     oracle = _lattice_elements(A, gs, grid, phi, psi)
@@ -227,16 +222,15 @@ def pointer_shift_sweep(A: np.ndarray, sel: PrePostSelection, gs,
         p_exact = float(np.linalg.norm(state) ** 2)
         mean_x, _ = _moments(state, grid.x)
         mean_p, _ = _moments(state_k, p)
-        # Fidelity is basis-independent, so the target stays in momentum
-        # space; scaling it to unit max entry keeps its norm finite.
-        target_k = meter_k * np.exp(-1j * g * a_w * p)
-        target_k = target_k / np.max(np.abs(target_k))
+        # Fidelity is basis-independent, so the target stays in momentum space.
+        exponent = log_spectrum - 1j * g * a_w * p
+        target_k = np.exp(exponent - exponent.real.max())
         fid = fidelity(state_k, target_k) if p_exact > 0 else 0.0
         reports.append(PointerShiftReport(
             g=g,
             weak_val=a_w,
             probability=p_exact,
-            mean_shift=mean_x - pointer.x0,
+            mean_shift=mean_x - x0,
             predicted_shift=g * a_w.real,
             momentum_shift=mean_p - mean_p0,
             predicted_momentum_shift=2.0 * g * a_w.imag * var_p0,
@@ -248,10 +242,10 @@ def pointer_shift_sweep(A: np.ndarray, sel: PrePostSelection, gs,
     return reports
 
 
-def _lattice_elements(A: np.ndarray, gs, grid: Grid, phi: np.ndarray,
+def _lattice_elements(A: np.ndarray, gs: list[float], grid: Grid, phi: np.ndarray,
                       psi: np.ndarray) -> np.ndarray:
     """<phi|exp(-i g p_m A)|psi> on the momentum lattice, in FFT ordering, for
-    each coupling in ``gs``: shape (len(gs), N), or (N,) for a scalar g.
+    each coupling in ``gs``: shape (len(gs), N).
 
     The lattice is p_m = m dp with dp = 2 pi / length and m in [-N/2, N/2), so
     exp(-i g p_m A) = E^m with E = exp(-i g dp A). E and its inverse direction
@@ -262,12 +256,11 @@ def _lattice_elements(A: np.ndarray, gs, grid: Grid, phi: np.ndarray,
     E^(rows built), appends the products and squares that power.
     """
     half = grid.grid_size // 2
-    steps = np.multiply.outer(2 * np.pi / grid.length * np.atleast_1d(gs), A)
+    steps = np.multiply.outer(2 * np.pi / grid.length * np.asarray(gs), A)
     powers = linalg._pade_exponential(np.stack([-1j * steps, 1j * steps]))
     rows = np.broadcast_to(phi.conj(), (*powers.shape[:2], 1, phi.size))
     while rows.shape[2] <= half:
         rows = np.concatenate([rows, rows[:, :, :half + 1 - rows.shape[2]] @ powers], axis=2)
         powers = powers @ powers
     # m = 0 .. N/2 - 1, then m = -N/2 .. -1
-    out = np.concatenate([rows[0, :, :half], rows[1, :, half:0:-1]], axis=1) @ psi
-    return out if np.ndim(gs) else out[0]
+    return np.concatenate([rows[0, :, :half], rows[1, :, half:0:-1]], axis=1) @ psi

@@ -23,6 +23,7 @@ import math
 import re
 import sys
 import warnings
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -94,8 +95,23 @@ class ConfigError(ValueError):
 
 
 class _ConfigLoader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 floats such as 1e-3 and 1.0e6,
-    which PyYAML's YAML 1.1 resolver leaves as strings."""
+    """SafeLoader that also reads YAML 1.2 floats such as 1e-3 and 1.0e6, which
+    PyYAML's YAML 1.1 resolver leaves as strings, and refuses a key written
+    twice in one mapping (a key a '<<' merge brings in may be overridden)."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):
+                break  # PyYAML's own refusal follows
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
 
 
 _ConfigLoader.add_implicit_resolver(
@@ -149,7 +165,7 @@ def within_tolerance(residual: float, tolerance: float) -> bool:
 
 
 def _require_keys(mapping: dict, allowed, context: str):
-    unknown = sorted(set(mapping) - set(allowed))
+    unknown = sorted(set(mapping) - set(allowed), key=str)
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {context}; allowed: {sorted(allowed)}")
 

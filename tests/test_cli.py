@@ -302,6 +302,82 @@ class TestSweep:
         assert len(out.read_text().splitlines()) == 3
 
 
+# Odd YAML: mixed-type unknown keys, a key written twice, a '<<' merge and
+# an unhashable key, each in a scenario and in a sweep document.
+SWEEP_BASE = "base:\n  scenario: {kind}\n{base}sweep:\n  seed: [0]\n{sweep}"
+MIXED_KEYS = "1: 2\nx: 3\n"
+DUPLICATE_G = "g: [0.1]\ng: [0.2]\n"
+MERGED_METER = "meter: {<<: {kind: qubit, alpha: 1, beta: 0}, alpha: 0.6, beta: 0.8}\n"
+
+
+def _indent(text):
+    return "".join(f"  {line}\n" for line in text.splitlines())
+
+
+class TestOddYaml:
+    @pytest.mark.parametrize("command, doc, context", [
+        ("weak-value", "scenario: weak-value\n" + MIXED_KEYS, "weak-value config"),
+        ("potent-values", "scenario: potent-values\nmeter: {1: 2, x: 3}\n", "'meter'"),
+        ("weak-value", "scenario: weak-value\ng: {start: 0, stop: 1, num: 2, 1: 2, x: 3}\n",
+         "'g' range"),
+        ("weak-value", "scenario: weak-value\noutput: {1: 2, x: 3}\n", "'output'"),
+        ("sweep", SWEEP_BASE.format(kind="weak-value", base="", sweep="") + MIXED_KEYS,
+         "sweep config"),
+        ("sweep", SWEEP_BASE.format(kind="potent-values", base="  meter: {1: 2, x: 3}\n",
+                                    sweep=""), "'meter'"),
+        ("sweep", SWEEP_BASE.format(kind="weak-value", base="",
+                                    sweep="  g: [{start: 0, stop: 1, num: 2, 1: 2, x: 3}]\n"),
+         "'g' range"),
+    ], ids=["top", "meter", "range", "output", "sweep-top", "sweep-meter", "sweep-range"])
+    def test_mixed_type_unknown_keys_named(self, capsys, tmp_path, command, doc, context):
+        cfg = tmp_path / "odd.yaml"
+        cfg.write_text(doc)
+        assert run_cli(command, "--config", str(cfg)) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"unknown key(s) [1, 'x'] in {context}" in captured.err
+
+    @pytest.mark.parametrize("doc, where, named", [
+        ("scenario: weak-value\n" + DUPLICATE_G, "line 3, column 1", "'g'"),
+        ("scenario: potent-values\nmeter: {alpha: 1, alpha: 0}\n", "line 2, column 19",
+         "'alpha'"),
+        (SWEEP_BASE.format(kind="weak-value", base=_indent(DUPLICATE_G), sweep=""),
+         "line 4, column 3", "'g'"),
+        (SWEEP_BASE.format(kind="weak-value", base="", sweep=_indent(DUPLICATE_G)),
+         "line 6, column 3", "'g'"),
+    ], ids=["scenario", "meter", "sweep-base", "sweep"])
+    def test_duplicate_key_refused(self, capsys, tmp_path, doc, where, named):
+        cfg = tmp_path / "twice.yaml"
+        cfg.write_text(doc)
+        command = "sweep" if doc.startswith("base") else doc.split()[1]
+        assert run_cli(command, "--config", str(cfg)) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"invalid YAML at {where}: found duplicate key {named}" in captured.err
+
+    @pytest.mark.parametrize("where", ["scenario", "sweep"])
+    def test_merged_keys_may_be_overridden(self, capsys, tmp_path, where):
+        cfg = tmp_path / "merge.yaml"
+        cfg.write_text(f"scenario: potent-values\n{MERGED_METER}" if where == "scenario"
+                       else SWEEP_BASE.format(kind="potent-values", base=_indent(MERGED_METER),
+                                              sweep=""))
+        assert run_cli("sweep" if where == "sweep" else "potent-values",
+                       "--config", str(cfg), "--format", "json") == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)
+        assert rows[0]["value_re"] == pytest.approx(0.6, abs=1e-12)
+
+    @pytest.mark.parametrize("where", ["scenario", "sweep"])
+    def test_unhashable_key_keeps_pyyaml_refusal(self, capsys, tmp_path, where):
+        entry = "? [1, 2]\n: 3\n"
+        cfg = tmp_path / "unhashable.yaml"
+        cfg.write_text(f"scenario: weak-value\n{entry}" if where == "scenario"
+                       else SWEEP_BASE.format(kind="weak-value", base=_indent(entry), sweep=""))
+        assert run_cli("sweep" if where == "sweep" else "weak-value",
+                       "--config", str(cfg)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "found unhashable key" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("kind", ["weak-value", "modular-value", "potent-values",
                                   "potent-operator", "completeness", "conditional",
                                   "time-machine"])

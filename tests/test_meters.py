@@ -24,8 +24,9 @@ from potentops import (
 )
 from potentops.cli import EXIT_OK, EXIT_RESIDUAL, EXIT_VALIDATION, main
 from potentops.linalg import hermiticity_defect
-from potentops.meters import GRID_SIZE_CAP, _lattice_elements, momentum_moments
+from potentops.meters import GRID_SIZE_CAP, _lattice_elements, _moments
 from potentops.pauli import AMPLIFICATION_PHI, AMPLIFICATION_PSI, IDENTITY_2, SIGMA_Z
+from potentops.pps import spectral_weights
 from potentops.sampling import random_hermitian, random_selection, random_state
 from potentops.scenarios import KINDS, parse_config, run_scenario, within_tolerance
 
@@ -97,15 +98,13 @@ class TestGrid:
 class TestGaussianPointer:
     def test_fresh_pointer_moments(self):
         pointer = build_gaussian_pointer(512, -10.0, 14.0, 1.0, 2.0)
-        mean_x, var_x, mean_p = pointer_statistics(pointer.amplitudes, pointer.grid)
+        mean_x, var_x, mean_p = pointer_statistics(pointer.unit_amplitudes, pointer.grid)
         assert abs(mean_x - 2.0) <= 1e-8
         assert abs(mean_p) <= 1e-8
         assert abs(var_x - 1.0) <= 0.01  # grid quadrature vs sigma^2
 
     def test_grid_normalization(self):
         pointer = build_gaussian_pointer(256, -8.0, 8.0, 0.7, 0.0)
-        total = np.sum(np.abs(pointer.amplitudes) ** 2) * pointer.grid.dx
-        assert abs(total - 1.0) <= 1e-10
         assert abs(np.linalg.norm(pointer.unit_amplitudes) - 1.0) <= 1e-12
 
     def test_underresolved_sigma_rejected(self):
@@ -241,10 +240,10 @@ class TestPointerShift:
         assert len(rows) == 2 and rows[1].startswith("pointer-shift,2.0,")
 
     def test_weak_limit_overflow_refused(self, pointer):
-        # |Im A_w| = 20 * sqrt(3)/2 at g = 1 puts g |Im A_w| max|p| near 1160,
-        # beyond ln(DBL_MAX) ~ 709.8
+        # the closed-form target cannot overflow; at g = 1 the branches of
+        # 20 sigma_z sit at +-20, off the grid, so the support rule refuses
         sel = PrePostSelection(AMPLIFICATION_PSI, np.array([1, 1j]) / np.sqrt(2))
-        with pytest.raises(ValueError, match="overflows"):
+        with pytest.raises(ValueError, match="at g = 1.0 a translated packet"):
             pointer_shift_sweep(20 * SIGMA_Z, sel, [0.01, 1.0], pointer)
         report = pointer_shift_sweep(20 * SIGMA_Z, sel, [0.01], pointer)[0]
         assert np.isfinite(report.fidelity) and report.oracle_residual <= 1e-10
@@ -274,7 +273,7 @@ def test_engine_matches_dense_joint_oracle(grid_size, observable):
     else:
         A = random_hermitian(3, rng)
         sel = PrePostSelection(*random_selection(3, rng))
-    pointer = build_gaussian_pointer(grid_size, -8.0, 8.0, 0.9, 0.3)
+    pointer = build_gaussian_pointer(grid_size, -12.0, 12.0, 0.9, 0.3)
     P = momentum_operator(pointer.grid).matrix
     gs = [0.05, 0.5, 2.0]
     joints = [hermitian_exponential(np.kron(A, P), -1j * g) for g in gs]
@@ -298,7 +297,7 @@ def test_lattice_elements_at_grid_cap(observable, g):
     else:
         A, (psi, phi) = random_hermitian(3, rng), random_selection(3, rng)
     grid = Grid(GRID_SIZE_CAP, -12.0, 12.0)
-    elements = _lattice_elements(A, g, grid, phi, psi)
+    elements = _lattice_elements(A, [g], grid, phi, psi)[0]
     assert elements.shape == (GRID_SIZE_CAP,)
     idx = np.r_[np.arange(0, GRID_SIZE_CAP, 64), GRID_SIZE_CAP // 2 - 1, GRID_SIZE_CAP - 1]
     p = grid.momentum_lattice[idx]
@@ -319,7 +318,7 @@ def test_lattice_elements_stack_matches_scalar_calls(grid_size):
     stacked = _lattice_elements(A, gs, grid, phi, psi)
     assert stacked.shape == (3, grid_size)
     for g, row in zip(gs, stacked):
-        assert np.max(np.abs(row - _lattice_elements(A, g, grid, phi, psi))) <= 1e-14
+        assert np.max(np.abs(row - _lattice_elements(A, [g], grid, phi, psi)[0])) <= 1e-14
 
 
 @pytest.mark.parametrize("gs", [[0.3], [0.05, 0.2, 0.7, 2.0]])
@@ -399,11 +398,82 @@ def test_oracle_shares_nothing_with_branch_sum(monkeypatch, tmp_path, capsys):
 
 
 def test_momentum_moments_gaussian(pointer):
-    mean_p, var_p = momentum_moments(pointer.amplitudes, pointer.grid)
+    mean_p, var_p = _moments(np.fft.fft(pointer.unit_amplitudes), pointer.grid.momentum_lattice)
     assert abs(mean_p) <= 1e-10
     assert var_p == pytest.approx(1 / (4 * pointer.sigma ** 2), rel=0.01)
 
 
 def test_momentum_moments_refuse_zero_state(pointer):
     with pytest.raises(ValueError, match="zero norm"):
-        momentum_moments(np.zeros(pointer.grid.grid_size), pointer.grid)
+        pointer_statistics(np.zeros(pointer.grid.grid_size), pointer.grid)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 3), g=st.floats(0.01, 1.0),
+       sigma=st.floats(0.8, 1.2), x0=st.floats(-0.5, 0.5))
+def test_sweep_matches_continuum_closed_form(seed, d, g, sigma, x0):
+    # Branch n is the packet translated by g lam_n, the weak-limit target the
+    # packet translated by the complex g A_w; two such Gaussians overlap as
+    # K(u, v) = exp(-(conj(u) - v)^2 / (8 sigma^2)).
+    rng = np.random.default_rng(seed)
+    A, psi, phi = random_hermitian(d, rng), random_state(d, rng), random_state(d, rng)
+    assume(abs(np.vdot(phi, psi)) >= 0.3)
+    sel = PrePostSelection(psi, phi)
+    pointer = build_gaussian_pointer(512, -12.0, 12.0, sigma, x0)
+    report = pointer_shift_sweep(A, sel, [g], pointer)[0]
+
+    def K(u, v):
+        return np.exp(-(np.conj(u) - v) ** 2 / (8 * sigma ** 2))
+
+    lam, w = spectral_weights(A, sel)
+    u, target = g * lam, g * weak_value(A, sel)
+    gram = np.outer(w.conj(), w) * K(u[:, None], u[None, :])
+    S = gram.sum().real
+    c = np.vdot(phi, psi) / (np.linalg.norm(phi) * np.linalg.norm(psi))
+    mean_shift = (gram * (u[:, None] + u[None, :]) / 2).sum().real / S
+    gap = 1 - abs(np.sum(w.conj() * K(u, target))) / np.sqrt(S * K(target, target).real)
+    assert abs(report.fidelity_gap - gap) <= 1e-12
+    assert abs(report.probability - abs(c) ** 2 * S) <= 1e-12
+    assert abs(report.mean_shift - mean_shift) <= 1e-9
+
+
+@pytest.mark.parametrize("gs", [[0.3], [0.05, 0.2, 0.7, 2.0]])
+def test_one_forward_fft_per_sweep(monkeypatch, pointer, amplification, gs):
+    calls = []
+    fft = np.fft.fft
+
+    def counting_fft(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    pointer_shift_sweep(SIGMA_Z, amplification, gs, pointer)
+    assert len(calls) == 1
+
+
+class TestTranslatedSupport:
+    # Branches of the preset sit at x0 +- g, its target at x0 + 2 g; with
+    # sigma = 1 on [-12, 12) the target's +6 sigma edge leaves the grid at g = 3.
+    def run(self, tmp_path, doc):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(doc)
+        return main(["pointer-shift", "--config", str(cfg)])
+
+    @pytest.mark.parametrize("gs, named", [("[8.0, 11.0]", "8.0"), ("[2.9, 3.1]", "3.1")])
+    def test_refused_before_any_row(self, tmp_path, capsys, gs, named):
+        assert self.run(tmp_path, f"scenario: pointer-shift\ng: {gs}\n") == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and f"at g = {named} a translated packet" in err
+
+    def test_boundary_runs(self, tmp_path, capsys):
+        assert self.run(tmp_path, "scenario: pointer-shift\ng: [2.9]\n") == EXIT_OK
+
+    def test_target_momentum_centre(self):
+        # Im A_w = sqrt(3)/2 puts the target's momentum centre at
+        # g Im A_w / (2 sigma^2); at sigma = 4 dx its +3/sigma edge passes
+        # pi/dx at g = 88.4, long before the branches (+-g) leave the grid
+        sel = PrePostSelection(AMPLIFICATION_PSI, np.array([1, 1j]) / np.sqrt(2))
+        pointer = build_gaussian_pointer(512, -256.0, 256.0, 4.0, 0.0)
+        assert len(pointer_shift_sweep(SIGMA_Z, sel, [88.0], pointer)) == 1
+        with pytest.raises(ValueError, match="at g = 89.0"):
+            pointer_shift_sweep(SIGMA_Z, sel, [89.0], pointer)

@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -332,14 +333,18 @@ class TestQubitMeterOracleProperty:
             assert all(within_tolerance(r["residual"], KINDS[kind].tolerance) for r in rows)
 
 
-def _scale_eigenvalues(monkeypatch):
+def _faulty_eigh(monkeypatch, scaled=lambda shape: True, conjugate=False):
+    """eigh with eigenvalues x(1+1e-6) for the input shapes ``scaled`` accepts,
+    and with conjugated eigenvectors when ``conjugate``."""
     eigh = np.linalg.eigh
 
-    def scaled_eigh(m, *args, **kwargs):
+    def faulty(m, *args, **kwargs):
         lam, vecs = eigh(m, *args, **kwargs)
-        return lam * (1 + 1e-6), vecs
+        if scaled(np.shape(m)):
+            lam = lam * (1 + 1e-6)
+        return lam, vecs.conj() if conjugate else vecs
 
-    monkeypatch.setattr(np.linalg, "eigh", scaled_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", faulty)
 
 
 def _scale_pade(monkeypatch):
@@ -352,7 +357,23 @@ def _negate_lattice(monkeypatch):
     monkeypatch.setattr(meters.Grid, "momentum_lattice", property(lambda grid: -lattice.fget(grid)))
 
 
-FAULTS = {"eigh": _scale_eigenvalues, "pade": _scale_pade, "lattice": _negate_lattice}
+FAULTS = {
+    "eigh": _faulty_eigh,
+    "pade": _scale_pade,
+    "lattice": _negate_lattice,
+    "eigh-2x2": partial(_faulty_eigh, scaled=lambda shape: shape == (2, 2)),
+    "eigh-3+": partial(_faulty_eigh, scaled=lambda shape: len(shape) == 2 and shape[0] >= 3),
+    "eigh-conj": partial(_faulty_eigh, scaled=lambda shape: False, conjugate=True),
+}
+
+# The presets are real, and a conjugated real eigenvector is the same vector,
+# so the conjugation fault runs every kind whose rows take eigh on sigma_y.
+SIGMA_Y_CONFIGS = {
+    kind: {"scenario": kind, "observable": "sigma_y"}
+    for kind in ("weak-value", "modular-value", "potent-values", "potent-operator",
+                 "pointer-shift")
+} | {"time-machine": {"scenario": "time-machine", "hamiltonian": "sigma_y",
+                      "meter_state": "plus"}}
 
 
 class TestFaultMatrix:
@@ -360,22 +381,43 @@ class TestFaultMatrix:
     in either routine fails every kind whose residual compares the two routes.
     Completeness takes neither routine, and weak-value takes no Pade exponential.
     The pointer rows read Grid.momentum_lattice and its oracle builds its own
-    lattice order, so a negated lattice fails pointer-shift alone."""
+    lattice order, so a negated lattice fails pointer-shift alone. An eigh
+    fault confined to one input shape fails the kinds that decompose that
+    shape: the 2x2 observables of the presets, or conditional's larger blocks."""
 
     PASSING = {"eigh": {"completeness"}, "pade": {"weak-value", "completeness"},
-               "lattice": set(KINDS) - {"pointer-shift"}}
+               "lattice": set(KINDS) - {"pointer-shift"},
+               "eigh-2x2": {"completeness"},
+               "eigh-3+": set(KINDS) - {"conditional"},
+               "eigh-conj": {"completeness"}}
     MATRIX_FAILS = {"general_vs_hermitian_exponential", "qubit_meter_potent_values",
                     "qubit_meter_potent_operator", "apparatus_controlled_reduction",
                     "time_machine_potent_route"}
     VERIFY_FAILS = {"eigh": MATRIX_FAILS, "pade": MATRIX_FAILS,
-                    "lattice": {"pointer_translation", "momentum_lattice"}}
+                    "lattice": {"pointer_translation", "momentum_lattice"},
+                    "eigh-2x2": {"qubit_meter_potent_values", "qubit_meter_potent_operator"},
+                    "eigh-3+": {"general_vs_hermitian_exponential",
+                                "apparatus_controlled_reduction", "time_machine_potent_route"},
+                    "eigh-conj": MATRIX_FAILS}
+
+    @staticmethod
+    def argv(kind, fault, tmp_path):
+        if fault != "eigh-conj" or kind not in SIGMA_Y_CONFIGS:
+            return [kind]
+        cfg = tmp_path / "sigma_y.yaml"
+        cfg.write_text(json.dumps(SIGMA_Y_CONFIGS[kind]))
+        return [kind, "--config", str(cfg)]
 
     @pytest.mark.parametrize("fault", FAULTS)
     @pytest.mark.parametrize("kind", KINDS)
-    def test_kind(self, monkeypatch, capsys, fault, kind):
+    def test_kind(self, monkeypatch, capsys, tmp_path, fault, kind):
         FAULTS[fault](monkeypatch)
         expected = EXIT_OK if kind in self.PASSING[fault] else EXIT_RESIDUAL
-        assert main([kind]) == expected
+        assert main(self.argv(kind, fault, tmp_path)) == expected
+
+    @pytest.mark.parametrize("kind", SIGMA_Y_CONFIGS)
+    def test_sigma_y_configs_pass_without_fault(self, capsys, tmp_path, kind):
+        assert main(self.argv(kind, "eigh-conj", tmp_path)) == EXIT_OK
 
     @pytest.mark.parametrize("fault", FAULTS)
     def test_verify(self, monkeypatch, capsys, fault):
