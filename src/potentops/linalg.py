@@ -13,6 +13,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
@@ -48,45 +50,64 @@ def as_operator(m) -> np.ndarray:
     return m
 
 
-def hermiticity_defect(m: np.ndarray):
-    """max |M - M^dag| of a square matrix (a float) or of each matrix of a (..., d, d) stack
-    (an array), with one stack-sized temporary; NaN or inf where an entry is not finite."""
+def _as_square_stack(m) -> np.ndarray:
+    """Coerce to a complex square matrix or a (..., d, d) stack of them."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise ValueError(f"need a square matrix or a stack of them, got shape {m.shape}")
+    return m
+
+
+def _max_abs_per_matrix(x: np.ndarray):
+    """max |x| of a matrix (a float) or of each matrix of a stack (an array)."""
+    out = np.abs(x).max(axis=(-2, -1))
+    return float(out) if x.ndim == 2 else out
+
+
+def _refuse_first(ok, defect, name, refusal) -> None:
+    """Refuse the first entry failing ok (``defect <= tol``, so NaN fails) as name,
+    or in a stack as the i-th of one name per entry (an iterable), else "name[i]"."""
+    if isinstance(ok, np.ndarray) and not ok.all():
+        i = int(np.argmin(ok))  # the first False, in C order
+        label = f"{name}[{i}]" if isinstance(name, str) else next(islice(name, i, None))
+        raise ValueError(f"{label} {refusal(float(defect.flat[i]))}")
+    if not isinstance(ok, np.ndarray) and not ok:  # one matrix or state
+        raise ValueError(f"{name} {refusal(float(defect))}")
+
+
+def hermiticity_defect(m: np.ndarray):
+    """max |M - M^dag| of a square matrix (a float) or of each matrix of a (..., d, d) stack
+    (an array), with one stack-sized temporary; NaN or inf where an entry is not finite."""
+    m = _as_square_stack(m)
     diff = m.conj().swapaxes(-1, -2)
     diff -= m
-    defect = np.abs(diff).max(axis=(-2, -1))
-    return float(defect) if m.ndim == 2 else defect
+    return _max_abs_per_matrix(diff)
 
 
-def require_hermitian(m: np.ndarray, name: str = "operator") -> np.ndarray:
-    m = as_operator(m)
+def require_hermitian(m: np.ndarray, name="operator") -> np.ndarray:
     defect = hermiticity_defect(m)
-    if not defect <= HERMITIAN_TOL:  # NaN compares False both ways: refuse it too
-        raise ValueError(f"{name} is not Hermitian (max |M - M^dag| = {defect:.3e} > {HERMITIAN_TOL:.1e})")
-    return m
+    _refuse_first(defect <= HERMITIAN_TOL, defect, name, lambda d: (
+        f"is not Hermitian (max |M - M^dag| = {d:.3e} > {HERMITIAN_TOL:.1e})"))
+    return np.asarray(m, dtype=complex)
 
 
-def unitarity_defect(m: np.ndarray) -> float:
-    m = as_operator(m)
-    eye = np.eye(m.shape[0])
-    return float(np.max(np.abs(m.conj().T @ m - eye)))
+def unitarity_defect(m: np.ndarray):
+    """orthonormality_defect of a square matrix or (..., d, d) stack: max |U^dag U - I|."""
+    return orthonormality_defect(_as_square_stack(m))
 
 
-def require_unitary(m: np.ndarray, name: str = "operator") -> np.ndarray:
-    m = as_operator(m)
+def require_unitary(m: np.ndarray, name="operator") -> np.ndarray:
     defect = unitarity_defect(m)
-    if not defect <= UNITARY_TOL:
-        raise ValueError(f"{name} is not unitary (max |U^dag U - I| = {defect:.3e} > {UNITARY_TOL:.1e})")
-    return m
+    _refuse_first(defect <= UNITARY_TOL, defect, name, lambda d: (
+        f"is not unitary (max |U^dag U - I| = {d:.3e} > {UNITARY_TOL:.1e})"))
+    return np.asarray(m, dtype=complex)
 
 
-def require_normalized(v: np.ndarray, name: str) -> np.ndarray:
-    v = as_state(v)
-    n = float(np.linalg.norm(v))
-    if not abs(n - 1.0) <= NORMALIZED_TOL:  # NaN fails this too
-        raise ValueError(f"{name} must be normalized (norm = {n!r})")
+def require_normalized(v: np.ndarray, name) -> np.ndarray:
+    v = np.asarray(v, dtype=complex)
+    n = np.linalg.norm(as_state(v)) if v.ndim < 2 else np.linalg.norm(v, axis=-1)
+    _refuse_first(abs(n - 1.0) <= NORMALIZED_TOL, n, name,
+                  lambda x: f"must be normalized (norm = {x!r})")
     return v
 
 
@@ -116,7 +137,7 @@ def hermitian_exponential(h: np.ndarray, scale: complex) -> np.ndarray:
     Unitary (to tolerance) whenever scale is purely imaginary. The scale may be
     any complex number; the spectrum is exponentiated directly.
     """
-    h = require_hermitian(h, name="exponential generator")
+    h = require_hermitian(as_operator(h), name="exponential generator")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(scale * w)) @ v.conj().T
 
@@ -246,22 +267,21 @@ def fidelity(u: np.ndarray, v: np.ndarray) -> float:
     return float(abs(np.vdot(u, v)) / (nu * nv))
 
 
-def orthonormality_defect(basis: np.ndarray) -> float:
-    """Max entry of |B^dag B - I| for a (dim x n) matrix of basis columns."""
+def orthonormality_defect(basis: np.ndarray):
+    """Max entry of |B^dag B - I| for a (dim x n) matrix of basis columns (a
+    float), or for each matrix of a (..., dim, n) stack of them (an array)."""
     basis = np.asarray(basis, dtype=complex)
-    if basis.ndim != 2:
-        raise ValueError("basis must be a 2-D array with basis vectors as columns")
-    gram = basis.conj().T @ basis
-    return float(np.max(np.abs(gram - np.eye(basis.shape[1]))))
+    if basis.ndim < 2:
+        raise ValueError("basis must be a (..., dim, n) array with basis vectors as columns")
+    gram = basis.conj().swapaxes(-1, -2) @ basis
+    return _max_abs_per_matrix(gram - np.eye(basis.shape[-1]))
 
 
 def require_orthonormal_basis(basis: np.ndarray) -> np.ndarray:
-    basis = np.asarray(basis, dtype=complex)
     defect = orthonormality_defect(basis)
-    if basis.shape[0] != basis.shape[1]:
-        raise ValueError(
-            f"basis with {basis.shape[1]} vectors is incomplete for dim {basis.shape[0]}"
-        )
-    if not defect <= ORTHONORMAL_TOL:
-        raise ValueError(f"basis is not orthonormal (Gram defect {defect:.3e} > {ORTHONORMAL_TOL:.1e})")
-    return basis
+    dim, n = np.shape(basis)[-2:]
+    if dim != n:
+        raise ValueError(f"basis with {n} vectors is incomplete for dim {dim}")
+    _refuse_first(defect <= ORTHONORMAL_TOL, defect, "basis", lambda d: (
+        f"is not orthonormal (Gram defect {d:.3e} > {ORTHONORMAL_TOL:.1e})"))
+    return np.asarray(basis, dtype=complex)

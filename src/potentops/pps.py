@@ -86,8 +86,8 @@ class CouplingSpec:
     def __post_init__(self):
         if not np.isfinite(self.g):
             raise ValueError("coupling strength g must be finite")
-        object.__setattr__(self, "A", require_hermitian(self.A, name="A"))
-        object.__setattr__(self, "P", require_hermitian(self.P, name="P"))
+        object.__setattr__(self, "A", require_hermitian(as_operator(self.A), name="A"))
+        object.__setattr__(self, "P", require_hermitian(as_operator(self.P), name="P"))
 
     def joint_unitary(self) -> np.ndarray:
         """exp(-i g A (x) P) on the system-major joint space."""
@@ -126,7 +126,7 @@ def spectral_weights(A: np.ndarray, sel: PrePostSelection):
     """(lam, w) from one eigendecomposition of Hermitian A: its eigenvalues and
     the weak values w_n = <phi|v_n><v_n|psi> / <phi|psi> of its eigenprojectors.
     The potent operator of exp(-i g A (x) P) is sum_n w_n exp(-i g lam_n P)."""
-    A = require_hermitian(A, name="A")
+    A = require_hermitian(as_operator(A), name="A")
     if A.shape[0] != sel.dim:
         raise ValueError(f"operator dim {A.shape[0]} != selection dim {sel.dim}")
     lam, vecs = np.linalg.eigh(A)
@@ -153,7 +153,7 @@ def joint_evolve_and_postselect(U: np.ndarray, psi: np.ndarray, Phi: np.ndarray,
     and its squared norm, the exact post-selection probability. This is the
     oracle every reduction in the package is checked against. U may also be
     an (n, D, D) stack of joints, giving an (n, da) array of states and an
-    array of n probabilities; each joint of a stack is checked for unitarity.
+    array of n probabilities; a stack is refused by its first non-unitary joint.
     """
     U = np.asarray(U, dtype=complex)
     psi = require_normalized(psi, "psi")
@@ -165,8 +165,7 @@ def joint_evolve_and_postselect(U: np.ndarray, psi: np.ndarray, Phi: np.ndarray,
     if U.ndim not in (2, 3) or U.shape[-2:] != (ds * da, ds * da):
         raise ValueError(f"joint shape {U.shape} is not ({ds} * {da})^2 or a stack of those")
     if check_unitary:
-        for u in U.reshape(-1, ds * da, ds * da):
-            require_unitary(u, name="joint evolution")
+        require_unitary(U, name="joint evolution")
     evolved = (U @ tensor_product(psi, Phi)).reshape(*U.shape[:-2], ds, da)
     apparatus = phi.conj() @ evolved
     if U.ndim == 3:
@@ -181,15 +180,11 @@ def postselection_probability_weak(coupling: CouplingSpec, sel: PrePostSelection
     The first-order formula is |<phi|psi>|^2 (1 + 2 g Im(A_w) <P>), with
     <P> = <Phi|P|Phi>.
     """
-    psi = require_normalized(sel.psi, "psi")
-    phi = require_normalized(sel.phi, "phi")
-    Phi = require_normalized(Phi, "Phi")
+    _, p_exact = joint_evolve_and_postselect(  # it guards psi, phi and Phi
+        coupling.joint_unitary(), sel.psi, Phi, sel.phi, check_unitary=False)
     p_expect = float(np.vdot(Phi, coupling.P @ Phi).real)
     a_w = weak_value(coupling.A, sel)
-    ov2 = abs(sel.overlap) ** 2
-    p_first_order = ov2 * (1.0 + 2.0 * coupling.g * a_w.imag * p_expect)
-    _, p_exact = joint_evolve_and_postselect(
-        coupling.joint_unitary(), psi, Phi, phi, check_unitary=False)
+    p_first_order = abs(sel.overlap) ** 2 * (1.0 + 2.0 * coupling.g * a_w.imag * p_expect)
     return p_first_order, p_exact
 
 
@@ -208,8 +203,7 @@ def kraus_slices(U: np.ndarray, Phi: np.ndarray, basis: np.ndarray) -> list[np.n
         raise ValueError(f"joint dim {U.shape[0]} not divisible by apparatus dim {da}")
     ds = U.shape[0] // da
     u4 = U.reshape(ds, da, ds, da)
-    stacked = np.einsum("ak,satb,b->kst", basis.conj(), u4, Phi)
-    return list(stacked)
+    return list(np.einsum("ak,satb,b->kst", basis.conj(), u4, Phi))
 
 
 def potent_values(U: np.ndarray, Phi: np.ndarray, basis: np.ndarray,
@@ -262,44 +256,47 @@ def potent_operator(U: np.ndarray, sel: PrePostSelection) -> PotentOperator:
     return PotentOperator(matrix=partial_matrix_element(U, sel.phi, sel.psi) / sel.overlap)
 
 
-def potent_completeness_residual(U: np.ndarray, phi: np.ndarray, basis: np.ndarray) -> float:
+def potent_completeness_residual(U: np.ndarray, phi: np.ndarray, basis: np.ndarray):
     """Deviation from sum_n |<phi|psi_n>|^2 U_P(phi|psi_n) U_P(phi|psi_n)^dag = I.
 
     Each term is evaluated in the overlap-free form <phi|U|psi_n><psi_n|U^dag|phi>,
     so orthogonal selections contribute cleanly. Returns the max-entry residual,
-    which is <= 1e-10 for any unitary U and complete orthonormal {psi_n}.
+    <= 1e-10 for any unitary U and complete orthonormal {psi_n}, or an array of
+    them for a (..., D, D) stack of U with a (..., ds) stack of phi.
     """
     U = require_unitary(U, name="joint evolution")
     phi = require_normalized(phi, "phi")
     basis = require_orthonormal_basis(basis)
-    ds = basis.shape[0]
-    if phi.size != ds:
-        raise ValueError(f"phi dim {phi.size} != basis dim {ds}")
-    da = U.shape[0] // ds
-    if ds * da != U.shape[0]:
-        raise ValueError(f"joint dim {U.shape[0]} not divisible by system dim {ds}")
-    total = np.zeros((da, da), dtype=complex)
-    for n in range(basis.shape[1]):
-        m_n = partial_matrix_element(U, phi, basis[:, n])
-        total += m_n @ m_n.conj().T
-    return float(np.max(np.abs(total - np.eye(da))))
+    ds = basis.shape[-1]
+    if phi.shape[-1] != ds:
+        raise ValueError(f"phi dim {phi.shape[-1]} != basis dim {ds}")
+    da = U.shape[-1] // ds
+    if ds * da != U.shape[-1]:
+        raise ValueError(f"joint dim {U.shape[-1]} not divisible by system dim {ds}")
+    # every M_n = <phi|U|psi_n> in one contraction; the terms add in basis order
+    u5 = U.reshape(*U.shape[:-2], ds, da, ds, da)
+    m = np.einsum("...s,...satb,...tn->...nab", phi.conj(), u5, basis)
+    total = (m @ m.conj().swapaxes(-1, -2)).sum(axis=-3)
+    return linalg._max_abs_per_matrix(total - np.eye(da))
 
 
-def _require_projector_decomposition(projectors, dim: int, name: str) -> list[np.ndarray]:
+def _require_projector_decomposition(projectors, dim: int, name: str) -> np.ndarray:
+    """The projectors as one (n, dim, dim) stack: Hermitian, P_i P_j = delta_ij P_i, sum I."""
     projs = [as_operator(p) for p in projectors]
     if not projs:
         raise ValueError(f"{name}: need at least one projector")
-    for p in projs:
-        if p.shape[0] != dim:
-            raise ValueError(f"{name}: projector dim {p.shape[0]} != {dim}")
-        if not linalg.hermiticity_defect(p) <= PROJECTOR_TOL:
-            raise ValueError(f"{name}: projector is not Hermitian")
-    for i, p in enumerate(projs):
-        for j, q in enumerate(projs):
-            product = p @ q
-            expected = p if i == j else 0.0
-            if not np.max(np.abs(product - expected)) <= PROJECTOR_TOL:
-                raise ValueError(f"{name}: projectors {i},{j} violate P_i P_j = delta_ij P_i")
+    wrong = [p.shape[0] for p in projs if p.shape[0] != dim]
+    if wrong:
+        raise ValueError(f"{name}: projector dim {wrong[0]} != {dim}")
+    projs = np.array(projs)
+    if not np.all(linalg.hermiticity_defect(projs) <= PROJECTOR_TOL):
+        raise ValueError(f"{name}: projector is not Hermitian")
+    products = projs[:, None] @ projs[None, :]
+    products[np.diag_indices(len(projs))] -= projs
+    violations = np.argwhere(~(np.abs(products).max(axis=(-2, -1)) <= PROJECTOR_TOL))
+    if violations.size:
+        i, j = violations[0]
+        raise ValueError(f"{name}: projectors {i},{j} violate P_i P_j = delta_ij P_i")
     if not np.max(np.abs(sum(projs) - np.eye(dim))) <= PROJECTOR_TOL:
         raise ValueError(f"{name}: projectors do not sum to the identity")
     return projs
@@ -314,12 +311,12 @@ def potent_operator_system_controlled(projectors, unitaries, sel: PrePostSelecti
     d PROJECTOR_TOL |phi||psi| / |<phi|psi>| that the projector guard implies.
     """
     projs = _require_projector_decomposition(projectors, sel.dim, "system projectors")
-    unis = [require_unitary(u, name=f"U_{n}") for n, u in enumerate(unitaries)]
+    unis = [as_operator(u) for u in unitaries]
     if len(unis) != len(projs):
         raise ValueError(f"{len(projs)} projectors but {len(unis)} unitaries")
-    da = unis[0].shape[0]
-    if any(u.shape[0] != da for u in unis):
+    if any(u.shape != unis[0].shape for u in unis):
         raise ValueError("apparatus unitaries must share one dimension")
+    unis = require_unitary(np.array(unis), name=[f"U_{n}" for n in range(len(unis))])
     weak_vals = [weak_value(p, sel) for p in projs]
     total = sum(weak_vals)
     # |total - 1| = |<phi|E|psi>| / |<phi|psi>| for E = sum_n Pi_n - I, whose
@@ -337,7 +334,7 @@ def potent_operator_apparatus_controlled(generators, projectors, lam: float,
 
     Returns (PotentOperator, list of <A_n>_M).
     """
-    gens = [require_hermitian(a, name=f"A_{n}") for n, a in enumerate(generators)]
+    gens = [as_operator(a) for a in generators]
     if any(a.shape[0] != sel.dim for a in gens):
         raise ValueError("system generators must match the selection dimension")
     if not projectors:
@@ -346,6 +343,7 @@ def potent_operator_apparatus_controlled(generators, projectors, lam: float,
     projs = _require_projector_decomposition(projectors, da, "apparatus projectors")
     if len(gens) != len(projs):
         raise ValueError(f"{len(projs)} projectors but {len(gens)} generators")
+    gens = require_hermitian(np.array(gens), name=[f"A_{n}" for n in range(len(gens))])
     modular_vals = [modular_value(a, lam, sel) for a in gens]
     return PotentOperator(matrix=sum(m * p for m, p in zip(modular_vals, projs))), modular_vals
 

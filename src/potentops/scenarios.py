@@ -127,8 +127,8 @@ class Kind:
 
     ``columns`` is the stable, documented column order of its rows (complex
     quantities appear as _re/_im pairs; see README). A row whose residual is
-    above ``tolerance`` fails the run (exit code 2): exact-identity checks sit
-    at 1e-12, anything normalized against a joint-evolution oracle at 1e-10.
+    above ``tolerance`` fails the run (exit code 2): 1e-12 for weak-value, conditional,
+    modular-value and time-machine (the last two against Pade joints), else 1e-10.
     ``template`` is the preset configuration; a config that omits a key, or a
     key of a nested mapping, takes the template's value. ``parse`` turns the
     config, completed from the template, into run parameters; ``run`` turns a
@@ -471,52 +471,42 @@ def _qubit_meter_runs(p: dict):
     return sel, zip(points, zip(*oracle))
 
 
-def _meter_residual(values: np.ndarray, sel: PrePostSelection, oracle: np.ndarray,
-                    oracle_p: float) -> float:
-    """Rows' post-selected meter values, up to the overlap, against the oracle:
-    the larger of the normalized-state residual and of the probability
-    identity |values|^2 |<phi|psi>|^2 = p, which sees a uniform scale error."""
-    state_residual = float(np.max(np.abs(normalize(values) - normalize(oracle))))
-    return max(state_residual, abs(np.linalg.norm(values) ** 2 * abs(sel.overlap) ** 2 - oracle_p))
+def _worst(*terms) -> float:  # the largest residual term; NaN if any is, which max() may drop
+    return math.nan if any(t != t for t in terms) else float(max(terms))
 
 
 def _run_modular_value(cfg: ScenarioConfig) -> list[dict]:
     p = cfg.params
     sel, runs = _qubit_meter_runs(p)
     rows = []
-    for (g, d, p_exact), (oracle, _) in runs:
+    for (g, d, p_exact), (oracle, oracle_p) in runs:
         value = complex(d[1])
         # Independent route: dense joint evolution; the |1> amplitude of the
         # post-selected meter is overlap * beta * modular value.
         from_joint = complex(oracle[1] / (sel.overlap * p["meter"].beta))
         rows.append({"scenario": cfg.kind, "g": g, "value_re": value.real,
                      "value_im": value.imag, "prob_exact": p_exact,
-                     "residual": abs(value - from_joint)})
+                     "residual": _worst(abs(value - from_joint), abs(p_exact - oracle_p))})
     return rows
 
 
-def _run_potent_values(cfg: ScenarioConfig) -> list[dict]:
+def _run_potent(cfg: ScenarioConfig) -> list[dict]:
+    """potent-values rows (entry k of d * (alpha, beta)) or potent-operator rows
+    (entry (row, col) of diag(d)), sharing one residual per coupling: the normalized
+    meter, prob_exact and |values|^2 |<phi|psi>|^2 against the oracle's state and p."""
     p = cfg.params
     sel, runs = _qubit_meter_runs(p)
+    operator = cfg.kind == "potent-operator"
+    index_columns = ("row", "col") if operator else ("k",)
     rows = []
-    for (g, d, p_exact), oracle in runs:
+    for (g, d, p_exact), (oracle, oracle_p) in runs:
         values = d * p["meter"].state
-        residual = _meter_residual(values, sel, *oracle)
-        for k, value in enumerate(values):
-            rows.append({"scenario": cfg.kind, "g": g, "k": k, "value_re": value.real,
-                         "value_im": value.imag, "prob_exact": p_exact, "residual": residual})
-    return rows
-
-
-def _run_potent_operator(cfg: ScenarioConfig) -> list[dict]:
-    p = cfg.params
-    sel, runs = _qubit_meter_runs(p)
-    rows = []
-    for (g, d, p_exact), oracle in runs:
-        residual = _meter_residual(d * p["meter"].state, sel, *oracle)
-        for (r, c), entry in np.ndenumerate(np.diag(d)):
-            rows.append({"scenario": cfg.kind, "g": g, "row": r, "col": c,
-                         "value_re": entry.real, "value_im": entry.imag,
+        residual = _worst(np.max(np.abs(normalize(values) - normalize(oracle))),
+                          abs(p_exact - oracle_p),
+                          abs(np.linalg.norm(values) ** 2 * abs(sel.overlap) ** 2 - oracle_p))
+        for index, value in np.ndenumerate(np.diag(d) if operator else values):
+            rows.append({"scenario": cfg.kind, "g": g, **dict(zip(index_columns, index)),
+                         "value_re": value.real, "value_im": value.imag,
                          "prob_exact": p_exact, "residual": residual})
     return rows
 
@@ -524,15 +514,13 @@ def _run_potent_operator(cfg: ScenarioConfig) -> list[dict]:
 def _run_completeness(cfg: ScenarioConfig) -> list[dict]:
     rng = np.random.default_rng(cfg.seed)
     rows = []
-    instance = 0
     for ds, da in cfg.params["dims"]:
-        for _ in range(cfg.params["count"]):
-            joint = random_unitary(ds * da, rng)
-            phi = random_state(ds, rng)
-            residual = potent_completeness_residual(joint, phi, np.eye(ds, dtype=complex))
-            rows.append({"scenario": cfg.kind, "instance": instance, "system_dim": ds,
+        draws = [(random_unitary(ds * da, rng), random_state(ds, rng))
+                 for _ in range(cfg.params["count"])]
+        joints, phis = map(np.array, zip(*draws))
+        for residual in potent_completeness_residual(joints, phis, np.eye(ds, dtype=complex)):
+            rows.append({"scenario": cfg.kind, "instance": len(rows), "system_dim": ds,
                          "apparatus_dim": da, "residual": residual})
-            instance += 1
     return rows
 
 
@@ -631,11 +619,11 @@ KINDS: dict[str, Kind] = {
     "potent-values": Kind(
         ("scenario", "g", "k", "value_re", "value_im", "prob_exact", "residual"), 1e-10,
         {**_SELECTION, "g": [1.0], "meter": {"kind": "qubit", "alpha": 0.6, "beta": 0.8}},
-        _parse_qubit_selection, _run_potent_values),
+        _parse_qubit_selection, _run_potent),
     "potent-operator": Kind(
         ("scenario", "g", "row", "col", "value_re", "value_im", "prob_exact", "residual"),
         1e-10, {**_SELECTION, "g": [1.0], "meter": _BALANCED_QUBIT},
-        _parse_qubit_selection, _run_potent_operator),
+        _parse_qubit_selection, _run_potent),
     "completeness": Kind(
         ("scenario", "instance", "system_dim", "apparatus_dim", "residual"), 1e-10,
         {"dims": [[ds, da] for ds in (2, 3, 4) for da in (2, 3, 4)], "count": 50},
@@ -780,8 +768,7 @@ def verification_suite(seed: int = 0) -> list[dict]:
     h = random_hermitian(16, rng)
     g = float(rng.uniform(-10, 10))
     u = hermitian_exponential(h, -1j * g)
-    check("hermitian_exponential_unitary",
-          np.max(np.abs(u.conj().T @ u - np.eye(16))), 1e-10)
+    check("hermitian_exponential_unitary", linalg.unitarity_defect(u), 1e-10)
     check("exponential_inverse",
           np.max(np.abs(hermitian_exponential(h, 0.3j) @ hermitian_exponential(h, -0.3j)
                         - np.eye(16))), 1e-10)

@@ -10,11 +10,10 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
-    HERMITIAN_TOL,
     ZERO_NORM_TOL,
+    as_operator,
     as_state,
     hermitian_exponential,
-    hermiticity_defect,
     require_hermitian,
     require_normalized,
 )
@@ -94,7 +93,7 @@ class TimeTranslationSpec:
         if len(ts) != len(self.coefficients):
             raise ValueError(f"{len(ts)} durations but {len(self.coefficients)} coefficients")
         object.__setattr__(self, "durations", ts)
-        object.__setattr__(self, "hamiltonian", require_hermitian(self.hamiltonian, name="H"))
+        object.__setattr__(self, "hamiltonian", require_hermitian(as_operator(self.hamiltonian), "H"))
 
     @property
     def effective_duration(self) -> float:
@@ -210,12 +209,7 @@ def _stacked_overlaps(family: EvolutionFamily, parameters: list, Phi: np.ndarray
         if h.shape != (d, d):
             raise ValueError(f"H({a}) has shape {h.shape}, Phi has shape {Phi.shape}")
         stack[i] = h
-    defects = hermiticity_defect(stack)
-    bad = np.flatnonzero(~(defects <= HERMITIAN_TOL))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"H({parameters[i]}) is not Hermitian (max |M - M^dag| = "
-                         f"{defects[i]:.3e} > {HERMITIAN_TOL:.1e})")
+    require_hermitian(stack, name=(f"H({a})" for a in parameters))  # formatted on refusal only
     lam, v = np.linalg.eigh(stack)
     bra = Phi.conj() @ v                    # conj(V^dag Phi), one row per a
     ket = (super_state.conj() @ v).conj()   # V^dag super_state

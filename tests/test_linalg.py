@@ -1,3 +1,5 @@
+from functools import partial
+
 import mpmath
 import numpy as np
 import pytest
@@ -140,6 +142,33 @@ class TestNonFiniteGuards:
         with pytest.raises(ValueError, match="not unitary"):
             linalg.require_unitary(u)
 
+    # sigma_x is Hermitian, unitary and an orthonormal basis, so one stack of
+    # it serves every guard; entry 1 carries the non-finite entry
+    @pytest.mark.parametrize("index, bad", NON_FINITE_ENTRIES)
+    @pytest.mark.parametrize("guard, label, message", [
+        (linalg.require_hermitian, r"operator\[1\]", "is not Hermitian"),
+        (partial(linalg.require_hermitian, name=["A_0", "A_1", "A_2"]), "A_1", "is not Hermitian"),
+        (linalg.require_unitary, r"operator\[1\]", "is not unitary"),
+        (partial(linalg.require_unitary, name=["U_0", "U_1", "U_2"]), "U_1", "is not unitary"),
+        (require_orthonormal_basis, r"basis\[1\]", "is not orthonormal"),
+    ], ids=["hermitian", "hermitian-named", "unitary", "unitary-named", "orthonormal"])
+    def test_stack_names_the_failing_entry(self, guard, label, message, index, bad):
+        stack = np.stack([SIGMA_X.astype(complex)] * 3)
+        np.testing.assert_array_equal(guard(stack), stack)
+        stack[(1, *index)] = bad
+        with pytest.raises(ValueError, match=rf"^{label} {message} \("):
+            guard(stack)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_normalized_stack_names_the_failing_entry(self, bad):
+        states = np.stack([np.array([1.0, 0.0], dtype=complex)] * 3)
+        np.testing.assert_array_equal(linalg.require_normalized(states, "Phi"), states)
+        states[2, 1] = bad
+        with pytest.raises(ValueError, match=rf"^Phi\[2\] must be normalized \(norm = {bad}\)$"):
+            linalg.require_normalized(states, "Phi")
+        with pytest.raises(ValueError, match=r"^Phi\[1\] must be normalized \(norm = 2\.0\)$"):
+            linalg.require_normalized(states * [[1.0], [2.0], [1.0]], "Phi")
+
 
 def _hermitian_with_defect(defect: float) -> np.ndarray:
     m = np.diag([1.0, -1.0]).astype(complex)
@@ -152,6 +181,15 @@ def _diagonal_with_gram_defect(defect: float) -> np.ndarray:
     return np.diag([1.0, np.sqrt(1.0 + defect)]).astype(complex)
 
 
+def _second_of_two(build):
+    """A stack of two matrices, of which only the second carries the defect."""
+    return lambda defect: np.stack([build(0.0), build(defect)])
+
+
+def _of_second(defect_of):
+    return lambda stack: defect_of(stack)[1]
+
+
 @pytest.mark.parametrize("guard, defect_of, build, tol, message", [
     (linalg.require_hermitian, hermiticity_defect, _hermitian_with_defect, HERMITIAN_TOL,
      "not Hermitian"),
@@ -159,7 +197,16 @@ def _diagonal_with_gram_defect(defect: float) -> np.ndarray:
      "not unitary"),
     (require_orthonormal_basis, orthonormality_defect, _diagonal_with_gram_defect,
      ORTHONORMAL_TOL, "not orthonormal"),
-], ids=["hermitian", "unitary", "orthonormal"])
+    (partial(linalg.require_hermitian, name=["H(0.5)", "H(1.5)"]),
+     _of_second(hermiticity_defect), _second_of_two(_hermitian_with_defect), HERMITIAN_TOL,
+     r"^H\(1\.5\) is not Hermitian"),
+    (linalg.require_unitary, _of_second(linalg.unitarity_defect),
+     _second_of_two(_diagonal_with_gram_defect), UNITARY_TOL, r"^operator\[1\] is not unitary"),
+    (require_orthonormal_basis, _of_second(orthonormality_defect),
+     _second_of_two(_diagonal_with_gram_defect), ORTHONORMAL_TOL,
+     r"^basis\[1\] is not orthonormal"),
+], ids=["hermitian", "unitary", "orthonormal", "hermitian-stack", "unitary-stack",
+        "orthonormal-stack"])
 class TestGuardsAtTheirConstants:
     """Each guard reads its module tolerance: a defect of half the bound
     passes, twice the bound is refused, and NaN is refused."""
@@ -208,6 +255,34 @@ class TestHermiticityDefectStack:
     def test_refuses_what_is_not_a_square_stack(self, shape):
         with pytest.raises(ValueError, match="square matrix"):
             hermiticity_defect(np.zeros(shape))
+
+    # the Gram defects: unitarity of square matrices, orthonormality of any
+    # (dim, n) block of columns
+    @settings(max_examples=100, deadline=None)
+    @given(parts=st.integers(1, 5).flatmap(lambda n: st.integers(1, 4).flatmap(
+        lambda d: st.integers(1, d).flatmap(lambda k: arrays(
+            np.float64, (2, n, d, k), elements=st.one_of(st.floats(-1e3, 1e3), st.just(np.nan)))))))
+    def test_gram_defects_match_per_matrix_values(self, parts):
+        stack = parts[0] + 1j * parts[1]
+        defects = [orthonormality_defect]
+        if stack.shape[-1] == stack.shape[-2]:
+            defects.append(linalg.unitarity_defect)
+        for defect in defects:
+            out = defect(stack)
+            assert isinstance(out, np.ndarray) and out.shape == stack.shape[:1]
+            per_matrix = [defect(m) for m in stack]
+            assert all(type(value) is float for value in per_matrix)
+            by_definition = [np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))) for m in stack]
+            np.testing.assert_array_equal(out, per_matrix)
+            np.testing.assert_array_equal(out, by_definition)
+            has_nan = np.isnan(stack).any(axis=(1, 2))
+            assert np.all(np.isnan(out[has_nan]))
+            assert np.all(np.isfinite(out[~has_nan]))
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (4, 2, 3), (0, 0), (2, 0, 0)])
+    def test_unitarity_defect_refuses_what_is_not_a_square_stack(self, shape):
+        with pytest.raises(ValueError, match="square matrix"):
+            linalg.unitarity_defect(np.zeros(shape))
 
 
 class TestGeneralExponential:

@@ -618,6 +618,35 @@ class TestCompletenessIdentity:
         with pytest.raises(ValueError, match="incomplete"):
             potent_completeness_residual(np.eye(6), phi, np.eye(2, dtype=complex)[:, :1])
 
+    @pytest.mark.parametrize("ds, da", [(2, 3), (3, 2), (4, 4)])
+    def test_stack_matches_per_matrix_calls(self, ds, da):
+        rng = np.random.default_rng(27)
+        joints = np.stack([random_unitary(ds * da, rng) for _ in range(7)])
+        phis = np.stack([random_state(ds, rng) for _ in range(7)])
+        basis = random_unitary(ds, rng)
+        stacked = potent_completeness_residual(joints, phis, basis)
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (7,)
+        per_matrix = [potent_completeness_residual(u, phi, basis) for u, phi in zip(joints, phis)]
+        assert all(type(r) is float for r in per_matrix)
+        np.testing.assert_allclose(stacked, per_matrix, rtol=0, atol=1e-15)
+        # a grid of stacks reads the same
+        grid = potent_completeness_residual(joints[:6].reshape(2, 3, ds * da, ds * da),
+                                            phis[:6].reshape(2, 3, ds), basis)
+        np.testing.assert_allclose(grid.ravel(), per_matrix[:6], rtol=0, atol=1e-15)
+
+    def test_stack_refusal_names_the_entry(self):
+        rng = np.random.default_rng(28)
+        joints = np.stack([random_unitary(6, rng) for _ in range(4)])
+        phis = np.stack([random_state(2, rng) for _ in range(4)])
+        basis = np.eye(2, dtype=complex)
+        joints[2] *= 2
+        with pytest.raises(ValueError, match=r"^joint evolution\[2\] is not unitary"):
+            potent_completeness_residual(joints, phis, basis)
+        joints[2] /= 2
+        phis[3] *= 2
+        with pytest.raises(ValueError, match=r"^phi\[3\] must be normalized"):
+            potent_completeness_residual(joints, phis, basis)
+
 
 class TestSystemControlled:
     def test_single_block(self, amplification):

@@ -7,9 +7,9 @@ import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from potentops import QubitMeter, linalg, meters
+from potentops import QubitMeter, linalg, meters, partial_matrix_element, scenarios
 from potentops.cli import EXIT_OK, EXIT_RESIDUAL, main
-from potentops.sampling import random_hermitian, random_state
+from potentops.sampling import random_hermitian, random_state, random_unitary
 from potentops.scenarios import (
     KINDS,
     ConfigError,
@@ -228,6 +228,27 @@ class TestRunScenario:
         assert len(rows) == 5
         assert all(row["residual"] <= 1e-10 for row in rows)
 
+    # Each (system_dim, apparatus_dim) group is checked as one stack; against
+    # the per-instance route (same draws, one joint at a time, the terms
+    # <phi|U|n><n|U^dag|phi> summed column by column) the rows keep their
+    # index columns and move by at most 1e-15.
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_completeness_matches_the_per_instance_route(self, seed):
+        rows = run_scenario(parse_config_mapping({"scenario": "completeness", "seed": seed}))
+        rng = np.random.default_rng(seed)
+        expected = []
+        for ds, da in KINDS["completeness"].template["dims"]:
+            for _ in range(KINDS["completeness"].template["count"]):
+                joint, phi = random_unitary(ds * da, rng), random_state(ds, rng)
+                total = sum(m @ m.conj().T for m in (partial_matrix_element(joint, phi, e)
+                                                     for e in np.eye(ds)))
+                expected.append((len(expected), ds, da, np.max(np.abs(total - np.eye(da)))))
+        assert len(rows) == len(expected) == 450
+        assert [(r["instance"], r["system_dim"], r["apparatus_dim"]) for r in rows] \
+            == [e[:3] for e in expected]
+        assert all(type(r["instance"]) is int for r in rows)
+        assert max(abs(r["residual"] - e[3]) for r, e in zip(rows, expected)) <= 1e-15
+
     def test_conditional_rows(self):
         cfg = parse_config("scenario: conditional\ncount: 5\nseed: 3")
         rows = run_scenario(cfg)
@@ -302,6 +323,29 @@ class TestSharedDecompositions:
         rows = run_scenario(parse_config_mapping(
             {"scenario": kind, "g": [0.3, 1.0], **QUBIT_METER_3}))
         assert not any(within_tolerance(r["residual"], KINDS[kind].tolerance) for r in rows)
+
+    # prob_exact scaled by 1 + 1e-6 where the branch engine yields it, with the
+    # rows untouched: each kind with a joint oracle holds that column to the
+    # oracle's probability (weak-value has no joint oracle yet).
+    @pytest.mark.parametrize("kind", ["modular-value", "potent-values", "potent-operator"])
+    def test_scaled_prob_exact_fails(self, monkeypatch, capsys, kind):
+        points = scenarios._qubit_meter_points
+        monkeypatch.setattr(scenarios, "_qubit_meter_points", lambda *args: (
+            (g, d, prob * (1 + 1e-6)) for g, d, prob in points(*args)))
+        assert main([kind]) == EXIT_RESIDUAL
+
+    # A NaN oracle probability beside a finite oracle state fails the run: the
+    # residual's terms combine so that NaN is kept, where max() would drop it.
+    @pytest.mark.parametrize("kind", ["modular-value", "potent-values", "potent-operator"])
+    def test_nan_oracle_probability_fails(self, monkeypatch, capsys, kind):
+        evolve = scenarios.joint_evolve_and_postselect
+
+        def nan_probabilities(*args, **kwargs):
+            states, probabilities = evolve(*args, **kwargs)
+            return states, probabilities * np.nan
+
+        monkeypatch.setattr(scenarios, "joint_evolve_and_postselect", nan_probabilities)
+        assert main([kind]) == EXIT_RESIDUAL
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_time_machine_run_makes_one_eigh(self, eigh_shapes, n):
