@@ -3,7 +3,7 @@ general matrix exponentials, partial matrix elements, and normalization.
 
 Conventions used throughout the package:
 
-- States are 1-D complex ndarrays, operators are square 2-D complex ndarrays.
+- States are 1-D complex ndarrays, operators square 2-D ones; stacks lead with more axes.
 - Planck's constant is 1; Hamiltonians and couplings are dimensionless.
 - Composite indices are system-major: the joint index of (system s, apparatus a)
   is ``s * apparatus_dim + a``, matching ``np.kron(system, apparatus)``.
@@ -105,14 +105,15 @@ def require_unitary(m: np.ndarray, name="operator") -> np.ndarray:
 
 def require_normalized(v: np.ndarray, name) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
-    n = np.linalg.norm(as_state(v)) if v.ndim < 2 else np.linalg.norm(v, axis=-1)
+    n = np.linalg.norm(as_state(v)) if v.ndim < 2 else _norms(v)
     _refuse_first(abs(n - 1.0) <= NORMALIZED_TOL, n, name,
                   lambda x: f"must be normalized (norm = {x!r})")
     return v
 
 
 def tensor_product(x, y) -> np.ndarray:
-    """Kronecker product of two states or two operators (system-major order).
+    """Kronecker product of two states, or of two operators or (..., d, d)
+    operator stacks, whose leading axes broadcast (system-major order).
 
     Taken as one broadcast product, entry (i, k) x entry (j, l), instead of
     ``np.kron``: the same products in the same places, so the result is
@@ -122,24 +123,23 @@ def tensor_product(x, y) -> np.ndarray:
     if x.ndim == 1 and y.ndim == 1:
         x, y = as_state(x), as_state(y)
         return (x[:, None] * y[None, :]).reshape(-1)
-    if x.ndim == 2 and y.ndim == 2:
-        x, y = as_operator(x), as_operator(y)
-        n = x.shape[0] * y.shape[0]
-        return (x[:, None, :, None] * y[None, :, None, :]).reshape(n, n)
-    raise ValueError(
-        f"tensor_product needs two states or two operators, got ndim {x.ndim} and {y.ndim}"
-    )
+    if x.ndim >= 2 and y.ndim >= 2:
+        x, y = _as_square_stack(x), _as_square_stack(y)
+        out = x[..., :, None, :, None] * y[..., None, :, None, :]
+        return out.reshape(*out.shape[:-4], x.shape[-1] * y.shape[-1], -1)
+    raise ValueError(f"tensor_product needs two states or two operators, "
+                     f"got ndim {x.ndim} and {y.ndim}")
 
 
 def hermitian_exponential(h: np.ndarray, scale: complex) -> np.ndarray:
-    """exp(scale * H) for Hermitian H, via eigendecomposition.
+    """exp(scale * H) for Hermitian H, or each H of a (..., d, d) stack, by one eigh.
 
     Unitary (to tolerance) whenever scale is purely imaginary. The scale may be
     any complex number; the spectrum is exponentiated directly.
     """
-    h = require_hermitian(as_operator(h), name="exponential generator")
+    h = require_hermitian(h, name="exponential generator")
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(scale * w)) @ v.conj().T
+    return (v * np.exp(scale * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def general_exponential(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
@@ -236,24 +236,31 @@ def partial_matrix_element(u: np.ndarray, bra: np.ndarray, ket: np.ndarray) -> n
     return np.einsum("s,satb,t->ab", bra.conj(), u4, ket)
 
 
-def normalize(v: np.ndarray) -> np.ndarray:
-    """Unit-norm copy with the comparison phase convention applied.
+def _norms(v: np.ndarray):
+    """|v| of each state of a (..., d) stack, summed as np.linalg.norm sums one
+    vector (real and imaginary dot products), so the norms are per-vector bits."""
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
 
-    The first amplitude of modulus > PHASE_TOL is made real and positive, so
-    normalize(lam * v) == normalize(v) for any nonzero complex lam.
+
+def normalize(v: np.ndarray) -> np.ndarray:
+    """Unit-norm copy with the comparison phase convention applied, of a state
+    or of each state of a (..., d) stack.
+
+    The first amplitude of modulus > PHASE_TOL (a unit vector has one of modulus
+    >= 1/sqrt(d)) is made real and positive, so normalize(lam * v) == normalize(v)
+    for any nonzero complex lam.
     """
-    v = as_state(v)
-    n = np.linalg.norm(v)
-    if not np.isfinite(n):
-        raise ValueError(f"cannot normalize a vector of non-finite norm {n}")
-    if n <= ZERO_NORM_TOL:
+    v = np.asarray(v, dtype=complex)
+    n = np.linalg.norm(as_state(v)) if v.ndim < 2 else _norms(v)
+    if not np.isfinite(n).all():
+        raise ValueError(f"cannot normalize a vector of non-finite norm {np.max(n)}")
+    if (n <= ZERO_NORM_TOL).any():
         raise ValueError("cannot normalize a (numerically) zero vector")
-    u = v / n
-    sig = np.flatnonzero(np.abs(u) > PHASE_TOL)
-    if sig.size:
-        pivot = u[sig[0]]
-        u = u * (pivot.conjugate() / abs(pivot))
-    return u
+    u = v / n[..., None]
+    pivot = np.take_along_axis(u, (np.abs(u) > PHASE_TOL).argmax(-1)[..., None], -1)
+    # hypot is abs() of one complex scalar to the bit, which np.abs is not
+    return u * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
 def fidelity(u: np.ndarray, v: np.ndarray) -> float:

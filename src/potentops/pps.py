@@ -114,35 +114,43 @@ class PotentOperator:
         return self.matrix @ as_state(Phi)
 
 
-def weak_value(A: np.ndarray, sel: PrePostSelection) -> complex:
-    """<phi|A|psi> / <phi|psi>; complex in general, unbounded by A's spectrum."""
-    A = as_operator(A)
-    if A.shape[0] != sel.dim:
-        raise ValueError(f"operator dim {A.shape[0]} != selection dim {sel.dim}")
-    return complex(np.vdot(sel.phi, A @ sel.psi)) / sel.overlap
+def weak_value(A: np.ndarray, sel: PrePostSelection):
+    """<phi|A|psi> / <phi|psi>; complex in general, unbounded by A's spectrum.
+    An (n, d, d) stack of A gives an array of n weak values."""
+    A = linalg._as_square_stack(A)
+    if A.shape[-1] != sel.dim:
+        raise ValueError(f"operator dim {A.shape[-1]} != selection dim {sel.dim}")
+    numerator = (sel.phi.conj() @ (A @ sel.psi)[..., None])[..., 0]  # summed as np.vdot sums
+    return numerator / sel.overlap if A.ndim > 2 else complex(numerator) / sel.overlap
 
 
 def spectral_weights(A: np.ndarray, sel: PrePostSelection):
     """(lam, w) from one eigendecomposition of Hermitian A: its eigenvalues and
     the weak values w_n = <phi|v_n><v_n|psi> / <phi|psi> of its eigenprojectors.
-    The potent operator of exp(-i g A (x) P) is sum_n w_n exp(-i g lam_n P)."""
-    A = require_hermitian(as_operator(A), name="A")
-    if A.shape[0] != sel.dim:
-        raise ValueError(f"operator dim {A.shape[0]} != selection dim {sel.dim}")
+    The potent operator of exp(-i g A (x) P) is sum_n w_n exp(-i g lam_n P).
+    An (n, d, d) stack of A takes one guard and one eigh, giving (n, d) arrays."""
+    A = require_hermitian(A, name="A")
+    if A.shape[-1] != sel.dim:
+        raise ValueError(f"operator dim {A.shape[-1]} != selection dim {sel.dim}")
     lam, vecs = np.linalg.eigh(A)
-    return lam, (sel.phi.conj() @ vecs) * (vecs.conj().T @ sel.psi) / sel.overlap
+    return lam, (sel.phi.conj() @ vecs) * (vecs.conj().swapaxes(-1, -2) @ sel.psi) / sel.overlap
 
 
-def diagonal_potent_operator(lam: np.ndarray, w: np.ndarray, g: float, p) -> np.ndarray:
+def diagonal_potent_operator(lam: np.ndarray, w: np.ndarray, g, p) -> np.ndarray:
     """Diagonal of the potent operator of exp(-i g A (x) P) for a diagonal P
     with entries p, from the :func:`spectral_weights` (lam, w) of A: entry k
-    is sum_n w_n exp(-i g lam_n p_k). At p = 1 this is the modular value."""
-    return np.exp(-1j * g * np.outer(p, lam)) @ w
+    is sum_n w_n exp(-i g lam_n p_k). At p = 1 this is the modular value. A vector
+    of couplings g and stacked (..., d) (lam, w) broadcast: one diagonal each."""
+    lam, w, g = np.asarray(lam), np.asarray(w), np.asarray(g)[..., None, None]
+    phases = np.exp(-1j * g * (np.asarray(p)[:, None] * lam[..., None, :]))
+    return (phases @ w[..., None])[..., 0]
 
 
-def modular_value(A: np.ndarray, g: float, sel: PrePostSelection) -> complex:
-    """<phi|exp(-i g A)|psi> / <phi|psi> for Hermitian A."""
-    return complex(diagonal_potent_operator(*spectral_weights(A, sel), g, [1.0])[0])
+def modular_value(A: np.ndarray, g, sel: PrePostSelection):
+    """<phi|exp(-i g A)|psi> / <phi|psi> for Hermitian A. An (n, d, d) stack
+    of A or a vector of couplings g gives an array of modular values."""
+    value = diagonal_potent_operator(*spectral_weights(A, sel), g, [1.0])[..., 0]
+    return complex(value) if value.ndim == 0 else value
 
 
 def joint_evolve_and_postselect(U: np.ndarray, psi: np.ndarray, Phi: np.ndarray,
@@ -297,7 +305,7 @@ def _require_projector_decomposition(projectors, dim: int, name: str) -> np.ndar
     if violations.size:
         i, j = violations[0]
         raise ValueError(f"{name}: projectors {i},{j} violate P_i P_j = delta_ij P_i")
-    if not np.max(np.abs(sum(projs) - np.eye(dim))) <= PROJECTOR_TOL:
+    if not np.max(np.abs(np.sum(projs, axis=0) - np.eye(dim))) <= PROJECTOR_TOL:
         raise ValueError(f"{name}: projectors do not sum to the identity")
     return projs
 
@@ -306,7 +314,7 @@ def potent_operator_system_controlled(projectors, unitaries, sel: PrePostSelecti
     """Potent operator of U = sum_n Pi_n (x) U_n: the weak values of the
     control projectors weight the branch unitaries.
 
-    Returns (PotentOperator, list of <Pi_n>_w). The weak values of a complete
+    Returns (PotentOperator, array of <Pi_n>_w). The weak values of a complete
     projector family sum to 1; that is verified here to the bound
     d PROJECTOR_TOL |phi||psi| / |<phi|psi>| that the projector guard implies.
     """
@@ -317,14 +325,14 @@ def potent_operator_system_controlled(projectors, unitaries, sel: PrePostSelecti
     if any(u.shape != unis[0].shape for u in unis):
         raise ValueError("apparatus unitaries must share one dimension")
     unis = require_unitary(np.array(unis), name=[f"U_{n}" for n in range(len(unis))])
-    weak_vals = [weak_value(p, sel) for p in projs]
-    total = sum(weak_vals)
+    weak_vals = weak_value(projs, sel)
+    total = np.sum(weak_vals)
     # |total - 1| = |<phi|E|psi>| / |<phi|psi>| for E = sum_n Pi_n - I, whose
     # entries the projector guard holds within PROJECTOR_TOL
     bound = sel.dim * PROJECTOR_TOL * np.linalg.norm(sel.phi) * np.linalg.norm(sel.psi)
     if not abs(total - 1.0) <= bound / abs(sel.overlap):
         raise ValueError(f"projector weak values sum to {total}, not 1")
-    return PotentOperator(matrix=sum(w * u for w, u in zip(weak_vals, unis))), weak_vals
+    return PotentOperator(matrix=np.einsum("n,nab->ab", weak_vals, unis)), weak_vals
 
 
 def potent_operator_apparatus_controlled(generators, projectors, lam: float,
@@ -332,7 +340,7 @@ def potent_operator_apparatus_controlled(generators, projectors, lam: float,
     """Potent operator of U = sum_n exp(-i lam A_n) (x) P_n: the modular values
     of the branch generators weight the apparatus projectors.
 
-    Returns (PotentOperator, list of <A_n>_M).
+    Returns (PotentOperator, array of <A_n>_M).
     """
     gens = [as_operator(a) for a in generators]
     if any(a.shape[0] != sel.dim for a in gens):
@@ -344,12 +352,12 @@ def potent_operator_apparatus_controlled(generators, projectors, lam: float,
     if len(gens) != len(projs):
         raise ValueError(f"{len(projs)} projectors but {len(gens)} generators")
     gens = require_hermitian(np.array(gens), name=[f"A_{n}" for n in range(len(gens))])
-    modular_vals = [modular_value(a, lam, sel) for a in gens]
-    return PotentOperator(matrix=sum(m * p for m, p in zip(modular_vals, projs))), modular_vals
+    modular_vals = modular_value(gens, lam, sel)
+    return PotentOperator(matrix=np.einsum("n,nab->ab", modular_vals, projs)), modular_vals
 
 
 def conditional_unitary(system_factors, apparatus_factors) -> np.ndarray:
     """Assemble sum_n S_n (x) M_n on the joint space: Pi_n (x) U_n for a
     system-controlled unitary, exp(-i lam A_n) (x) P_n for an
-    apparatus-controlled one. Either list may be an (n, d, d) stack."""
-    return sum(tensor_product(s, m) for s, m in zip(system_factors, apparatus_factors))
+    apparatus-controlled one. Either may be a list or an (n, d, d) stack."""
+    return np.sum(tensor_product(system_factors, apparatus_factors), axis=0)

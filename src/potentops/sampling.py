@@ -26,9 +26,14 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR with the standard phase fix."""
-    q, r = np.linalg.qr(complex_gaussian(rng, (dim, dim)))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_unitaries(complex_gaussian(rng, (dim, dim)))
+
+
+def _haar_unitaries(gaussians: np.ndarray) -> np.ndarray:
+    """random_unitary's unitary of its gaussian draw, or of each of a stack of draws."""
+    q, r = np.linalg.qr(gaussians)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_selection(dim: int, rng: np.random.Generator):

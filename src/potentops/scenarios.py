@@ -56,6 +56,7 @@ from .pps import (
     weak_value,
 )
 from .sampling import (
+    _haar_unitaries,
     random_hermitian,
     random_projector_decomposition,
     random_selection,
@@ -128,7 +129,7 @@ class Kind:
     ``columns`` is the stable, documented column order of its rows (complex
     quantities appear as _re/_im pairs; see README). A row whose residual is
     above ``tolerance`` fails the run (exit code 2): 1e-12 for weak-value, conditional,
-    modular-value and time-machine (the last two against Pade joints), else 1e-10.
+    modular-value and time-machine, else 1e-10.
     ``template`` is the preset configuration; a config that omits a key, or a
     key of a nested mapping, takes the template's value. ``parse`` turns the
     config, completed from the template, into run parameters; ``run`` turns a
@@ -436,88 +437,62 @@ def scenario_template(kind: str) -> dict:
 
 
 def _qubit_meter_points(p: dict, sel: PrePostSelection, lam, w):
-    """(g, diagonal d of the potent operator diag(1, A_M), probability) for each
-    coupling of exp(-i g A (x) |1><1|), by the branch sum over the (lam, w) of
-    :func:`spectral_weights`: the meter leaves as <phi|psi> d * (alpha, beta).
-    Every qubit-meter kind is this one construction, read out differently."""
-    for g in p["g"]:
-        d = diagonal_potent_operator(lam, w, g, [0.0, 1.0])
-        yield g, d, float(np.linalg.norm(sel.overlap * d * p["meter"].state) ** 2)
+    """(d, prob) for every coupling g of exp(-i g A (x) |1><1|) at once, from the (lam, w)
+    of spectral_weights: the (n_g, 2) diagonals d of diag(1, A_M), |<phi|psi> d (alpha, beta)|^2."""
+    d = diagonal_potent_operator(lam, w, p["g"], [0.0, 1.0])
+    return d, linalg._norms(sel.overlap * d * p["meter"].state) ** 2
 
 
-def _run_weak_value(cfg: ScenarioConfig) -> list[dict]:
-    p = cfg.params
+def _run_qubit_meter(cfg: ScenarioConfig) -> list[dict]:
+    """Rows of the four qubit-meter kinds, one construction read out four ways,
+    every coupling in one array. Every residual holds prob_exact to the oracle,
+    the meters post-selected from the dense joints exp(-i g A (x) |1><1|) of one
+    stacked Pade exponential, which shares no decomposition; each kind adds one
+    term. Potent rows are the entries of d * (alpha, beta) or of diag(d)."""
+    p, meter = cfg.params, cfg.params["meter"]
     sel = PrePostSelection(p["psi"], p["phi"])
-    value = weak_value(p["observable"], sel)
-    # Independent route: spectral decomposition turns A_w into an
-    # eigenvalue-weighted sum of projector weak values.
     lam, w = spectral_weights(p["observable"], sel)
-    residual = abs(value - complex(lam @ w))
-    return [{"scenario": cfg.kind, "g": g, "value_re": value.real, "value_im": value.imag,
-             "prob_exact": p_exact, "residual": residual}
-            for g, _, p_exact in _qubit_meter_points(p, sel, lam, w)]
-
-
-def _qubit_meter_runs(p: dict):
-    """The selection, and each coupling's point of :func:`_qubit_meter_points`
-    paired with its oracle: the post-selected meter and its probability from
-    the dense joints exp(-i g A (x) |1><1|) of one stacked Pade exponential,
-    which shares no decomposition, evolved and post-selected in one call."""
-    sel = PrePostSelection(p["psi"], p["phi"])
-    points = _qubit_meter_points(p, sel, *spectral_weights(p["observable"], sel))
-    meter = p["meter"]
-    oracle = joint_evolve_and_postselect(meter.coupling_unitaries(p["observable"], p["g"]),
-                                         p["psi"], meter.state, p["phi"], check_unitary=False)
-    return sel, zip(points, zip(*oracle))
-
-
-def _worst(*terms) -> float:  # the largest residual term; NaN if any is, which max() may drop
-    return math.nan if any(t != t for t in terms) else float(max(terms))
-
-
-def _run_modular_value(cfg: ScenarioConfig) -> list[dict]:
-    p = cfg.params
-    sel, runs = _qubit_meter_runs(p)
-    rows = []
-    for (g, d, p_exact), (oracle, oracle_p) in runs:
-        value = complex(d[1])
-        # Independent route: dense joint evolution; the |1> amplitude of the
-        # post-selected meter is overlap * beta * modular value.
-        from_joint = complex(oracle[1] / (sel.overlap * p["meter"].beta))
-        rows.append({"scenario": cfg.kind, "g": g, "value_re": value.real,
-                     "value_im": value.imag, "prob_exact": p_exact,
-                     "residual": _worst(abs(value - from_joint), abs(p_exact - oracle_p))})
-    return rows
-
-
-def _run_potent(cfg: ScenarioConfig) -> list[dict]:
-    """potent-values rows (entry k of d * (alpha, beta)) or potent-operator rows
-    (entry (row, col) of diag(d)), sharing one residual per coupling: the normalized
-    meter, prob_exact and |values|^2 |<phi|psi>|^2 against the oracle's state and p."""
-    p = cfg.params
-    sel, runs = _qubit_meter_runs(p)
-    operator = cfg.kind == "potent-operator"
-    index_columns = ("row", "col") if operator else ("k",)
-    rows = []
-    for (g, d, p_exact), (oracle, oracle_p) in runs:
-        values = d * p["meter"].state
-        residual = _worst(np.max(np.abs(normalize(values) - normalize(oracle))),
-                          abs(p_exact - oracle_p),
-                          abs(np.linalg.norm(values) ** 2 * abs(sel.overlap) ** 2 - oracle_p))
-        for index, value in np.ndenumerate(np.diag(d) if operator else values):
-            rows.append({"scenario": cfg.kind, "g": g, **dict(zip(index_columns, index)),
-                         "value_re": value.real, "value_im": value.imag,
-                         "prob_exact": p_exact, "residual": residual})
-    return rows
+    d, prob = _qubit_meter_points(p, sel, lam, w)
+    oracle, oracle_p = joint_evolve_and_postselect(
+        meter.coupling_unitaries(p["observable"], p["g"]), p["psi"], meter.state, p["phi"],
+        check_unitary=False)
+    index_columns = {"potent-values": ("k",), "potent-operator": ("row", "col")}.get(cfg.kind, ())
+    if cfg.kind == "weak-value":
+        # Independent route: spectral decomposition turns A_w into an
+        # eigenvalue-weighted sum of projector weak values.
+        value = weak_value(p["observable"], sel)
+        table, term = np.full(len(p["g"]), value), abs(value - complex(lam @ w))
+    elif cfg.kind == "modular-value":
+        # Independent route: the |1> amplitude of the post-selected meter is
+        # overlap * beta * modular value.
+        table = d[:, 1]
+        term = np.abs(table - oracle[:, 1] / (sel.overlap * meter.beta))
+    else:
+        # The normalized meter, and |values|^2 |<phi|psi>|^2 against the oracle's p.
+        values = d * meter.state
+        term = np.maximum(np.max(np.abs(normalize(values) - normalize(oracle)), axis=-1),
+                          np.abs(linalg._norms(values) ** 2 * abs(sel.overlap) ** 2 - oracle_p))
+        table = values if cfg.kind == "potent-values" else np.where(np.eye(2) == 1, d[..., None], 0)
+    residual = np.maximum(np.abs(prob - oracle_p), term)  # NaN if either term is
+    indices = list(itertools.product((0, 1), repeat=len(index_columns)))
+    per_g = zip(p["g"], table.reshape(len(p["g"]), -1).tolist(), prob.tolist(), residual.tolist())
+    return [{"scenario": cfg.kind, "g": g, **dict(zip(index_columns, index)), "value_re": z.real,
+             "value_im": z.imag, "prob_exact": prob_g, "residual": residual_g}
+            for g, entries, prob_g, residual_g in per_g for index, z in zip(indices, entries)]
 
 
 def _run_completeness(cfg: ScenarioConfig) -> list[dict]:
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for ds, da in cfg.params["dims"]:
-        draws = [(random_unitary(ds * da, rng), random_state(ds, rng))
-                 for _ in range(cfg.params["count"])]
-        joints, phis = map(np.array, zip(*draws))
+        D = ds * da
+        # One flat draw per instance holds the numbers that random_unitary(D)
+        # and then random_state(ds) would draw: real parts, then imaginary ones.
+        draws = rng.standard_normal((cfg.params["count"], 2 * D * D + 2 * ds))
+        re_u, im_u, re_phi, im_phi = np.split(draws, np.cumsum([D * D, D * D, ds]), axis=1)
+        joints = _haar_unitaries((re_u + 1j * im_u).reshape(-1, D, D))
+        phis = re_phi + 1j * im_phi
+        phis = phis / linalg._norms(phis)[:, None]
         for residual in potent_completeness_residual(joints, phis, np.eye(ds, dtype=complex)):
             rows.append({"scenario": cfg.kind, "instance": len(rows), "system_dim": ds,
                          "apparatus_dim": da, "residual": residual})
@@ -611,19 +586,19 @@ _parse_qubit_selection = partial(_parse_selection, parse_meter=_parse_qubit_mete
 KINDS: dict[str, Kind] = {
     "weak-value": Kind(
         _VALUE_COLUMNS, 1e-12, {**_SELECTION, "g": [0.2, 0.1, 0.05], "meter": _BALANCED_QUBIT},
-        _parse_qubit_selection, _run_weak_value),
+        _parse_qubit_selection, _run_qubit_meter),
     "modular-value": Kind(
         _VALUE_COLUMNS, 1e-12,
         {**_SELECTION, "g": [0.5, float(np.pi / 2)], "meter": _BALANCED_QUBIT},
-        _parse_modular_value, _run_modular_value),
+        _parse_modular_value, _run_qubit_meter),
     "potent-values": Kind(
         ("scenario", "g", "k", "value_re", "value_im", "prob_exact", "residual"), 1e-10,
         {**_SELECTION, "g": [1.0], "meter": {"kind": "qubit", "alpha": 0.6, "beta": 0.8}},
-        _parse_qubit_selection, _run_potent),
+        _parse_qubit_selection, _run_qubit_meter),
     "potent-operator": Kind(
         ("scenario", "g", "row", "col", "value_re", "value_im", "prob_exact", "residual"),
         1e-10, {**_SELECTION, "g": [1.0], "meter": _BALANCED_QUBIT},
-        _parse_qubit_selection, _run_potent),
+        _parse_qubit_selection, _run_qubit_meter),
     "completeness": Kind(
         ("scenario", "instance", "system_dim", "apparatus_dim", "residual"), 1e-10,
         {"dims": [[ds, da] for ds in (2, 3, 4) for da in (2, 3, 4)], "count": 50},

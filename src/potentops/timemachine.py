@@ -49,12 +49,17 @@ class EvolutionFamily:
         if not 0 <= self.duration < np.inf:
             raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
         object.__setattr__(self, "parameters", params)
-        for a in params:
-            require_hermitian(self.generator(a), name=f"H({a})")
+        require_hermitian(self._generators(), name=(f"H({a})" for a in params))
 
-    def branch_unitaries(self) -> list[np.ndarray]:
-        return [hermitian_exponential(self.generator(a), -1j * self.duration)
-                for a in self.parameters]
+    def _generators(self) -> np.ndarray:
+        hs = [np.asarray(self.generator(a), dtype=complex) for a in self.parameters]
+        if any(h.shape != hs[0].shape for h in hs):
+            raise ValueError(f"H(a) must share one shape, got {[h.shape for h in hs]}")
+        return np.array(hs)
+
+    def branch_unitaries(self) -> np.ndarray:
+        """The exp(-i H(a_i) T) as one (n, d, d) stack, from one stacked exponential."""
+        return hermitian_exponential(self._generators(), -1j * self.duration)
 
 
 @dataclass(frozen=True)
@@ -114,9 +119,9 @@ def superposed_evolution(family: EvolutionFamily, spec: SuperpositionSpec, Phi: 
         raise ValueError(f"{len(family.parameters)} parameters but {len(spec)} coefficients")
     Phi = require_normalized(Phi, "Phi")
     unitaries = family.branch_unitaries()
-    for a, u in zip(family.parameters, unitaries):
-        if u.shape[1] != Phi.size:
-            raise ValueError(f"H({a}) has shape {u.shape}, Phi has shape {Phi.shape}")
+    if unitaries.shape[-1] != Phi.size:
+        raise ValueError(f"H({family.parameters[0]}) has shape {unitaries.shape[1:]}, "
+                         f"Phi has shape {Phi.shape}")
     state = sum(c * (u @ Phi) for c, u in zip(spec.coefficients, unitaries))
     return state, float(np.linalg.norm(state))
 
@@ -135,7 +140,7 @@ def potent_time_superposition(branches, spec: SuperpositionSpec) -> PotentOperat
     if len(branches) != len(spec):
         raise ValueError(f"{len(branches)} branches but {len(spec)} coefficients")
     n = len(spec)
-    register = [np.diag(e) for e in np.eye(n)]
+    register = np.eye(n)[:, :, None] * np.eye(n)[:, None, :]  # the projectors |i><i|
     sel = PrePostSelection(psi=spec.coefficients / np.linalg.norm(spec.coefficients),
                            phi=np.ones(n, dtype=complex) / np.sqrt(n))
     return potent_operator(conditional_unitary(register, branches), sel)

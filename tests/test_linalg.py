@@ -284,6 +284,66 @@ class TestHermiticityDefectStack:
         with pytest.raises(ValueError, match="square matrix"):
             linalg.unitarity_defect(np.zeros(shape))
 
+    # The stack-aware primitives: a stack gives the bits of per-entry calls,
+    # and a stack with a NaN entry is refused where a per-entry call would be.
+    @settings(max_examples=100, deadline=None)
+    @given(parts=st.integers(1, 4).flatmap(lambda n: st.tuples(*(
+        st.integers(1, 4).flatmap(lambda d: arrays(np.float64, (2, n, d, d), elements=st.one_of(
+            st.floats(-1e3, 1e3), st.just(np.nan)))) for _ in range(2)))))
+    def test_tensor_product_matches_per_entry_calls(self, parts):
+        x, y = (p[0] + 1j * p[1] for p in parts)
+        out = tensor_product(x, y)
+        assert out.shape == (len(x), x.shape[-1] * y.shape[-1], x.shape[-1] * y.shape[-1])
+        assert out.tobytes() == np.array([tensor_product(a, b) for a, b in zip(x, y)]).tobytes()
+        # leading axes broadcast; a broadcast operand may take numpy's other
+        # complex multiply loop, which rounds each product to within an ulp
+        broadcast = tensor_product(x, y[0])
+        per_entry = np.array([tensor_product(a, y[0]) for a in x])
+        np.testing.assert_array_equal(np.isnan(broadcast), np.isnan(per_entry))
+        finite = ~np.isnan(per_entry)
+        scale = tensor_product(np.abs(x), np.abs(y[0])).real
+        assert np.all(np.abs(broadcast - per_entry)[finite] <= 1e-15 * scale[finite])
+
+    @settings(max_examples=100, deadline=None)
+    @given(parts=st.integers(1, 4).flatmap(lambda n: st.integers(1, 5).flatmap(
+        lambda d: arrays(np.float64, (2, n, d, d),
+                         elements=st.one_of(st.floats(-1, 1), st.just(np.nan))))),
+           scale=st.complex_numbers(max_magnitude=3))
+    def test_hermitian_exponential_matches_per_entry_calls(self, parts, scale):
+        z = parts[0] + 1j * parts[1]
+        stack = (z + z.conj().swapaxes(-1, -2)) / 2
+        with_nan = [i for i, h in enumerate(stack) if np.isnan(h).any()]
+        if with_nan:
+            with pytest.raises(ValueError,
+                               match=rf"^exponential generator\[{with_nan[0]}\] is not Hermitian"):
+                hermitian_exponential(stack, scale)
+            with pytest.raises(ValueError, match=r"^exponential generator is not Hermitian"):
+                hermitian_exponential(stack[with_nan[0]], scale)
+        else:
+            out = hermitian_exponential(stack, scale)
+            assert out.tobytes() == np.array([hermitian_exponential(h, scale)
+                                              for h in stack]).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(parts=st.integers(1, 4).flatmap(lambda n: st.integers(1, 6).flatmap(
+        lambda d: arrays(np.float64, (2, n, d), elements=st.one_of(
+            st.floats(-1e3, 1e3), st.just(np.nan), st.just(0.0))))))
+    def test_normalize_matches_per_entry_calls(self, parts):
+        # a stack is refused for its first non-finite entry, else its first zero one
+        stack = parts[0] + 1j * parts[1]
+
+        def outcome(v):
+            try:
+                return normalize(v).tobytes()
+            except ValueError as exc:
+                return str(exc)
+
+        per_entry = [outcome(v) for v in stack]
+        refusals = sorted((r for r in per_entry if isinstance(r, str)),
+                          key=lambda r: "non-finite" not in r)  # stable: entry order kept
+        expected = refusals[0] if refusals else b"".join(per_entry)
+        assert outcome(stack) == expected
+
 
 class TestGeneralExponential:
     def test_zero(self):

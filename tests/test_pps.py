@@ -178,6 +178,19 @@ def spectral_cases(draw):
     return A, PrePostSelection(psi, phi), draw(st.floats(-3, 3))
 
 
+@st.composite
+def stacked_spectral_cases(draw):
+    """An (n, d, d) stack of Hermitian A, some entries possibly NaN, a
+    selection as in spectral_cases, and 1-4 couplings in [-3, 3]."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    parts = draw(arrays(np.float64, (2, n, d, d),
+                        elements=st.one_of(st.floats(-1, 1), st.just(np.nan))))
+    z = parts[0] + 1j * parts[1]
+    _, sel, _ = draw(spectral_cases().filter(lambda case: case[1].dim == d))
+    gs = draw(st.lists(st.floats(-3, 3), min_size=1, max_size=4))
+    return (z + z.conj().swapaxes(-1, -2)) / 2, sel, np.array(gs)
+
+
 class TestSpectralWeights:
     """The branch engine: (lam, w) from one eigendecomposition of A, and the
     diagonal potent operator sum_n w_n exp(-i g lam_n p)."""
@@ -207,6 +220,50 @@ class TestSpectralWeights:
         lam, w = spectral_weights(A, sel)
         remainder = modular_value(A, g, sel) - 1 + 1j * g * weak_value(A, sel)
         assert abs(remainder) <= 0.5 * g ** 2 * np.sum(np.abs(w) * lam ** 2) + 1e-12
+
+    # A stack of A, or a vector of couplings, gives the bits of per-entry
+    # calls. Weak values are the exception: one matrix's is divided by
+    # <phi|psi> in Python's complex division, a stack's in numpy's, which
+    # differ by an ulp. A NaN entry is refused as that entry would be where a
+    # guard reads it, and stays NaN where none does (weak_value takes any A).
+    @settings(max_examples=100, deadline=None)
+    @given(case=stacked_spectral_cases())
+    def test_stack_matches_per_matrix_calls(self, case):
+        A, sel, gs = case
+        per_entry = np.array([weak_value(a, sel) for a in A])
+        stacked = weak_value(A, sel)
+        np.testing.assert_array_equal(np.isnan(stacked), np.isnan(per_entry))
+        finite = ~np.isnan(per_entry)
+        assert np.all(np.abs(stacked - per_entry)[finite] <= 1e-15 * np.abs(per_entry[finite]))
+        with_nan = [i for i, a in enumerate(A) if np.isnan(a).any()]
+        if with_nan:
+            for refused in (lambda: spectral_weights(A, sel),
+                            lambda: modular_value(A, gs[0], sel)):
+                with pytest.raises(ValueError, match=rf"^A\[{with_nan[0]}\] is not Hermitian"):
+                    refused()
+            return
+        lam, w = spectral_weights(A, sel)
+        per_lam, per_w = zip(*(spectral_weights(a, sel) for a in A))
+        assert lam.tobytes() == np.array(per_lam).tobytes()
+        assert w.tobytes() == np.array(per_w).tobytes()
+        assert modular_value(A, gs[0], sel).tobytes() == np.array(
+            [modular_value(a, gs[0], sel) for a in A]).tobytes()
+        assert modular_value(A[0], gs, sel).tobytes() == np.array(
+            [modular_value(A[0], g, sel) for g in gs]).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(parts=st.integers(1, 4).flatmap(lambda n: st.integers(1, 4).flatmap(
+        lambda d: arrays(np.float64, (3, n, d), elements=st.one_of(
+            st.floats(-3, 3), st.just(np.nan))))),
+           gs=st.lists(st.floats(-3, 3), min_size=1, max_size=4),
+           p=st.lists(st.floats(-3, 3), min_size=1, max_size=3))
+    def test_diagonal_potent_operator_matches_per_entry_calls(self, parts, gs, p):
+        lam, w = parts[0], parts[1] + 1j * parts[2]
+        by_entry = [diagonal_potent_operator(x, v, gs[0], p) for x, v in zip(lam, w)]
+        assert diagonal_potent_operator(lam, w, gs[0], p).tobytes() == np.array(by_entry).tobytes()
+        by_coupling = [diagonal_potent_operator(lam[0], w[0], g, p) for g in gs]
+        assert diagonal_potent_operator(lam[0], w[0], gs, p).tobytes() \
+            == np.array(by_coupling).tobytes()
 
     def test_guards(self, amplification):
         with pytest.raises(ValueError, match="not Hermitian"):
@@ -712,7 +769,8 @@ class TestSystemControlled:
     def test_nan_projector_sum_refused(self, monkeypatch):
         from potentops import pps
 
-        monkeypatch.setattr(pps, "sum", lambda terms: np.full((2, 2), np.nan), raising=False)
+        # the projector stack is summed by one np.sum over its first axis
+        monkeypatch.setattr(pps.np, "sum", lambda stack, axis: np.full(stack.shape[1:], np.nan))
         projectors = [np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)]
         with pytest.raises(ValueError, match="do not sum to the identity"):
             pps._require_projector_decomposition(projectors, 2, "system projectors")
@@ -720,7 +778,9 @@ class TestSystemControlled:
     def test_nan_weak_value_sum_refused(self, amplification, monkeypatch):
         from potentops import pps
 
-        monkeypatch.setattr(pps, "weak_value", lambda A, sel: complex(np.nan, 0.0))
+        # one weak value per projector of the stack
+        monkeypatch.setattr(pps, "weak_value",
+                            lambda A, sel: np.full(A.shape[:-2], complex(np.nan, 0.0)))
         with pytest.raises(ValueError, match=r"sum to \(nan"):
             potent_operator_system_controlled([np.eye(2)], [np.eye(2)], amplification)
 

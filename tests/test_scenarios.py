@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from potentops import QubitMeter, linalg, meters, partial_matrix_element, scenarios
-from potentops.cli import EXIT_OK, EXIT_RESIDUAL, main
+from potentops.cli import EXIT_OK, EXIT_RESIDUAL, EXIT_VALIDATION, main
 from potentops.sampling import random_hermitian, random_state, random_unitary
 from potentops.scenarios import (
     KINDS,
@@ -292,9 +292,9 @@ class TestSharedDecompositions:
     # Per run, whatever the number of couplings: one eigh of the observable,
     # shared by every coupling's branch sum (and by weak-value's spectral
     # oracle), and one stacked Pade exponential of the joints A (x) |1><1|
-    # for the oracle of every kind but weak-value, which builds no joint.
+    # for the oracle of every kind, weak-value's prob_exact included.
     @pytest.mark.parametrize("kind, pade_calls", [
-        ("weak-value", 0), ("modular-value", 1), ("potent-values", 1), ("potent-operator", 1),
+        ("weak-value", 1), ("modular-value", 1), ("potent-values", 1), ("potent-operator", 1),
     ])
     @pytest.mark.parametrize("n", [1, 5])
     def test_qubit_meter_run_eigh_counts(self, eigh_shapes, monkeypatch, kind, pade_calls, n):
@@ -324,19 +324,25 @@ class TestSharedDecompositions:
             {"scenario": kind, "g": [0.3, 1.0], **QUBIT_METER_3}))
         assert not any(within_tolerance(r["residual"], KINDS[kind].tolerance) for r in rows)
 
-    # prob_exact scaled by 1 + 1e-6 where the branch engine yields it, with the
-    # rows untouched: each kind with a joint oracle holds that column to the
-    # oracle's probability (weak-value has no joint oracle yet).
-    @pytest.mark.parametrize("kind", ["modular-value", "potent-values", "potent-operator"])
+    # prob_exact scaled by 1 + 1e-6 where the branch engine yields it for every
+    # coupling at once, with the rows untouched: each kind holds that column to
+    # the probability of its Pade joint oracle.
+    @pytest.mark.parametrize("kind", ["weak-value", "modular-value", "potent-values",
+                                      "potent-operator"])
     def test_scaled_prob_exact_fails(self, monkeypatch, capsys, kind):
         points = scenarios._qubit_meter_points
-        monkeypatch.setattr(scenarios, "_qubit_meter_points", lambda *args: (
-            (g, d, prob * (1 + 1e-6)) for g, d, prob in points(*args)))
+
+        def scaled_probabilities(*args):
+            d, probabilities = points(*args)
+            return d, probabilities * (1 + 1e-6)
+
+        monkeypatch.setattr(scenarios, "_qubit_meter_points", scaled_probabilities)
         assert main([kind]) == EXIT_RESIDUAL
 
     # A NaN oracle probability beside a finite oracle state fails the run: the
     # residual's terms combine so that NaN is kept, where max() would drop it.
-    @pytest.mark.parametrize("kind", ["modular-value", "potent-values", "potent-operator"])
+    @pytest.mark.parametrize("kind", ["weak-value", "modular-value", "potent-values",
+                                      "potent-operator"])
     def test_nan_oracle_probability_fails(self, monkeypatch, capsys, kind):
         evolve = scenarios.joint_evolve_and_postselect
 
@@ -346,6 +352,18 @@ class TestSharedDecompositions:
 
         monkeypatch.setattr(scenarios, "joint_evolve_and_postselect", nan_probabilities)
         assert main([kind]) == EXIT_RESIDUAL
+
+    # A coupling whose joint the Pade oracle cannot exponentiate is refused
+    # before any row, weak-value included, since its prob_exact has that witness.
+    @pytest.mark.parametrize("kind", ["weak-value", "modular-value", "potent-values",
+                                      "potent-operator"])
+    def test_coupling_beyond_the_pade_cap_refused(self, capsys, tmp_path, kind):
+        cfg = tmp_path / "far.yaml"
+        cfg.write_text(f"scenario: {kind}\ng: [0.5, 1.0e300]\n")
+        assert main([kind, "--config", str(cfg)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot exponentiate a matrix of 1-norm 1.000e+300, above the cap" in captured.err
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_time_machine_run_makes_one_eigh(self, eigh_shapes, n):
@@ -376,6 +394,30 @@ class TestQubitMeterOracleProperty:
             rows = run_scenario(ScenarioConfig(kind=kind, params=params))
             assert all(within_tolerance(r["residual"], KINDS[kind].tolerance) for r in rows)
 
+    # All couplings run as one array give each coupling's own values and
+    # prob_exact to the bit (the residual is not compared: the Pade oracle
+    # picks its degree and squarings from the largest coupling of the stack).
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 4),
+           gs=st.lists(st.floats(0, 5), min_size=2, max_size=4))
+    def test_all_couplings_at_once_give_each_couplings_rows(self, seed, d, gs):
+        rng = np.random.default_rng(seed)
+        psi, phi = random_state(d, rng), random_state(d, rng)
+        assume(abs(np.vdot(phi, psi)) >= 0.1)
+        alpha, beta = random_state(2, rng)
+        params = {"observable": random_hermitian(d, rng), "psi": psi, "phi": phi,
+                  "meter": QubitMeter(alpha=alpha, beta=beta)}
+
+        def without_residual(rows):
+            return [repr({k: v for k, v in row.items() if k != "residual"}) for row in rows]
+
+        for kind in ("weak-value", "modular-value", "potent-values", "potent-operator"):
+            at_once = run_scenario(ScenarioConfig(kind=kind, params={**params, "g": gs}))
+            one_by_one = [row for g in gs
+                          for row in run_scenario(ScenarioConfig(kind=kind, params={**params,
+                                                                                    "g": [g]}))]
+            assert without_residual(at_once) == without_residual(one_by_one)
+
 
 def _faulty_eigh(monkeypatch, scaled=lambda shape: True, conjugate=False):
     """eigh with eigenvalues x(1+1e-6) for the input shapes ``scaled`` accepts,
@@ -405,8 +447,10 @@ FAULTS = {
     "eigh": _faulty_eigh,
     "pade": _scale_pade,
     "lattice": _negate_lattice,
-    "eigh-2x2": partial(_faulty_eigh, scaled=lambda shape: shape == (2, 2)),
-    "eigh-3+": partial(_faulty_eigh, scaled=lambda shape: len(shape) == 2 and shape[0] >= 3),
+    # the matrix shape, so a stacked call is faulted as each of its matrices would be
+    "eigh-2x2": partial(_faulty_eigh, scaled=lambda shape: shape[-2:] == (2, 2)),
+    "eigh-3+": partial(_faulty_eigh, scaled=lambda shape: shape[-1] >= 3),
+    "eigh-stacked": partial(_faulty_eigh, scaled=lambda shape: len(shape) >= 3),
     "eigh-conj": partial(_faulty_eigh, scaled=lambda shape: False, conjugate=True),
 }
 
@@ -423,16 +467,21 @@ SIGMA_Y_CONFIGS = {
 class TestFaultMatrix:
     """Rows take eigh and joint oracles take the Pade exponential, so a fault
     in either routine fails every kind whose residual compares the two routes.
-    Completeness takes neither routine, and weak-value takes no Pade exponential.
-    The pointer rows read Grid.momentum_lattice and its oracle builds its own
-    lattice order, so a negated lattice fails pointer-shift alone. An eigh
-    fault confined to one input shape fails the kinds that decompose that
-    shape: the 2x2 observables of the presets, or conditional's larger blocks."""
+    Completeness takes neither routine. Weak-value fails a Pade fault too: its
+    prob_exact is held to the probability of the Pade joint, as in the other
+    qubit-meter kinds. The pointer rows read Grid.momentum_lattice and its
+    oracle builds its own lattice order, so a negated lattice fails
+    pointer-shift alone. An eigh fault confined to one matrix shape fails the
+    kinds that decompose that shape: the 2x2 observables of the presets, or
+    conditional's larger blocks. One confined to stacked calls fails the kinds
+    that decompose a stack: conditional, whose modular values take one eigh of
+    all the generators A_n."""
 
-    PASSING = {"eigh": {"completeness"}, "pade": {"weak-value", "completeness"},
+    PASSING = {"eigh": {"completeness"}, "pade": {"completeness"},
                "lattice": set(KINDS) - {"pointer-shift"},
                "eigh-2x2": {"completeness"},
                "eigh-3+": set(KINDS) - {"conditional"},
+               "eigh-stacked": set(KINDS) - {"conditional"},
                "eigh-conj": {"completeness"}}
     MATRIX_FAILS = {"general_vs_hermitian_exponential", "qubit_meter_potent_values",
                     "qubit_meter_potent_operator", "apparatus_controlled_reduction",
@@ -442,6 +491,7 @@ class TestFaultMatrix:
                     "eigh-2x2": {"qubit_meter_potent_values", "qubit_meter_potent_operator"},
                     "eigh-3+": {"general_vs_hermitian_exponential",
                                 "apparatus_controlled_reduction", "time_machine_potent_route"},
+                    "eigh-stacked": {"apparatus_controlled_reduction"},
                     "eigh-conj": MATRIX_FAILS}
 
     @staticmethod

@@ -104,6 +104,21 @@ class TestSpecs:
                             generator=lambda a: np.array([[0, 1], [0, 0]], dtype=complex),
                             duration=1.0)
 
+    # H(a) is guarded as one stack; the refusal names the first failing H(a)
+    # in the words a per-parameter check used
+    @pytest.mark.parametrize("bad", [np.array([[0, 1], [0, 0]], dtype=complex),
+                                     np.array([[np.nan, 0], [0, 1]], dtype=complex)])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_first_non_hermitian_generator_named(self, bad):
+        message = (r"^H\(0\.2\) is not Hermitian \(max \|M - M\^dag\| = "
+                   + ("nan" if np.isnan(bad).any() else r"1\.000e\+00") + r" > 1\.0e-12\)$")
+        with pytest.raises(ValueError, match=message):
+            EvolutionFamily((0.1, 0.2, 0.3), lambda a: SIGMA_Z if a != 0.2 else bad, 1.0)
+
+    def test_generators_of_two_shapes_refused(self):
+        with pytest.raises(ValueError, match=r"^H\(a\) must share one shape, got \[\(2, 2\), \(3, 3\)\]$"):
+            EvolutionFamily((0.1, 0.2), lambda a: np.eye(2) if a < 0.15 else np.eye(3), 1.0)
+
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError, match="duration"):
             linear_family((0.5,), SIGMA_Z, -1.0)
@@ -330,7 +345,9 @@ class TestStackedScan:
         family = quadratic_family(dim, rng, parameters=(0.3, 0.4))
         effective_parameter_fit(family, SuperpositionSpec(np.array([0.5, 0.5])),
                                 random_state(dim, rng), (0.0, 1.0))
-        # the first scan's 1000 points in chunks, then one 17-point stack per zoom round
+        # superposed_evolution's one stack of the two branches, then the first
+        # scan's 1000 points in chunks, then one 17-point stack per zoom round
+        assert stacks.pop(0) == (2, dim, dim)
         first = math.ceil(1000 / chunk)
         assert 1 < first < len(stacks)
         assert sum(shape[0] for shape in stacks[:first]) == 1000
@@ -339,7 +356,7 @@ class TestStackedScan:
 
     def test_zoom_rounds_on_a_width_4_interval(self, monkeypatch):
         # one 1000-point scan, then 11 rounds that cut the 8e-3 bracket by 8
-        # down to 1e-12; the 2-D calls are superposed_evolution's branches
+        # down to 1e-12, after superposed_evolution's one stack of branches
         shapes = []
         eigh = np.linalg.eigh
 
@@ -352,7 +369,19 @@ class TestStackedScan:
         family = quadratic_family(3, rng, parameters=(0.3, 0.7))
         effective_parameter_fit(family, SuperpositionSpec(np.array([0.5, 0.5])),
                                 random_state(3, rng), (-2.0, 2.0))
-        assert shapes == [(3, 3)] * 2 + [(1000, 3, 3)] + [(17, 3, 3)] * 11
+        assert shapes == [(2, 3, 3)] + [(1000, 3, 3)] + [(17, 3, 3)] * 11
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_branch_unitaries_are_one_stacked_exponential(self, dim, monkeypatch):
+        family = quadratic_family(dim, np.random.default_rng(dim))
+        per_parameter = np.array([hermitian_exponential(family.generator(a),
+                                                        -1j * family.duration)
+                                  for a in family.parameters])
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or eigh(m))
+        assert family.branch_unitaries().tobytes() == per_parameter.tobytes()
+        assert shapes == [(3, dim, dim)]
 
     def test_peak_memory_bounded_by_chunk(self):
         dim = 128
