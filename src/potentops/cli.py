@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .scenarios import (
     KINDS,
@@ -37,6 +38,8 @@ EXIT_IO = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes only the flags it reads: verify runs its seeded
+    suite and takes no --config, and sweep requires one."""
     parser = argparse.ArgumentParser(
         prog="potentops",
         description="Pre/post-selected quantum measurement scenarios with "
@@ -44,16 +47,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for kind in KINDS:
-        _add_common_flags(sub.add_parser(kind, help=f"run the {kind} scenario"))
-    _add_common_flags(sub.add_parser(
-        "verify", help="run the full seeded invariant suite"))
-    _add_common_flags(sub.add_parser(
-        "sweep", help="run a Cartesian parameter grid over a base scenario"))
+        p = sub.add_parser(kind, help=f"run the {kind} scenario")
+        p.add_argument("--config", metavar="PATH", help="YAML scenario configuration")
+        _add_run_flags(p)
+    _add_run_flags(sub.add_parser("verify", help="run the full seeded invariant suite"))
+    p = sub.add_parser("sweep", help="run a Cartesian parameter grid over a base scenario")
+    p.add_argument("--config", metavar="PATH", required=True,
+                   help="YAML sweep configuration with 'base' and 'sweep' sections")
+    _add_run_flags(p)
     return parser
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="PATH", help="YAML scenario configuration")
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
     p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     p.add_argument("--seed", type=int, help="override the configured seed")
@@ -61,24 +66,25 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="replace every documented residual tolerance (testing only)")
 
 
-def _read_config_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _residual_exit_code(rows, tolerance) -> int:
-    """EXIT_RESIDUAL (with a stderr count) when any row fails
-    :func:`within_tolerance`; EXIT_OK otherwise."""
-    failures = sum(not within_tolerance(r["residual"], tolerance) for r in rows)
-    if failures:
+def _exit_code(args, rows, tolerance) -> int:
+    """Every command's verdict: a row passes :func:`within_tolerance` of
+    --tolerance-override, else of its own 'tolerance' (verify) or the kind's.
+    verify prints each check and the count; a failing scenario or sweep counts
+    its failures on stderr."""
+    override = args.tolerance_override
+    tolerances = [row.get("tolerance", tolerance) if override is None else override
+                  for row in rows]
+    passed = [within_tolerance(row["residual"], tol) for row, tol in zip(rows, tolerances)]
+    failures = passed.count(False)
+    if args.command == "verify":
+        for row, tol, ok in zip(rows, tolerances, passed):
+            print(f"{'ok ' if ok else 'FAIL'} {row['check']:40s} "
+                  f"residual={row['residual']:.3e} tol={tol:g}")
+        print(f"{len(rows) - failures}/{len(rows)} checks passed")
+    elif failures:
         print(f"potentops: {failures}/{len(rows)} rows exceed the residual "
-              f"tolerance {tolerance:g}", file=sys.stderr)
-        return EXIT_RESIDUAL
-    return EXIT_OK
-
-
-def _tolerance(args, documented: float) -> float:
-    return documented if args.tolerance_override is None else args.tolerance_override
+              f"tolerance {tolerances[0]:g}", file=sys.stderr)
+    return EXIT_RESIDUAL if failures else EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -89,11 +95,9 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"'seed' must be a non-negative integer, got {args.seed}")
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "sweep":
-            return _run_sweep_command(args)
-        return _run_scenario_command(args)
+        run = {"verify": _run_verify, "sweep": _run_sweep_command}.get(
+            args.command, _run_scenario_command)
+        return _exit_code(args, *run(args))
     except ConfigError as exc:
         print(f"potentops: configuration error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -105,9 +109,9 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
-def _run_scenario_command(args) -> int:
+def _run_scenario_command(args) -> tuple[list[dict], float]:
     if args.config:
-        cfg = parse_config(_read_config_text(args.config))
+        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
         if cfg.kind != args.command:
             raise ConfigError(
                 f"config is a {cfg.kind!r} scenario but the subcommand is {args.command!r}")
@@ -116,40 +120,25 @@ def _run_scenario_command(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     rows = run_scenario(cfg)
-    fmt = args.format or cfg.output_format or "csv"
-    out = args.out or cfg.output_path
-    emit_results(rows, fmt, out, KINDS[cfg.kind].columns)
-    return _residual_exit_code(rows, _tolerance(args, KINDS[cfg.kind].tolerance))
+    emit_results(rows, args.format or cfg.output_format or "csv", args.out or cfg.output_path,
+                 KINDS[cfg.kind].columns)
+    return rows, KINDS[cfg.kind].tolerance
 
 
-def _run_sweep_command(args) -> int:
-    if not args.config:
-        raise ConfigError("sweep needs --config with 'base' and 'sweep' sections")
-    base, sweep = parse_sweep_document(_read_config_text(args.config))
+def _run_sweep_command(args) -> tuple[list[dict], float]:
+    base, sweep = parse_sweep_document(Path(args.config).read_text(encoding="utf-8"))
     rows, kind = run_sweep(base, sweep, seed=args.seed)
-    columns = ("point", *KINDS[kind].columns)
-    emit_results(rows, args.format or "csv", args.out, columns)
-    return _residual_exit_code(rows, _tolerance(args, KINDS[kind].tolerance))
+    emit_results(rows, args.format or "csv", args.out, ("point", *KINDS[kind].columns))
+    return rows, KINDS[kind].tolerance
 
 
-def _run_verify(args) -> int:
-    if args.config:
-        raise ConfigError("verify runs its seeded suite and reads no --config")
+def _run_verify(args) -> tuple[list[dict], None]:
     if args.format and not args.out:
         raise ConfigError("verify prints a text report; --format needs --out")
     rows = verification_suite(seed=args.seed if args.seed is not None else 0)
-    failures = 0
-    for row in rows:
-        tolerance = _tolerance(args, row["tolerance"])
-        ok = within_tolerance(row["residual"], tolerance)
-        failures += not ok
-        status = "ok " if ok else "FAIL"
-        print(f"{status} {row['check']:40s} residual={row['residual']:.3e} "
-              f"tol={tolerance:g}")
     if args.out:
         emit_results(rows, args.format or "csv", args.out, VERIFY_COLUMNS)
-    print(f"{len(rows) - failures}/{len(rows)} checks passed")
-    return EXIT_RESIDUAL if failures else EXIT_OK
+    return rows, None  # each verify row carries its own tolerance
 
 
 if __name__ == "__main__":

@@ -252,13 +252,16 @@ def normalize(v: np.ndarray) -> np.ndarray:
     for any nonzero complex lam.
     """
     v = np.asarray(v, dtype=complex)
-    n = np.linalg.norm(as_state(v)) if v.ndim < 2 else _norms(v)
-    if not np.isfinite(n).all():
-        raise ValueError(f"cannot normalize a vector of non-finite norm {np.max(n)}")
-    if (n <= ZERO_NORM_TOL).any():
+    stack = v.ndim > 1
+    n = _norms(v) if stack else np.linalg.norm(as_state(v))
+    largest, smallest = (n.max(), n.min()) if stack else (n, n)  # scalars: no ufunc per check
+    if not largest < np.inf:
+        raise ValueError(f"cannot normalize a vector of non-finite norm {largest}")
+    if smallest <= ZERO_NORM_TOL:
         raise ValueError("cannot normalize a (numerically) zero vector")
-    u = v / n[..., None]
-    pivot = np.take_along_axis(u, (np.abs(u) > PHASE_TOL).argmax(-1)[..., None], -1)
+    u = v / n[..., None] if stack else v / n
+    first = (np.abs(u) > PHASE_TOL).argmax(-1)  # one state indexes it: take_along_axis costs more
+    pivot = np.take_along_axis(u, first[..., None], -1) if stack else u[first]
     # hypot is abs() of one complex scalar to the bit, which np.abs is not
     return u * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 

@@ -157,7 +157,7 @@ class PointerShiftReport:
     predicted_momentum_shift: float  # 2 g Im(weak value) Var_p
     fidelity: float                  # against exp(-i g A_w P)|Phi>
     fidelity_gap: float
-    oracle_residual: float           # branch sum vs powers of the lattice-step exponential
+    oracle_residual: float           # branch sum vs lattice-step powers, and A_w vs lam . w
     state: np.ndarray                # post-selected pointer, unnormalized, l2 units
 
     @property
@@ -182,8 +182,8 @@ def pointer_shift_sweep(A: np.ndarray, sel: PrePostSelection, gs,
     :func:`~potentops.pps.diagonal_potent_operator` on the momentum lattice
     (the reported state), and by :func:`_lattice_elements` from two Pade
     exponentials of one lattice step, raised to integer powers, which uses no
-    eigendecomposition. The max-entry disagreement of the two position-space
-    states is each report's oracle_residual.
+    eigendecomposition. Each oracle_residual is the larger of the two position-space
+    states' max-entry disagreement and |A_w - lam . w|, the A_w columns' witness.
 
     The weak-limit state is the packet's closed-form spectrum times
     exp(-i g A_w p), exponentiated in the log domain. A run is refused before
@@ -197,6 +197,7 @@ def pointer_shift_sweep(A: np.ndarray, sel: PrePostSelection, gs,
     p = grid.momentum_lattice
     gs = [float(g) for g in np.atleast_1d(gs)]
     a_w = weak_value(A, sel)
+    weak_residual = abs(a_w - complex(lam @ w))
     for g in gs:
         centres = [x0 + g * v for v in (float(lam[0]), float(lam[-1]), a_w.real)]  # lam ascends
         if (min(centres) - 6 * sigma < grid.x_min or max(centres) + 6 * sigma > grid.x_max
@@ -217,7 +218,8 @@ def pointer_shift_sweep(A: np.ndarray, sel: PrePostSelection, gs,
         state_k = meter_k * (overlap * diagonal_potent_operator(lam, w, g, p))
         oracle_k = meter_k * elements
         state = np.fft.ifft(state_k, norm="ortho")
-        residual = float(np.max(np.abs(np.fft.ifft(state_k - oracle_k, norm="ortho"))))
+        residual = float(np.maximum(np.max(np.abs(np.fft.ifft(state_k - oracle_k, norm="ortho"))),
+                                    weak_residual))  # NaN if either is
 
         p_exact = float(np.linalg.norm(state) ** 2)
         mean_x, _ = _moments(state, grid.x)

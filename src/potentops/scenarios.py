@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 import yaml
 
-from . import linalg, pauli
+from . import linalg, meters, pauli, timemachine
 from .linalg import general_exponential, hermitian_exponential, normalize, tensor_product
 from .meters import (
     QubitMeter,
@@ -131,9 +131,9 @@ class Kind:
     above ``tolerance`` fails the run (exit code 2): 1e-12 for weak-value, conditional,
     modular-value and time-machine, else 1e-10.
     ``template`` is the preset configuration; a config that omits a key, or a
-    key of a nested mapping, takes the template's value. ``parse`` turns the
-    config, completed from the template, into run parameters; ``run`` turns a
-    parsed config into rows. A kind that draws at random seeds its own
+    key of a nested mapping, takes the template's value. ``parse`` turns the config,
+    completed from the template, into the objects ``run`` consumes, refusing a bad
+    one by its key; ``run`` only computes. A kind that draws at random seeds its own
     generator from ``cfg.seed``, so the kinds that draw nothing never load
     ``numpy.random``.
     """
@@ -289,35 +289,36 @@ def _parse_qubit_meter(value: dict, key: str) -> QubitMeter:
     return QubitMeter(alpha=complex(alpha), beta=complex(beta))
 
 
-def _parse_gaussian_meter(value: dict, key: str) -> dict:
-    """The keyword arguments of build_gaussian_pointer, which runs at run time."""
+def _parse_gaussian_meter(value: dict, key: str) -> meters.GaussianPointer:
     _require_keys(value, {"kind", "grid_size", "x_min", "x_max", "sigma", "x0"}, f"'{key}'")
     if value["kind"] != "gaussian":
         raise ConfigError(f"'{key}.kind' must be 'gaussian' for this scenario")
     grid_size = value["grid_size"]
     if isinstance(grid_size, bool) or not isinstance(grid_size, int) or grid_size < 2:
         raise ConfigError(f"'{key}.grid_size' must be an integer >= 2")
-    return {"grid_size": grid_size, **{k: _parse_number(value[k], f"{key}.{k}")
-                                       for k in ("x_min", "x_max", "sigma", "x0")}}
+    numbers = [_parse_number(value[k], f"{key}.{k}") for k in ("x_min", "x_max", "sigma", "x0")]
+    try:
+        return build_gaussian_pointer(grid_size, *numbers)
+    except ValueError as exc:  # a grid or packet the Grid and GaussianPointer guards refuse
+        raise ConfigError(f"'{key}': {exc}") from exc
 
 
 def _parse_selection(doc: dict, parse_meter) -> dict:
     """An observable, a pre/post-selection, a coupling sweep and a meter; the
     qubit-meter kinds and pointer-shift differ only in ``parse_meter``."""
-    params = {
-        "observable": _parse_matrix(doc["observable"], "observable"),
-        "psi": _parse_state(doc["psi"], "psi"),
-        "phi": _parse_state(doc["phi"], "phi"),
-        "g": _parse_sweep_values(doc["g"], "g"),
-        "meter": parse_meter(doc["meter"], "meter"),
-    }
-    dim = params["observable"].shape[0]
-    for key in ("psi", "phi"):
-        if params[key].size != dim:
-            raise ConfigError(
-                f"dimension mismatch: '{key}' has dimension {params[key].size} "
-                f"but 'observable' is {dim}x{dim}")
-    return params
+    observable = _parse_matrix(doc["observable"], "observable")
+    states = {key: _parse_state(doc[key], key) for key in ("psi", "phi")}
+    params = {"observable": observable, "g": _parse_sweep_values(doc["g"], "g"),
+              "meter": parse_meter(doc["meter"], "meter")}
+    dim = observable.shape[0]
+    for key, state in states.items():
+        if state.size != dim:
+            raise ConfigError(f"dimension mismatch: '{key}' has dimension {state.size} "
+                              f"but 'observable' is {dim}x{dim}")
+    try:
+        return {**params, "sel": PrePostSelection(states["psi"], states["phi"])}
+    except ValueError as exc:  # an orthogonal pair
+        raise ConfigError(f"'psi' and 'phi': {exc}") from exc
 
 
 def _parse_modular_value(doc: dict) -> dict:
@@ -359,21 +360,20 @@ def _parse_time_machine(doc: dict) -> dict:
     durations = doc["durations"]
     if not isinstance(durations, list) or len(durations) != len(coefficients):
         raise ConfigError("'durations' must be a list matching 'coefficients' in length")
-    params = {
-        "coefficients": coefficients,
-        "durations": [_parse_number(t, "durations") for t in durations],
-        "hamiltonian": _parse_matrix(doc["hamiltonian"], "hamiltonian"),
-        "meter_state": _parse_state(doc["meter_state"], "meter_state"),
-    }
-    if params["meter_state"].size != params["hamiltonian"].shape[0]:
-        raise ConfigError(
-            f"dimension mismatch: 'meter_state' has dimension {params['meter_state'].size} "
-            f"but 'hamiltonian' is {params['hamiltonian'].shape[0]}x{params['hamiltonian'].shape[0]}")
-    try:
-        SuperpositionSpec(np.array(coefficients))
+    durations = tuple(_parse_number(t, "durations") for t in durations)
+    hamiltonian = _parse_matrix(doc["hamiltonian"], "hamiltonian")
+    meter_state = _parse_state(doc["meter_state"], "meter_state")
+    dim = hamiltonian.shape[0]
+    if meter_state.size != dim:
+        raise ConfigError(f"dimension mismatch: 'meter_state' has dimension {meter_state.size} "
+                          f"but 'hamiltonian' is {dim}x{dim}")
+    try:  # coefficients that do not sum to 1, or a complex T' = sum_i c_i T_i
+        spec = TimeTranslationSpec(durations, SuperpositionSpec(np.array(coefficients)),
+                                   hamiltonian)
+        spec.effective_duration  # read, so that a complex T' is refused here
     except ValueError as exc:
         raise ConfigError(f"'coefficients': {exc}") from exc
-    return params
+    return {"spec": spec, "meter_state": meter_state}
 
 
 def parse_config_mapping(doc) -> ScenarioConfig:
@@ -449,12 +449,11 @@ def _run_qubit_meter(cfg: ScenarioConfig) -> list[dict]:
     the meters post-selected from the dense joints exp(-i g A (x) |1><1|) of one
     stacked Pade exponential, which shares no decomposition; each kind adds one
     term. Potent rows are the entries of d * (alpha, beta) or of diag(d)."""
-    p, meter = cfg.params, cfg.params["meter"]
-    sel = PrePostSelection(p["psi"], p["phi"])
+    p, meter, sel = cfg.params, cfg.params["meter"], cfg.params["sel"]
     lam, w = spectral_weights(p["observable"], sel)
     d, prob = _qubit_meter_points(p, sel, lam, w)
     oracle, oracle_p = joint_evolve_and_postselect(
-        meter.coupling_unitaries(p["observable"], p["g"]), p["psi"], meter.state, p["phi"],
+        meter.coupling_unitaries(p["observable"], p["g"]), sel.psi, meter.state, sel.phi,
         check_unitary=False)
     index_columns = {"potent-values": ("k",), "potent-operator": ("row", "col")}.get(cfg.kind, ())
     if cfg.kind == "weak-value":
@@ -501,9 +500,7 @@ def _run_completeness(cfg: ScenarioConfig) -> list[dict]:
 
 def _run_pointer_shift(cfg: ScenarioConfig) -> list[dict]:
     p = cfg.params
-    sel = PrePostSelection(p["psi"], p["phi"])
-    reports = pointer_shift_sweep(p["observable"], sel, p["g"],
-                                  build_gaussian_pointer(**p["meter"]))
+    reports = pointer_shift_sweep(p["observable"], p["sel"], p["g"], p["meter"])
     return [{"scenario": cfg.kind, "g": r.g, "weak_re": r.weak_val.real,
              "weak_im": r.weak_val.imag, "mean_shift": r.mean_shift,
              "predicted_shift": r.predicted_shift, "shift_error": r.shift_error,
@@ -560,20 +557,23 @@ def _run_conditional(cfg: ScenarioConfig) -> list[dict]:
 
 
 def _time_machine_residual(spec: TimeTranslationSpec, Phi: np.ndarray):
-    """time_translation_machine(spec, Phi) and its oracle residual: the register
-    potent operator over stacked Pade branches exp(-i T_i H), no eigh, on Phi."""
-    result = time_translation_machine(spec, Phi)
-    branches = linalg._pade_exponential(np.multiply.outer(spec.durations, -1j * spec.hamiltonian))
-    op = potent_time_superposition(branches, spec.coefficients)
-    return result, float(np.max(np.abs(op.apply(Phi) - result[0])))
+    """time_translation_machine(spec, Phi) and its oracle residual, with no eigh: one
+    stacked Pade call exp(-i t H) at t = T_i and at the register weak value
+    T'_w = <phi|diag(T_i)|psi>/<phi|psi> of the oracle's selection. The register potent
+    operator over the branches holds the state, T'_w t_prime, exp(-i H T'_w) fidelity."""
+    state, t_prime, fid, _ = result = time_translation_machine(spec, Phi)
+    t_w = weak_value(np.diag(spec.durations), timemachine._register_selection(spec.coefficients))
+    *branches, target = linalg._pade_exponential(
+        np.multiply.outer(np.append(spec.durations, t_w), -1j * spec.hamiltonian))
+    oracle = potent_time_superposition(branches, spec.coefficients).apply(Phi)
+    oracle_fid = abs(np.vdot(target @ Phi, oracle)) / np.linalg.norm(oracle)
+    return result, float(np.max([*np.abs(oracle - state), abs(t_prime - t_w),
+                                 abs(fid - oracle_fid)]))
 
 
 def _run_time_machine(cfg: ScenarioConfig) -> list[dict]:
-    p = cfg.params
-    spec = TimeTranslationSpec(durations=tuple(p["durations"]),
-                               coefficients=SuperpositionSpec(np.array(p["coefficients"])),
-                               hamiltonian=p["hamiltonian"])
-    (_, t_prime, fid, success), residual = _time_machine_residual(spec, p["meter_state"])
+    (_, t_prime, fid, success), residual = _time_machine_residual(cfg.params["spec"],
+                                                                 cfg.params["meter_state"])
     return [{"scenario": cfg.kind, "t_prime": t_prime, "fidelity": fid,
              "success_norm": success, "residual": residual}]
 

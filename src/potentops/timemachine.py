@@ -141,9 +141,14 @@ def potent_time_superposition(branches, spec: SuperpositionSpec) -> PotentOperat
         raise ValueError(f"{len(branches)} branches but {len(spec)} coefficients")
     n = len(spec)
     register = np.eye(n)[:, :, None] * np.eye(n)[:, None, :]  # the projectors |i><i|
-    sel = PrePostSelection(psi=spec.coefficients / np.linalg.norm(spec.coefficients),
-                           phi=np.ones(n, dtype=complex) / np.sqrt(n))
-    return potent_operator(conditional_unitary(register, branches), sel)
+    return potent_operator(conditional_unitary(register, branches), _register_selection(spec))
+
+
+def _register_selection(spec: SuperpositionSpec) -> PrePostSelection:
+    """The register pre-selected along c and post-selected uniform: <|i><i|>_w = c_i."""
+    n = len(spec)
+    return PrePostSelection(psi=spec.coefficients / np.linalg.norm(spec.coefficients),
+                            phi=np.ones(n, dtype=complex) / np.sqrt(n))
 
 
 def effective_parameter_fit(family: EvolutionFamily, spec: SuperpositionSpec,

