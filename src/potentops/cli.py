@@ -5,8 +5,8 @@ suite) and ``sweep`` (Cartesian parameter grids over a base scenario). Every
 run cross-checks its results against an independent oracle route and exits
 non-zero when a residual exceeds its documented tolerance.
 
-Exit codes: 0 success, 1 validation error or malformed command line,
-2 oracle-residual failure, 3 I/O error.
+Exit codes: 0 success, 1 validation error, malformed command line or an
+allocation that fails (MemoryError), 2 oracle-residual failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -103,6 +103,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except ValueError as exc:
         print(f"potentops: validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # an allocation no check refused in advance
+        print(f"potentops: memory error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"potentops: I/O error: {exc}", file=sys.stderr)

@@ -340,7 +340,7 @@ def potent_operator_apparatus_controlled(generators, projectors, lam: float,
     """Potent operator of U = sum_n exp(-i lam A_n) (x) P_n: the modular values
     of the branch generators weight the apparatus projectors.
 
-    Returns (PotentOperator, array of <A_n>_M).
+    Returns (PotentOperator, array of <A_n>_M); modular_value guards the A_n, as A[n].
     """
     gens = [as_operator(a) for a in generators]
     if any(a.shape[0] != sel.dim for a in gens):
@@ -351,8 +351,7 @@ def potent_operator_apparatus_controlled(generators, projectors, lam: float,
     projs = _require_projector_decomposition(projectors, da, "apparatus projectors")
     if len(gens) != len(projs):
         raise ValueError(f"{len(projs)} projectors but {len(gens)} generators")
-    gens = require_hermitian(np.array(gens), name=[f"A_{n}" for n in range(len(gens))])
-    modular_vals = modular_value(gens, lam, sel)
+    modular_vals = modular_value(np.array(gens), lam, sel)
     return PotentOperator(matrix=np.einsum("n,nab->ab", modular_vals, projs)), modular_vals
 
 

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 import yaml
 
-from . import linalg, meters, pauli, timemachine
+from . import linalg, meters, pauli
 from .linalg import general_exponential, hermitian_exponential, normalize, tensor_product
 from .meters import (
     QubitMeter,
@@ -370,7 +370,6 @@ def _parse_time_machine(doc: dict) -> dict:
     try:  # coefficients that do not sum to 1, or a complex T' = sum_i c_i T_i
         spec = TimeTranslationSpec(durations, SuperpositionSpec(np.array(coefficients)),
                                    hamiltonian)
-        spec.effective_duration  # read, so that a complex T' is refused here
     except ValueError as exc:
         raise ConfigError(f"'coefficients': {exc}") from exc
     return {"spec": spec, "meter_state": meter_state}
@@ -562,7 +561,7 @@ def _time_machine_residual(spec: TimeTranslationSpec, Phi: np.ndarray):
     T'_w = <phi|diag(T_i)|psi>/<phi|psi> of the oracle's selection. The register potent
     operator over the branches holds the state, T'_w t_prime, exp(-i H T'_w) fidelity."""
     state, t_prime, fid, _ = result = time_translation_machine(spec, Phi)
-    t_w = weak_value(np.diag(spec.durations), timemachine._register_selection(spec.coefficients))
+    t_w = weak_value(np.diag(spec.durations), spec.coefficients.register_selection)
     *branches, target = linalg._pade_exponential(
         np.multiply.outer(np.append(spec.durations, t_w), -1j * spec.hamiltonian))
     oracle = potent_time_superposition(branches, spec.coefficients).apply(Phi)

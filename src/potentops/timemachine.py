@@ -4,7 +4,8 @@ T' = sum_i c_i T_i, which may be zero or negative)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -36,11 +37,12 @@ WEAK_SUM_TOL = 1e-12  # |sum_i c_i - 1|; the c_i are the register's clock weak v
 class EvolutionFamily:
     """Hamiltonians H(a_i) indexed by real parameters, each applied for the
     same duration T. Repeated parameters are allowed (a degenerate family
-    collapses to a single evolution)."""
+    collapses to a single evolution). Each H(a_i) is evaluated once and kept."""
 
     parameters: tuple
     generator: Callable[[float], np.ndarray]
     duration: float
+    _hamiltonians: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         params = tuple(float(a) for a in self.parameters)
@@ -48,18 +50,16 @@ class EvolutionFamily:
             raise ValueError("need at least one parameter")
         if not 0 <= self.duration < np.inf:
             raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
-        object.__setattr__(self, "parameters", params)
-        require_hermitian(self._generators(), name=(f"H({a})" for a in params))
-
-    def _generators(self) -> np.ndarray:
-        hs = [np.asarray(self.generator(a), dtype=complex) for a in self.parameters]
+        hs = [np.asarray(self.generator(a), dtype=complex) for a in params]
         if any(h.shape != hs[0].shape for h in hs):
             raise ValueError(f"H(a) must share one shape, got {[h.shape for h in hs]}")
-        return np.array(hs)
+        object.__setattr__(self, "parameters", params)
+        object.__setattr__(self, "_hamiltonians", require_hermitian(
+            np.array(hs), name=(f"H({a})" for a in params)))
 
     def branch_unitaries(self) -> np.ndarray:
         """The exp(-i H(a_i) T) as one (n, d, d) stack, from one stacked exponential."""
-        return hermitian_exponential(self._generators(), -1j * self.duration)
+        return hermitian_exponential(self._hamiltonians, -1j * self.duration)
 
 
 @dataclass(frozen=True)
@@ -81,15 +81,24 @@ class SuperpositionSpec:
     def __len__(self) -> int:
         return self.coefficients.size
 
+    @cached_property
+    def register_selection(self) -> PrePostSelection:
+        """The control register pre-selected along c and post-selected uniform,
+        so that <|i><i|>_w = c_i; built on first use and kept."""
+        n = len(self)
+        return PrePostSelection(psi=self.coefficients / np.linalg.norm(self.coefficients),
+                                phi=np.ones(n, dtype=complex) / np.sqrt(n))
+
 
 @dataclass(frozen=True)
 class TimeTranslationSpec:
-    """One Hamiltonian run for several durations T_i, superposed with
-    coefficients c_i; the effective duration is sum_i c_i T_i."""
+    """One Hamiltonian run for durations T_i, superposed with coefficients c_i.
+    T' = sum_i c_i T_i, the register clock diag(T_i)'s weak value, is kept and must be real."""
 
     durations: tuple
     coefficients: SuperpositionSpec
     hamiltonian: np.ndarray
+    effective_duration: float = field(init=False)
 
     def __post_init__(self):
         ts = tuple(float(t) for t in self.durations)
@@ -99,14 +108,10 @@ class TimeTranslationSpec:
             raise ValueError(f"{len(ts)} durations but {len(self.coefficients)} coefficients")
         object.__setattr__(self, "durations", ts)
         object.__setattr__(self, "hamiltonian", require_hermitian(as_operator(self.hamiltonian), "H"))
-
-    @property
-    def effective_duration(self) -> float:
-        """T' = sum_i c_i T_i, the clock diag(T_i)'s weak value on the register."""
-        total = complex(np.dot(self.coefficients.coefficients, self.durations))
+        total = complex(np.dot(self.coefficients.coefficients, ts))
         if not abs(total.imag) <= 1e-12:
             raise ValueError(f"effective duration {total} is not real")
-        return total.real
+        object.__setattr__(self, "effective_duration", total.real)
 
 
 def superposed_evolution(family: EvolutionFamily, spec: SuperpositionSpec, Phi: np.ndarray):
@@ -122,7 +127,7 @@ def superposed_evolution(family: EvolutionFamily, spec: SuperpositionSpec, Phi: 
     if unitaries.shape[-1] != Phi.size:
         raise ValueError(f"H({family.parameters[0]}) has shape {unitaries.shape[1:]}, "
                          f"Phi has shape {Phi.shape}")
-    state = sum(c * (u @ Phi) for c, u in zip(spec.coefficients, unitaries))
+    state = spec.coefficients @ (unitaries @ Phi)
     return state, float(np.linalg.norm(state))
 
 
@@ -141,14 +146,7 @@ def potent_time_superposition(branches, spec: SuperpositionSpec) -> PotentOperat
         raise ValueError(f"{len(branches)} branches but {len(spec)} coefficients")
     n = len(spec)
     register = np.eye(n)[:, :, None] * np.eye(n)[:, None, :]  # the projectors |i><i|
-    return potent_operator(conditional_unitary(register, branches), _register_selection(spec))
-
-
-def _register_selection(spec: SuperpositionSpec) -> PrePostSelection:
-    """The register pre-selected along c and post-selected uniform: <|i><i|>_w = c_i."""
-    n = len(spec)
-    return PrePostSelection(psi=spec.coefficients / np.linalg.norm(spec.coefficients),
-                            phi=np.ones(n, dtype=complex) / np.sqrt(n))
+    return potent_operator(conditional_unitary(register, branches), spec.register_selection)
 
 
 def effective_parameter_fit(family: EvolutionFamily, spec: SuperpositionSpec,

@@ -98,6 +98,26 @@ class TestExitCodes:
         dest = tmp_path / "no_such_dir" / "rows.csv"
         assert run_cli("weak-value", "--out", str(dest)) == EXIT_IO
 
+    # An allocation that fails is reported on one line and exits 1; numpy's
+    # linspace is made to raise as it does for this range, so nothing is allocated.
+    def test_memory_error_is_one_line(self, capsys, monkeypatch, tmp_path):
+        linspace = np.linspace
+        message = ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+                   "and data type float64")
+
+        def oversized(start, stop, num, *args, **kwargs):
+            if num > 10**9:
+                raise MemoryError(message)
+            return linspace(start, stop, num, *args, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", oversized)
+        cfg = tmp_path / "huge.yaml"
+        cfg.write_text("scenario: modular-value\ng: {start: 0.1, stop: 1.0, num: 1000000000000}\n")
+        assert run_cli("modular-value", "--config", str(cfg)) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"potentops: memory error: {message}\n"
+
     # A typo on the command line is a validation error, never a residual failure.
     @pytest.mark.parametrize("argv", [["weak-value", "--seed", "abc"],
                                       ["weak-value", "--format", "xml"],

@@ -46,3 +46,13 @@ def test_every_private_module_name_is_referenced():
                        if name.startswith("_") and not name.startswith("__")
                        and name not in referenced]
     assert unused == []
+
+
+def test_no_statement_is_a_bare_read():
+    """A name, attribute or subscript read as a whole statement does nothing,
+    unless reading it has a side effect, which belongs in a call that says so."""
+    bare = [f"{module}:{node.lineno} {ast.unparse(node.value)}"
+            for module, tree in TREES.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Expr)
+            and isinstance(node.value, (ast.Name, ast.Attribute, ast.Subscript))]
+    assert bare == []

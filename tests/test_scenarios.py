@@ -15,6 +15,7 @@ from potentops import (
     linalg,
     meters,
     partial_matrix_element,
+    pps,
     scenarios,
     timemachine,
 )
@@ -418,6 +419,51 @@ class TestSharedDecompositions:
         # one of H for the rows and their target; the Pade oracle takes none
         assert eigh_shapes == [(3, 3)]
 
+    def test_time_machine_residual_builds_one_register_selection(self, monkeypatch):
+        spec = parse_config_mapping({"scenario": "time-machine"}).params["spec"]
+        built = []
+        build = PrePostSelection.__post_init__
+        monkeypatch.setattr(PrePostSelection, "__post_init__",
+                            lambda sel: built.append(sel) or build(sel))
+        scenarios._time_machine_residual(spec, np.array([1.0, 0.0], dtype=complex))
+        # the T'_w witness and the register potent operator read one selection
+        assert len(built) == 1
+        assert built[0] is spec.coefficients.register_selection
+
+    def test_apparatus_instance_guards_its_generators_once(self, monkeypatch):
+        guard = linalg.require_hermitian
+        guarded = []
+
+        def counted(m, name="operator"):
+            guarded.append(np.shape(m))
+            return guard(m, name)
+
+        for module in (linalg, meters, pps, scenarios, timemachine):
+            if getattr(module, "require_hermitian", None) is guard:
+                monkeypatch.setattr(module, "require_hermitian", counted)
+        (row,) = run_scenario(parse_config_mapping(
+            {"scenario": "conditional", "count": 1, "variants": ["apparatus"]}))
+        assert within_tolerance(row["residual"], KINDS["conditional"].tolerance)
+        assert len(guarded) == 1 and len(guarded[0]) == 3  # one guard, on the stack of A_n
+
+    # Every Pade call a run makes exponentiates an exactly anti-Hermitian stack,
+    # -i t H, whose exponential is unitary and cannot overflow; that is why
+    # PADE_NORM_CAP may exceed general_exponential's EXP_NORM_CAP, whose
+    # argument may be any matrix.
+    def test_every_pade_argument_is_anti_hermitian(self, monkeypatch, capsys):
+        pade = linalg._pade_exponential
+        defects = []
+
+        def recorded(a):
+            defects.append(float(np.abs(a + np.conj(np.swapaxes(a, -1, -2))).max()))
+            return pade(a)
+
+        monkeypatch.setattr(linalg, "_pade_exponential", recorded)
+        for seed in ("0", "3"):
+            for command in (*KINDS, "verify"):
+                assert main([command, "--seed", seed]) == EXIT_OK
+        assert defects and max(defects) == 0.0
+
 
 class TestQubitMeterOracleProperty:
     # Each joint kind's rows (one eigh of A) against its stacked Pade joint
@@ -565,9 +611,13 @@ class TestFaultMatrix:
 
 
 def _scale_effective_duration(monkeypatch):
-    duration = timemachine.TimeTranslationSpec.effective_duration
-    monkeypatch.setattr(timemachine.TimeTranslationSpec, "effective_duration",
-                        property(lambda spec: duration.fget(spec) * (1 + 1e-6)))
+    build = timemachine.TimeTranslationSpec.__post_init__
+
+    def scaled(spec):  # T' is computed once, when the spec is built
+        build(spec)
+        object.__setattr__(spec, "effective_duration", spec.effective_duration * (1 + 1e-6))
+
+    monkeypatch.setattr(timemachine.TimeTranslationSpec, "__post_init__", scaled)
 
 
 def _scale_fidelity(monkeypatch):

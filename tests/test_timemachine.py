@@ -115,6 +115,12 @@ class TestSpecs:
         with pytest.raises(ValueError, match=message):
             EvolutionFamily((0.1, 0.2, 0.3), lambda a: SIGMA_Z if a != 0.2 else bad, 1.0)
 
+    def test_generator_evaluated_once_per_parameter(self):
+        calls = []
+        family = EvolutionFamily((0.1, 0.2, 0.3), lambda a: calls.append(a) or a * SIGMA_Z, 1.0)
+        superposed_evolution(family, SuperpositionSpec([0.5, 0.25, 0.25]), np.array([0.6, 0.8]))
+        assert calls == [0.1, 0.2, 0.3]
+
     def test_generators_of_two_shapes_refused(self):
         with pytest.raises(ValueError, match=r"^H\(a\) must share one shape, got \[\(2, 2\), \(3, 3\)\]$"):
             EvolutionFamily((0.1, 0.2), lambda a: np.eye(2) if a < 0.15 else np.eye(3), 1.0)
@@ -130,12 +136,11 @@ class TestSpecs:
         assert spec.effective_duration == pytest.approx(0.0, abs=1e-15)
 
     def test_complex_effective_duration_rejected(self):
-        spec = TimeTranslationSpec(
-            durations=(1.0, 2.0),
-            coefficients=SuperpositionSpec([complex(0.5, 0.5), complex(0.5, -0.5)]),
-            hamiltonian=SIGMA_Z)
-        with pytest.raises(ValueError, match="not real"):
-            spec.effective_duration
+        with pytest.raises(ValueError, match=r"^effective duration \(1\.5-0\.5j\) is not real$"):
+            TimeTranslationSpec(
+                durations=(1.0, 2.0),
+                coefficients=SuperpositionSpec([complex(0.5, 0.5), complex(0.5, -0.5)]),
+                hamiltonian=SIGMA_Z)
 
 
 class TestSuperposedEvolution:
