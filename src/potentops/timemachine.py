@@ -14,7 +14,6 @@ from .linalg import (
     ZERO_NORM_TOL,
     as_operator,
     as_state,
-    hermitian_exponential,
     require_hermitian,
     require_normalized,
 )
@@ -37,12 +36,14 @@ WEAK_SUM_TOL = 1e-12  # |sum_i c_i - 1|; the c_i are the register's clock weak v
 class EvolutionFamily:
     """Hamiltonians H(a_i) indexed by real parameters, each applied for the
     same duration T. Repeated parameters are allowed (a degenerate family
-    collapses to a single evolution). Each H(a_i) is evaluated once and kept."""
+    collapses to a single evolution). Each H(a_i) is evaluated once; their stack is
+    guarded and diagonalized by one ``eigh``, and its spectrum is kept for every use."""
 
     parameters: tuple
     generator: Callable[[float], np.ndarray]
     duration: float
-    _hamiltonians: np.ndarray = field(init=False, repr=False, compare=False)
+    _energies: np.ndarray = field(init=False, repr=False, compare=False)
+    _vectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         params = tuple(float(a) for a in self.parameters)
@@ -50,16 +51,26 @@ class EvolutionFamily:
             raise ValueError("need at least one parameter")
         if not 0 <= self.duration < np.inf:
             raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
-        hs = [np.asarray(self.generator(a), dtype=complex) for a in params]
-        if any(h.shape != hs[0].shape for h in hs):
-            raise ValueError(f"H(a) must share one shape, got {[h.shape for h in hs]}")
+        hs = [np.asarray(self.generator(a)) for a in params]
+        shape = hs[0].shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"H({params[0]}) has shape {shape}, not a square matrix")
+        for a, h in zip(params, hs):
+            if h.shape != shape:
+                raise ValueError(f"H({a}) has shape {h.shape}, H({params[0]}) has shape {shape}")
+        stack = np.array(hs, dtype=complex)
+        del hs  # one copy of the generators lives through eigh: the fit scan's memory bound
+        require_hermitian(stack, name=(f"H({a})" for a in params))  # formatted on refusal only
         object.__setattr__(self, "parameters", params)
-        object.__setattr__(self, "_hamiltonians", require_hermitian(
-            np.array(hs), name=(f"H({a})" for a in params)))
+        energies, vectors = np.linalg.eigh(stack)
+        object.__setattr__(self, "_energies", energies)
+        object.__setattr__(self, "_vectors", vectors)
 
     def branch_unitaries(self) -> np.ndarray:
-        """The exp(-i H(a_i) T) as one (n, d, d) stack, from one stacked exponential."""
-        return hermitian_exponential(self._hamiltonians, -1j * self.duration)
+        """The exp(-i H(a_i) T) as one (n, d, d) stack, exponentiated from the kept spectrum."""
+        v = self._vectors
+        phases = np.exp(-1j * self.duration * self._energies)
+        return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -163,12 +174,11 @@ def effective_parameter_fit(family: EvolutionFamily, spec: SuperpositionSpec,
     matches; the reported fidelity is still the phase-invariant magnitude. No
     claim that the fidelity is near 1 in general.
 
-    Every scan evaluates the overlap by one route, :func:`_target_overlaps`,
-    which stacks the generators H(a) and diagonalizes them in one batched
-    ``eigh``. The stack is chunked at ``SCAN_STACK_ENTRIES`` complex entries,
-    so peak memory grows with d^2 times the chunk, not with d^2 times the
-    grid. A generator that is not Hermitian, not finite or not d x d at any
-    scan point is refused with a ValueError naming that a.
+    Every scan reads the overlaps, by :func:`_target_overlaps`, from the kept
+    spectrum of one EvolutionFamily per chunk of ``SCAN_STACK_ENTRIES`` complex
+    entries, so peak memory grows with d^2 times the chunk, not the grid. A
+    generator that is not Hermitian, not finite or not d x d at any scan point
+    is refused with a ValueError naming that a.
     """
     a_lo, a_hi = (float(interval[0]), float(interval[1]))
     if not (np.isfinite(a_lo) and np.isfinite(a_hi) and a_hi > a_lo):
@@ -194,34 +204,23 @@ def effective_parameter_fit(family: EvolutionFamily, spec: SuperpositionSpec,
 
 def _target_overlaps(family: EvolutionFamily, parameters, Phi: np.ndarray,
                      super_state: np.ndarray) -> np.ndarray:
-    """<exp(-i H(a) T) Phi | super_state> for every a in parameters.
-
-    In the eigenbasis H(a) = V diag(lam) V^dag the overlap is
-    sum_k conj((V^dag Phi)_k) e^{+i T lam_k} (V^dag super_state)_k, so no
-    d x d exponential is formed. Generators are stacked and diagonalized by
-    one ``eigh`` per chunk of at most SCAN_STACK_ENTRIES complex entries.
-    """
-    parameters = [float(a) for a in parameters]
+    """<exp(-i H(a) T) Phi | super_state> for every a in parameters, read from the kept
+    spectrum of one EvolutionFamily per chunk of at most SCAN_STACK_ENTRIES complex entries:
+    with H(a) = V diag(lam) V^dag it is sum_k conj((V^dag Phi)_k) e^{+i T lam_k}
+    (V^dag super_state)_k, so no d x d exponential is formed."""
     chunk = max(1, SCAN_STACK_ENTRIES // Phi.size**2)
-    return np.concatenate([_stacked_overlaps(family, parameters[i:i + chunk], Phi, super_state)
-                           for i in range(0, len(parameters), chunk)])
-
-
-def _stacked_overlaps(family: EvolutionFamily, parameters: list, Phi: np.ndarray,
-                      super_state: np.ndarray) -> np.ndarray:
-    """One chunk of :func:`_target_overlaps`; its stack is freed on return."""
-    d = Phi.size
-    stack = np.empty((len(parameters), d, d), dtype=complex)
-    for i, a in enumerate(parameters):
-        h = np.asarray(family.generator(a), dtype=complex)
-        if h.shape != (d, d):
-            raise ValueError(f"H({a}) has shape {h.shape}, Phi has shape {Phi.shape}")
-        stack[i] = h
-    require_hermitian(stack, name=(f"H({a})" for a in parameters))  # formatted on refusal only
-    lam, v = np.linalg.eigh(stack)
-    bra = Phi.conj() @ v                    # conj(V^dag Phi), one row per a
-    ket = (super_state.conj() @ v).conj()   # V^dag super_state
-    return np.sum(bra * np.exp(1j * family.duration * lam) * ket, axis=1)
+    overlaps = []
+    for i in range(0, len(parameters), chunk):
+        part = EvolutionFamily(parameters[i:i + chunk], family.generator, family.duration)
+        v = part._vectors
+        if v.shape[-1] != Phi.size:
+            raise ValueError(f"H({part.parameters[0]}) has shape {v.shape[1:]}, "
+                             f"Phi has shape {Phi.shape}")
+        bra = Phi.conj() @ v                    # conj(V^dag Phi), one row per a
+        ket = (super_state.conj() @ v).conj()   # V^dag super_state
+        overlaps.append(np.sum(bra * np.exp(1j * family.duration * part._energies) * ket, axis=1))
+        del part, v  # freed before the next chunk's family is built
+    return np.concatenate(overlaps)
 
 
 def time_translation_machine(spec: TimeTranslationSpec, Phi: np.ndarray):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -24,7 +25,7 @@ from potentops import (
     time_translation_machine,
     weak_value,
 )
-from potentops import timemachine
+from potentops import linalg, meters, pps, scenarios, timemachine
 from potentops.cli import EXIT_VALIDATION, main
 from potentops.linalg import _pade_exponential
 from potentops.pauli import SIGMA_X, SIGMA_Z
@@ -122,8 +123,15 @@ class TestSpecs:
         assert calls == [0.1, 0.2, 0.3]
 
     def test_generators_of_two_shapes_refused(self):
-        with pytest.raises(ValueError, match=r"^H\(a\) must share one shape, got \[\(2, 2\), \(3, 3\)\]$"):
+        with pytest.raises(ValueError, match=r"^H\(0\.2\) has shape \(3, 3\), H\(0\.1\) has shape \(2, 2\)$"):
             EvolutionFamily((0.1, 0.2), lambda a: np.eye(2) if a < 0.15 else np.eye(3), 1.0)
+
+    # two vectors of length 2 must not be read as one 2 x 2 stack
+    @pytest.mark.parametrize("h", [np.array([1.0, 1.0]), np.ones((2, 3)), np.float64(1.0)])
+    def test_generator_that_is_not_a_square_matrix_refused(self, h):
+        message = rf"^H\(0\.1\) has shape {re.escape(str(np.shape(h)))}, not a square matrix$"
+        with pytest.raises(ValueError, match=message):
+            EvolutionFamily((0.1, 0.2), lambda a: h, 1.0)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError, match="duration"):
@@ -376,17 +384,52 @@ class TestStackedScan:
                                 random_state(3, rng), (-2.0, 2.0))
         assert shapes == [(2, 3, 3)] + [(1000, 3, 3)] + [(17, 3, 3)] * 11
 
+    def test_one_guard_per_family_and_one_generator_call_per_scan_point(self, monkeypatch):
+        # record the names of every guarded stack, in every module that binds the guard
+        guarded = []
+
+        def recording_guard(m, name="operator"):
+            names = name if isinstance(name, str) else list(name)
+            guarded.append(names)
+            return guard(m, names)
+
+        rng = np.random.default_rng(1)
+        quadratic = quadratic_family(3, rng, parameters=(0.3, 0.7))
+        guard = linalg.require_hermitian
+        for module in (linalg, meters, pps, scenarios, timemachine):
+            if getattr(module, "require_hermitian", None) is guard:
+                monkeypatch.setattr(module, "require_hermitian", recording_guard)
+        calls = []
+        family = EvolutionFamily(quadratic.parameters,
+                                 lambda a: calls.append(a) or quadratic.generator(a),
+                                 quadratic.duration)
+        spec, Phi = SuperpositionSpec(np.array([0.5, 0.5])), random_state(3, rng)
+        superposed_evolution(family, spec, Phi)
+        assert guarded == [["H(0.3)", "H(0.7)"]]
+        assert calls == [0.3, 0.7]
+        guarded.clear()
+        calls.clear()
+        effective_parameter_fit(family, spec, Phi, (-2.0, 2.0))
+        # one family for the 1000-point scan, then one of 17 per zoom round
+        assert len(calls) == 1000 + 17 * 11
+        assert [len(names) for names in guarded] == [1000] + [17] * 11
+        assert [f"H({a})" for a in calls] == [n for names in guarded for n in names]
+
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_branch_unitaries_are_one_stacked_exponential(self, dim, monkeypatch):
-        family = quadratic_family(dim, np.random.default_rng(dim))
-        per_parameter = np.array([hermitian_exponential(family.generator(a),
-                                                        -1j * family.duration)
-                                  for a in family.parameters])
+        # one (n, d, d) eigh when the family is built, none in branch_unitaries
         shapes = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or eigh(m))
-        assert family.branch_unitaries().tobytes() == per_parameter.tobytes()
+        family = quadratic_family(dim, np.random.default_rng(dim))
         assert shapes == [(3, dim, dim)]
+        unitaries = family.branch_unitaries()
+        assert shapes == [(3, dim, dim)]
+        monkeypatch.undo()
+        per_parameter = np.array([hermitian_exponential(family.generator(a),
+                                                        -1j * family.duration)
+                                  for a in family.parameters])
+        assert unitaries.tobytes() == per_parameter.tobytes()
 
     def test_peak_memory_bounded_by_chunk(self):
         dim = 128
@@ -443,8 +486,22 @@ class TestFitRefusals:
 
     def test_shape_changes_at_a_scan_point(self):
         with pytest.raises(ValueError,
-                           match=r"H\(0\.50\d*\) has shape \(3, 3\), Phi has shape \(2,\)"):
+                           match=r"^H\(0\.50\d*\) has shape \(3, 3\), H\(0\.0\) has shape \(2, 2\)$"):
             self.fit_with(np.eye(3, dtype=complex))
+
+    def test_shape_changes_after_the_first_scan_point(self):
+        # the odd H(a) is the chunk's first, so the refusal names both shapes
+        family = EvolutionFamily((0.1, 0.2), lambda a: np.eye(3) if a == 0 else a * SIGMA_Z, 1.0)
+        with pytest.raises(ValueError, match=r"^H\(0\.001\d*\) has shape \(2, 2\), "
+                                             r"H\(0\.0\) has shape \(3, 3\)$"):
+            effective_parameter_fit(family, SuperpositionSpec(np.array([0.5, 0.5])),
+                                    random_state(2, np.random.default_rng(13)), (0.0, 1.0))
+
+    def test_every_scan_point_of_another_shape(self):
+        family = EvolutionFamily((0.1, 0.2), lambda a: a * SIGMA_Z if a < 0.3 else np.eye(3), 1.0)
+        with pytest.raises(ValueError, match=r"^H\(0\.5\) has shape \(3, 3\), Phi has shape \(2,\)$"):
+            effective_parameter_fit(family, SuperpositionSpec(np.array([0.5, 0.5])),
+                                    random_state(2, np.random.default_rng(13)), (0.5, 1.0))
 
     def test_generator_shape_does_not_match_phi(self):
         family = linear_family((0.1, 0.2), SIGMA_Z, 1.0)
