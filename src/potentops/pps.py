@@ -245,14 +245,15 @@ def weak_limit_potent_values(coupling: CouplingSpec, Phi: np.ndarray, basis: np.
     """
     Phi = require_normalized(Phi, "Phi")
     basis = require_orthonormal_basis(basis)
-    a_w = weak_value(coupling.A, sel)
+    scale = -1j * coupling.g * weak_value(coupling.A, sel)  # -i g A_w
     meter_amps = basis.conj().T @ Phi
     p_amps = basis.conj().T @ (coupling.P @ Phi)
     values = np.zeros(basis.shape[1], dtype=complex)
     significant = np.abs(meter_amps) > 1e-12
     p_w = p_amps[significant] / meter_amps[significant]
-    values[significant] = meter_amps[significant] * np.exp(-1j * coupling.g * a_w * p_w)
-    state = hermitian_exponential(coupling.P, -1j * coupling.g * a_w) @ Phi
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below refuses
+        values[significant] = meter_amps[significant] * np.exp(scale * p_w)
+        state = hermitian_exponential(coupling.P, scale) @ Phi
     if not (np.isfinite(np.linalg.norm(state)) and np.all(np.isfinite(values))):
         raise ValueError("weak-limit values overflow a double: g*|Im A_w| times the "
                          "spectral extent of P is too large")

@@ -37,13 +37,12 @@ class EvolutionFamily:
     """Hamiltonians H(a_i) indexed by real parameters, each applied for the
     same duration T. Repeated parameters are allowed (a degenerate family
     collapses to a single evolution). Each H(a_i) is evaluated once; their stack is
-    guarded and diagonalized by one ``eigh``, and its spectrum is kept for every use."""
+    guarded and diagonalized by one ``eigh``, kept as ``_spectrum`` for every use."""
 
     parameters: tuple
     generator: Callable[[float], np.ndarray]
     duration: float
-    _energies: np.ndarray = field(init=False, repr=False, compare=False)
-    _vectors: np.ndarray = field(init=False, repr=False, compare=False)
+    _spectrum: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         params = tuple(float(a) for a in self.parameters)
@@ -62,14 +61,12 @@ class EvolutionFamily:
         del hs  # one copy of the generators lives through eigh: the fit scan's memory bound
         require_hermitian(stack, name=(f"H({a})" for a in params))  # formatted on refusal only
         object.__setattr__(self, "parameters", params)
-        energies, vectors = np.linalg.eigh(stack)
-        object.__setattr__(self, "_energies", energies)
-        object.__setattr__(self, "_vectors", vectors)
+        object.__setattr__(self, "_spectrum", np.linalg.eigh(stack))
 
     def branch_unitaries(self) -> np.ndarray:
-        """The exp(-i H(a_i) T) as one (n, d, d) stack, exponentiated from the kept spectrum."""
-        v = self._vectors
-        phases = np.exp(-1j * self.duration * self._energies)
+        """The (n, d, d) exp(-i H(a_i) T) from the kept spectrum, for potent_time_superposition."""
+        energies, v = self._spectrum
+        phases = np.exp(-1j * self.duration * energies)
         return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
@@ -103,13 +100,14 @@ class SuperpositionSpec:
 
 @dataclass(frozen=True)
 class TimeTranslationSpec:
-    """One Hamiltonian run for durations T_i, superposed with coefficients c_i.
-    T' = sum_i c_i T_i, the register clock diag(T_i)'s weak value, is kept and must be real."""
+    """One Hamiltonian run for durations T_i, superposed with coefficients c_i. T' = sum_i c_i T_i,
+    the register clock's weak value, must be real; it and H's eigh are computed once and kept."""
 
     durations: tuple
     coefficients: SuperpositionSpec
     hamiltonian: np.ndarray
     effective_duration: float = field(init=False)
+    _spectrum: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ts = tuple(float(t) for t in self.durations)
@@ -123,22 +121,23 @@ class TimeTranslationSpec:
         if not abs(total.imag) <= 1e-12:
             raise ValueError(f"effective duration {total} is not real")
         object.__setattr__(self, "effective_duration", total.real)
+        object.__setattr__(self, "_spectrum", np.linalg.eigh(self.hamiltonian))
 
 
 def superposed_evolution(family: EvolutionFamily, spec: SuperpositionSpec, Phi: np.ndarray):
-    """sum_i c_i exp(-i H(a_i) T)|Phi>, unnormalized, plus its norm.
-
-    The squared norm is the probability cost of realizing the superposition by
-    post-selection.
+    """sum_i c_i exp(-i H(a_i) T)|Phi>, unnormalized, plus its norm (whose square is the
+    probability cost of realizing the superposition by post-selection). It is read from the
+    family's kept spectrum as sum_i c_i V_i (e^{-i T lam_i} o V_i^dag Phi): n d^2, no exponential.
     """
     if len(spec) != len(family.parameters):
         raise ValueError(f"{len(family.parameters)} parameters but {len(spec)} coefficients")
     Phi = require_normalized(Phi, "Phi")
-    unitaries = family.branch_unitaries()
-    if unitaries.shape[-1] != Phi.size:
-        raise ValueError(f"H({family.parameters[0]}) has shape {unitaries.shape[1:]}, "
+    energies, v = family._spectrum
+    if v.shape[-1] != Phi.size:
+        raise ValueError(f"H({family.parameters[0]}) has shape {v.shape[1:]}, "
                          f"Phi has shape {Phi.shape}")
-    state = spec.coefficients @ (unitaries @ Phi)
+    amps = np.exp(-1j * family.duration * energies) * (Phi @ v.conj())  # one row per branch
+    state = spec.coefficients @ (v @ amps[..., None])[..., 0]
     return state, float(np.linalg.norm(state))
 
 
@@ -212,14 +211,14 @@ def _target_overlaps(family: EvolutionFamily, parameters, Phi: np.ndarray,
     overlaps = []
     for i in range(0, len(parameters), chunk):
         part = EvolutionFamily(parameters[i:i + chunk], family.generator, family.duration)
-        v = part._vectors
+        energies, v = part._spectrum
         if v.shape[-1] != Phi.size:
             raise ValueError(f"H({part.parameters[0]}) has shape {v.shape[1:]}, "
                              f"Phi has shape {Phi.shape}")
         bra = Phi.conj() @ v                    # conj(V^dag Phi), one row per a
         ket = (super_state.conj() @ v).conj()   # V^dag super_state
-        overlaps.append(np.sum(bra * np.exp(1j * family.duration * part._energies) * ket, axis=1))
-        del part, v  # freed before the next chunk's family is built
+        overlaps.append(np.sum(bra * np.exp(1j * family.duration * energies) * ket, axis=1))
+        del part, energies, v  # freed before the next chunk's family is built
     return np.concatenate(overlaps)
 
 
@@ -233,13 +232,13 @@ def time_translation_machine(spec: TimeTranslationSpec, Phi: np.ndarray):
     sum_i |i><i| (x) exp(-i H T_i) = exp(-i diag(T_i) (x) H): the machine is
     the potent operator of one product coupling at g = 1, with clock weights
     <|i><i|>_w = c_i. In H's eigenbasis that is diagonal_potent_operator(T,
-    c, 1, E), and the one eigh of H also gives the target exp(-i H T').
+    c, 1, E), and the spec's kept spectrum of H also gives the target exp(-i H T').
     """
     Phi = require_normalized(Phi, "Phi")
     if spec.hamiltonian.shape[1] != Phi.size:
         raise ValueError(f"H has shape {spec.hamiltonian.shape}, Phi has shape {Phi.shape}")
     t_eff = spec.effective_duration
-    energies, vecs = np.linalg.eigh(spec.hamiltonian)
+    energies, vecs = spec._spectrum
     amps = vecs.conj().T @ Phi
     state = diagonal_potent_operator(spec.durations, spec.coefficients.coefficients, 1.0,
                                      energies) * amps

@@ -37,6 +37,7 @@ from potentops.pauli import (
     KET_PLUS,
     PROJECT_1,
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
 )
 from potentops.pps import EPS_OVERLAP, diagonal_potent_operator, spectral_weights
@@ -589,12 +590,23 @@ class TestWeakLimit:
         phase = np.vdot(target, state) / abs(np.vdot(target, state))
         assert np.max(np.abs(state - phase * target)) <= 1e-10
 
+    # The overflow is refused by the finiteness check alone: under the suite's
+    # filterwarnings = error, an overflow or invalid-value RuntimeWarning on the
+    # way would escape pytest.raises(ValueError).
     def test_overflow_refused(self):
         sel = PrePostSelection(AMPLIFICATION_PSI, np.array([1, 1j]) / np.sqrt(2))
         coupling = CouplingSpec(g=1.0, A=SIGMA_Z, P=np.diag([1000.0, -1000.0, 0.0]))
-        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="overflow"):
+        with pytest.raises(ValueError, match="overflow"):
             weak_limit_potent_values(coupling, np.ones(3) / np.sqrt(3),
                                      np.eye(3, dtype=complex), sel)
+
+    def test_sigma_y_probe_refused_without_warning(self, amplification):
+        # A_w = -i sqrt(3), so exp(-i g A_w P) = exp(-sqrt(3) P) reaches
+        # e^{1000 sqrt(3)} at the eigenvalue -1000 of P: past a double
+        coupling = CouplingSpec(g=1.0, A=SIGMA_Y, P=np.diag([0.0, 1.0, -1000.0]))
+        with pytest.raises(ValueError, match="^weak-limit values overflow a double"):
+            weak_limit_potent_values(coupling, np.ones(3) / np.sqrt(3),
+                                     np.eye(3, dtype=complex), amplification)
 
     def test_dark_basis_vectors_get_zero(self, amplification):
         Phi = np.array([1, 0, 0], dtype=complex)

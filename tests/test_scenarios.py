@@ -195,12 +195,17 @@ class TestParseConfig:
 
 def _assert_identical(actual, expected, path):
     """Exact equality, field by field through dataclasses (a PrePostSelection,
-    a GaussianPointer, a TimeTranslationSpec), whose == is ambiguous on arrays."""
+    a GaussianPointer, a TimeTranslationSpec) and item by item through tuples (a
+    kept eigh result), whose == is ambiguous on arrays."""
     assert type(actual) is type(expected), path
     if dataclasses.is_dataclass(expected):
         for f in dataclasses.fields(expected):
             _assert_identical(getattr(actual, f.name), getattr(expected, f.name),
                               f"{path}.{f.name}")
+    elif isinstance(expected, tuple):
+        assert len(actual) == len(expected), path
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            _assert_identical(a, e, f"{path}[{i}]")
     elif isinstance(expected, np.ndarray):
         np.testing.assert_array_equal(actual, expected, err_msg=path, strict=True)
     else:
@@ -416,7 +421,8 @@ class TestSharedDecompositions:
                "hamiltonian": QUBIT_METER_3["observable"], "meter_state": [0.6, 0.0, 0.8]}
         (row,) = run_scenario(parse_config_mapping(doc))
         assert within_tolerance(row["residual"], KINDS["time-machine"].tolerance)
-        # one of H for the rows and their target; the Pade oracle takes none
+        # one of H, kept by the spec at parse, for the rows and their target; the Pade
+        # oracle takes none
         assert eigh_shapes == [(3, 3)]
 
     def test_time_machine_residual_builds_one_register_selection(self, monkeypatch):

@@ -1,17 +1,16 @@
-"""A generator family is guarded and diagonalized in one place. In timemachine,
-only EvolutionFamily.__post_init__ (which keeps the family's spectrum),
-TimeTranslationSpec.__post_init__ (which guards its one H) and
-time_translation_machine (which diagonalizes that H) call a Hermitian guard,
-an eigendecomposition or a Hermitian exponential; the branch unitaries and
-the fit's scan read a family's kept spectrum."""
+"""Each superposition record is guarded and diagonalized in one place. In
+timemachine, only EvolutionFamily.__post_init__ (which keeps the family's
+spectrum) and TimeTranslationSpec.__post_init__ (which keeps its one H's) call
+a Hermitian guard, an eigendecomposition or a Hermitian exponential;
+superposed_evolution, the branch unitaries, the fit's scan and
+time_translation_machine read a kept spectrum."""
 
 import ast
 from pathlib import Path
 
 TIMEMACHINE = Path(__file__).resolve().parents[1] / "src" / "potentops" / "timemachine.py"
 SPECTRAL_CALLS = {"eigh", "require_hermitian", "hermitian_exponential"}
-ALLOWED = {"EvolutionFamily.__post_init__", "TimeTranslationSpec.__post_init__",
-           "time_translation_machine"}
+ALLOWED = {"EvolutionFamily.__post_init__", "TimeTranslationSpec.__post_init__"}
 
 
 def spectral_call_sites(tree) -> list[str]:
