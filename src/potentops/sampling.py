@@ -36,11 +36,11 @@ def _haar_unitaries(gaussians: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def random_selection(dim: int, rng: np.random.Generator):
-    """Random normalized (psi, phi) with |<phi|psi>| >= SELECTION_FLOOR."""
+def random_selection(dim: int, rng: np.random.Generator, floor: float = SELECTION_FLOOR):
+    """Random normalized (psi, phi) with |<phi|psi>| >= floor."""
     while True:
         psi, phi = random_state(dim, rng), random_state(dim, rng)
-        if abs(np.vdot(phi, psi)) >= SELECTION_FLOOR:
+        if abs(np.vdot(phi, psi)) >= floor:
             return psi, phi
 
 

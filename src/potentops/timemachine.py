@@ -167,7 +167,10 @@ def effective_parameter_fit(family: EvolutionFamily, spec: SuperpositionSpec,
     A 1000-point scan brackets the optimum, then the fit zooms: it re-scans
     the bracket [grid[best-1], grid[best+1]] at 17 points, which cuts it by 8,
     until the bracket is narrower than BRACKET_TOL * max(1, |lo|, |hi|), and
-    returns the best scanned point. When the magnitude objective of the first
+    returns the best scanned point. That does not fix a* to BRACKET_TOL: the
+    objective is quadratic at its maximum, so rounding in the overlaps fixes a*
+    only to about 1e-7, and the last rounds choose among points whose scores
+    differ only by rounding. When the magnitude objective of the first
     scan is flat (phase-only action, e.g. eigenstate meters), every scan ranks
     by the real part of the overlap instead, which picks the a' whose phase
     matches; the reported fidelity is still the phase-invariant magnitude. No

@@ -223,7 +223,7 @@ def test_nan_residual_exits_2(monkeypatch, capsys, tmp_path):
     # 2), not be refused as a non-finite value (exit 1).
     from potentops.scenarios import KINDS
 
-    for name in ("weak-value", "modular-value"):
+    for name in ("weak-value", "modular-value", "time-machine"):
         kind = KINDS[name]
 
         def nan_residuals(cfg, run=kind.run):
@@ -238,14 +238,10 @@ def test_nan_residual_exits_2(monkeypatch, capsys, tmp_path):
     assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")) \
         == EXIT_RESIDUAL
     assert re.match(r"potentops: (\d+)/\1 rows exceed", capsys.readouterr().err)
-    # verify shares the time-machine oracle helper with the runner
-    from potentops import scenarios
-
-    real = scenarios._time_machine_residual
-    monkeypatch.setattr(scenarios, "_time_machine_residual",
-                        lambda spec, Phi: (real(spec, Phi)[0], np.nan))
+    # verify gates each kind's row from that kind's own runner
     assert run_cli("verify") == EXIT_RESIDUAL
-    assert "FAIL time_machine_potent_route" in capsys.readouterr().out
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert [line.split()[1] for line in fails] == ["weak-value", "modular-value", "time-machine"]
 
 
 class TestSweep:

@@ -425,13 +425,14 @@ class TestSharedDecompositions:
         # oracle takes none
         assert eigh_shapes == [(3, 3)]
 
-    def test_time_machine_residual_builds_one_register_selection(self, monkeypatch):
-        spec = parse_config_mapping({"scenario": "time-machine"}).params["spec"]
+    def test_time_machine_run_builds_one_register_selection(self, monkeypatch):
+        cfg = parse_config_mapping({"scenario": "time-machine"})
+        spec = cfg.params["spec"]
         built = []
         build = PrePostSelection.__post_init__
         monkeypatch.setattr(PrePostSelection, "__post_init__",
                             lambda sel: built.append(sel) or build(sel))
-        scenarios._time_machine_residual(spec, np.array([1.0, 0.0], dtype=complex))
+        run_scenario(cfg)
         # the T'_w witness and the register potent operator read one selection
         assert len(built) == 1
         assert built[0] is spec.coefficients.register_selection
@@ -570,7 +571,14 @@ class TestFaultMatrix:
     kinds that decompose that shape: the 2x2 observables of the presets, or
     conditional's larger blocks. One confined to stacked calls fails the kinds
     that decompose a stack: conditional, whose modular values take one eigh of
-    all the generators A_n."""
+    all the generators A_n.
+
+    verify runs each kind on one drawn config, and its kind rows fail as the
+    kinds do. Its draws are complex, so the conjugation fault fails them with no
+    sigma_y config. At the default seed, the one apparatus instance of its
+    conditional draw has 2x2 generators, so eigh-2x2, not eigh-3+, fails its
+    conditional row; eigh-3+ fails the 16x16 exponential of
+    general_vs_hermitian_exponential and the 4x4 Hamiltonian of time-machine."""
 
     PASSING = {"eigh": {"completeness"}, "pade": {"completeness"},
                "lattice": set(KINDS) - {"pointer-shift"},
@@ -578,15 +586,13 @@ class TestFaultMatrix:
                "eigh-3+": set(KINDS) - {"conditional"},
                "eigh-stacked": set(KINDS) - {"conditional"},
                "eigh-conj": {"completeness"}}
-    MATRIX_FAILS = {"general_vs_hermitian_exponential", "qubit_meter_potent_values",
-                    "qubit_meter_potent_operator", "apparatus_controlled_reduction",
-                    "time_machine_potent_route"}
+    MATRIX_FAILS = {"general_vs_hermitian_exponential", *KINDS} - {"completeness"}
+    QUBIT_KINDS = {"weak-value", "modular-value", "potent-values", "potent-operator"}
     VERIFY_FAILS = {"eigh": MATRIX_FAILS, "pade": MATRIX_FAILS,
-                    "lattice": {"pointer_translation", "momentum_lattice"},
-                    "eigh-2x2": {"qubit_meter_potent_values", "qubit_meter_potent_operator"},
-                    "eigh-3+": {"general_vs_hermitian_exponential",
-                                "apparatus_controlled_reduction", "time_machine_potent_route"},
-                    "eigh-stacked": {"apparatus_controlled_reduction"},
+                    "lattice": {"pointer_translation", "pointer-shift"},
+                    "eigh-2x2": QUBIT_KINDS | {"pointer-shift", "conditional"},
+                    "eigh-3+": {"general_vs_hermitian_exponential", "time-machine"},
+                    "eigh-stacked": {"conditional"},
                     "eigh-conj": MATRIX_FAILS}
 
     @staticmethod
@@ -772,12 +778,27 @@ sweep:
         assert kind == "modular-value" and [row["point"] for row in rows] == [0, 1]
 
 
+VERIFY_IDENTITIES = ["tensor_associativity", "hermitian_exponential_unitary",
+                     "general_vs_hermitian_exponential", "kraus_completeness",
+                     "probability_identity", "potent_value_state_vs_oracle",
+                     "potent_operator_state_vs_oracle", "projector_weak_values_sum",
+                     "potent_operator_scale_invariance", "weak_value_scale_invariance",
+                     "pointer_translation"]
+
+
 class TestVerificationSuite:
+    # verify runs at whatever seed it is given, so every draw must stay inside
+    # its tolerance; 200 seeds take about a second.
     def test_all_checks_pass(self):
-        rows = verification_suite(seed=0)
-        assert len(rows) >= 15
-        for row in rows:
-            assert row["residual"] <= row["tolerance"], row["check"]
+        for seed in range(200):
+            rows = verification_suite(seed=seed)
+            assert [row["check"] for row in rows] == VERIFY_IDENTITIES + list(KINDS)
+            assert len({row["check"] for row in rows}) == 19
+            # each kind row is gated by its kind's own tolerance
+            assert [row["tolerance"] for row in rows[len(VERIFY_IDENTITIES):]] \
+                == [kind.tolerance for kind in KINDS.values()]
+            for row in rows:
+                assert within_tolerance(row["residual"], row["tolerance"]), (seed, row)
 
     def test_deterministic(self):
         assert verification_suite(seed=7) == verification_suite(seed=7)
