@@ -16,19 +16,21 @@ from potentops import (
     PrePostSelection,
     QubitMeter,
     apparatus_state_from_potent_values,
+    evolution_operators,
     joint_evolve_and_postselect,
     kraus_slices,
     modular_value,
     normalize,
     potent_operator,
     potent_values,
+    tensor_product,
 )
-from potentops.pauli import AMPLIFICATION_PHI, AMPLIFICATION_PSI, SIGMA_Z
+from potentops.pauli import AMPLIFICATION_PHI, AMPLIFICATION_PSI, PROJECT_1, SIGMA_Z
 
 g = 1.3
 meter = QubitMeter(alpha=0.6, beta=0.8)
 sel = PrePostSelection(AMPLIFICATION_PSI, AMPLIFICATION_PHI)
-joint = meter.coupling_unitary(SIGMA_Z, g)
+joint = evolution_operators(tensor_product(SIGMA_Z, PROJECT_1), [g])[0]
 
 print(f"coupling g = {g}, meter (alpha, beta) = ({meter.alpha}, {meter.beta})")
 

@@ -4,6 +4,7 @@ Gaussian-pointer meters, and post-selected superpositions of time evolutions.
 """
 
 from .linalg import (
+    evolution_operators,
     fidelity,
     general_exponential,
     hermitian_exponential,

@@ -28,9 +28,9 @@ ORTHONORMAL_TOL = 1e-10
 # accuracy and overflow sets in well before double-precision infinities.
 EXP_NORM_CAP = 128.0
 # _pade_exponential refuses an exponent beyond this 1-norm before forming any
-# power. Every gated oracle residual has already failed well below it (the
-# sigma_z qubit-meter oracle reads 5.8e-10 at 1-norm 1e7), and the ~log2(norm)
-# squarings would otherwise run on to overflow.
+# power. Every oracle argument is -i t H from evolution_operators, and every gated
+# oracle residual has failed well below the cap (the sigma_z qubit-meter oracle
+# reads 5.8e-10 at 1-norm 1e7); the ~log2(norm) squarings would run on to overflow.
 PADE_NORM_CAP = 2.0 ** 23
 
 
@@ -155,6 +155,14 @@ def general_exponential(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     if not np.isfinite(norm) or norm > EXP_NORM_CAP:
         raise ValueError(f"1-norm of scale*M is {norm:.3e}, above the cap {EXP_NORM_CAP}")
     return _pade_exponential(scaled)
+
+
+def evolution_operators(h: np.ndarray, ts) -> np.ndarray:
+    """exp(-i t H), shape (*ts.shape, ..., d, d), for every t of an array ts and a
+    square H or (..., d, d) stack, by one Pade call and no eigh: every oracle's
+    exponential. H is unguarded (callers guard it where they keep it); the result
+    is unitary for Hermitian H and real t, and a complex t is taken as given."""
+    return _pade_exponential(np.multiply.outer(-1j * np.asarray(ts), h))
 
 
 # Pade numerator coefficients b_0 .. b_m and the 1-norm bounds theta_m up to

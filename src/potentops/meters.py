@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, pauli
-from .linalg import as_state, fidelity, require_hermitian, tensor_product
+from .linalg import as_state, evolution_operators, fidelity
 from .pps import PrePostSelection, diagonal_potent_operator, spectral_weights, weak_value
 
 # Larger grids are refused before any array is built; the oracle raises one
@@ -35,17 +34,6 @@ class QubitMeter:
     @property
     def state(self) -> np.ndarray:
         return np.array([self.alpha, self.beta], dtype=complex)
-
-    def coupling_unitaries(self, A: np.ndarray, gs) -> np.ndarray:
-        """exp(-i g A (x) |1><1|) on the system-major joint space for every g
-        in gs, as an (n, 2d, 2d) stack from one stacked Pade exponential: the
-        qubit-meter oracle, which takes no eigendecomposition."""
-        generator = tensor_product(require_hermitian(A, name="A"), pauli.PROJECT_1)
-        return linalg._pade_exponential(np.multiply.outer(-1j * np.asarray(gs), generator))
-
-    def coupling_unitary(self, A: np.ndarray, g: float) -> np.ndarray:
-        """exp(-i g A (x) |1><1|) at one coupling."""
-        return self.coupling_unitaries(A, [g])[0]
 
 
 @dataclass(frozen=True)
@@ -258,8 +246,8 @@ def _lattice_elements(A: np.ndarray, gs: list[float], grid: Grid, phi: np.ndarra
     E^(rows built), appends the products and squares that power.
     """
     half = grid.grid_size // 2
-    steps = np.multiply.outer(2 * np.pi / grid.length * np.asarray(gs), A)
-    powers = linalg._pade_exponential(np.stack([-1j * steps, 1j * steps]))
+    steps = 2 * np.pi / grid.length * np.asarray(gs)
+    powers = evolution_operators(A, np.stack([steps, -steps]))
     rows = np.broadcast_to(phi.conj(), (*powers.shape[:2], 1, phi.size))
     while rows.shape[2] <= half:
         rows = np.concatenate([rows, rows[:, :, :half + 1 - rows.shape[2]] @ powers], axis=2)

@@ -17,6 +17,7 @@ from . import linalg
 from .linalg import (
     as_operator,
     as_state,
+    evolution_operators,
     hermitian_exponential,
     normalize,
     partial_matrix_element,
@@ -90,8 +91,9 @@ class CouplingSpec:
         object.__setattr__(self, "P", require_hermitian(as_operator(self.P), name="P"))
 
     def joint_unitary(self) -> np.ndarray:
-        """exp(-i g A (x) P) on the system-major joint space."""
-        return hermitian_exponential(tensor_product(self.A, self.P), -1j * self.g)
+        """exp(-i g A (x) P) on the system-major joint space, by evolution_operators
+        (no eigh), so refused where g |A (x) P|_1 exceeds linalg.PADE_NORM_CAP."""
+        return evolution_operators(tensor_product(self.A, self.P), [self.g])[0]
 
 
 @dataclass(frozen=True)

@@ -442,7 +442,7 @@ def scenario_template(kind: str) -> dict:
 def _qubit_meter_points(p: dict, sel: PrePostSelection, lam, w):
     """(d, prob) for every coupling g of exp(-i g A (x) |1><1|) at once, from the (lam, w)
     of spectral_weights: the (n_g, 2) diagonals d of diag(1, A_M), |<phi|psi> d (alpha, beta)|^2."""
-    d = diagonal_potent_operator(lam, w, p["g"], [0.0, 1.0])
+    d = diagonal_potent_operator(lam, w, p["g"], np.diagonal(pauli.PROJECT_1).real)
     return d, linalg._norms(sel.overlap * d * p["meter"].state) ** 2
 
 
@@ -450,14 +450,14 @@ def _run_qubit_meter(cfg: ScenarioConfig) -> list[dict]:
     """Rows of the four qubit-meter kinds, one construction read out four ways,
     every coupling in one array. Every residual holds prob_exact to the oracle,
     the meters post-selected from the dense joints exp(-i g A (x) |1><1|) of one
-    stacked Pade exponential, which shares no decomposition; each kind adds one
+    evolution_operators call, which shares no decomposition; each kind adds one
     term. Potent rows are the entries of d * (alpha, beta) or of diag(d)."""
     p, meter, sel = cfg.params, cfg.params["meter"], cfg.params["sel"]
     lam, w = spectral_weights(p["observable"], sel)
     d, prob = _qubit_meter_points(p, sel, lam, w)
     oracle, oracle_p = joint_evolve_and_postselect(
-        meter.coupling_unitaries(p["observable"], p["g"]), sel.psi, meter.state, sel.phi,
-        check_unitary=False)
+        linalg.evolution_operators(tensor_product(p["observable"], pauli.PROJECT_1), p["g"]),
+        sel.psi, meter.state, sel.phi, check_unitary=False)
     index_columns = {"potent-values": ("k",), "potent-operator": ("row", "col")}.get(cfg.kind, ())
     if cfg.kind == "weak-value":
         # Independent route: spectral decomposition turns A_w into an
@@ -517,10 +517,10 @@ def _run_conditional(cfg: ScenarioConfig) -> list[dict]:
     """Each residual holds the closed-form potent operator to the potent operator
     of the assembled joint. System rows, U = sum_n Pi_n (x) U_n, report
     |sum of projector weak values - 1| as aux_residual. Apparatus rows,
-    U = sum_n exp(-i lam A_n) (x) P_n, take eigh in the closed form; one stacked
-    Pade exponential gives every exp(-i lam A_n), both for the assembled joint and
-    for the direct <phi|exp(-i lam A_n)|psi>/<phi|psi>, whose distance from the
-    spectral modular values is their aux_residual."""
+    U = sum_n exp(-i lam A_n) (x) P_n, take eigh in the closed form; one
+    evolution_operators call gives every exp(-i lam A_n), both for the assembled
+    joint and for the direct <phi|exp(-i lam A_n)|psi>/<phi|psi>, whose distance
+    from the spectral modular values is their aux_residual."""
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for instance in range(cfg.params["count"]):
@@ -542,7 +542,7 @@ def _run_conditional(cfg: ScenarioConfig) -> list[dict]:
                 generators = [random_hermitian(ds, rng) for _ in projectors]
                 lam = float(rng.uniform(0.1, 2 * np.pi))
                 op, mvals = potent_operator_apparatus_controlled(generators, projectors, lam, sel)
-                branches = linalg._pade_exponential(-1j * lam * np.asarray(generators))
+                branches = linalg.evolution_operators(np.asarray(generators), [lam])[0]
                 joint = conditional_unitary(branches, projectors)
                 direct = sel.phi.conj() @ branches @ sel.psi / sel.overlap
                 aux = float(np.max(np.abs(np.array(mvals) - direct)))
@@ -554,14 +554,13 @@ def _run_conditional(cfg: ScenarioConfig) -> list[dict]:
 
 def _run_time_machine(cfg: ScenarioConfig) -> list[dict]:
     """time_translation_machine's row and its oracle residual, with no eigh: one
-    stacked Pade call exp(-i t H) at t = T_i and at the register weak value
+    evolution_operators call exp(-i t H) at t = T_i and at the register weak value
     T'_w = <phi|diag(T_i)|psi>/<phi|psi> of the oracle's selection. The register potent
     operator over the branches holds the state, T'_w t_prime, exp(-i H T'_w) fidelity."""
     spec, Phi = cfg.params["spec"], cfg.params["meter_state"]
     state, t_prime, fid, success = time_translation_machine(spec, Phi)
     t_w = weak_value(np.diag(spec.durations), spec.coefficients.register_selection)
-    *branches, target = linalg._pade_exponential(
-        np.multiply.outer(np.append(spec.durations, t_w), -1j * spec.hamiltonian))
+    *branches, target = linalg.evolution_operators(spec.hamiltonian, [*spec.durations, t_w])
     oracle = potent_time_superposition(branches, spec.coefficients).apply(Phi)
     oracle_fid = abs(np.vdot(target @ Phi, oracle)) / np.linalg.norm(oracle)
     residual = float(np.max([*np.abs(oracle - state), abs(t_prime - t_w),
@@ -773,10 +772,11 @@ def verification_suite(seed: int = 0) -> list[dict]:
           np.max(np.abs(general_exponential(h, -1j * 0.7)
                         - hermitian_exponential(h, -1j * 0.7))), 1e-10)
 
-    # Kraus completeness and the probability identity
+    # Kraus completeness and the probability identity; the selection's floor keeps the
+    # scale-invariance rows, which grow as 1/|<phi|psi>|, inside their absolute bound
     ds, da = 3, 4
     joint = random_unitary(ds * da, rng)
-    psi, phi = random_selection(ds, rng)
+    psi, phi = random_selection(ds, rng, floor=0.3)
     Phi = random_state(da, rng)
     sel = PrePostSelection(psi, phi)
     slices = kraus_slices(joint, Phi, np.eye(da, dtype=complex))

@@ -20,6 +20,7 @@ from potentops import (
     apparatus_state_from_potent_values,
     build_gaussian_pointer,
     conditional_unitary,
+    evolution_operators,
     general_exponential,
     joint_evolve_and_postselect,
     modular_value,
@@ -32,11 +33,12 @@ from potentops import (
     potent_time_superposition,
     potent_values,
     superposed_evolution,
+    tensor_product,
     time_translation_machine,
     weak_value,
 )
 from potentops.cli import EXIT_OK, EXIT_RESIDUAL, main
-from potentops.pauli import AMPLIFICATION_PHI, AMPLIFICATION_PSI, SIGMA_Z
+from potentops.pauli import AMPLIFICATION_PHI, AMPLIFICATION_PSI, PROJECT_1, SIGMA_Z
 from potentops.sampling import (
     random_hermitian,
     random_projector_decomposition,
@@ -77,7 +79,7 @@ def test_criterion_2_qubit_meter_reduction():
         sel = PrePostSelection(*random_selection(2, rng))
         amps = random_state(2, rng)
         meter = QubitMeter(alpha=complex(amps[0]), beta=complex(amps[1]))
-        joint = meter.coupling_unitary(a, g)
+        joint = evolution_operators(tensor_product(a, PROJECT_1), [g])[0]
         pvs = potent_values(joint, meter.state, np.eye(2, dtype=complex), sel)
         m = modular_value(a, g, sel)
         worst_values = max(worst_values, float(np.max(np.abs(

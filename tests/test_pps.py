@@ -13,6 +13,7 @@ from potentops import (
     apparatus_state_from_potent_values,
     build_gaussian_pointer,
     conditional_unitary,
+    evolution_operators,
     fidelity,
     general_exponential,
     hermitian_exponential,
@@ -30,6 +31,7 @@ from potentops import (
     weak_limit_potent_values,
     weak_value,
 )
+from potentops.linalg import PADE_NORM_CAP
 from potentops.pauli import (
     AMPLIFICATION_PHI,
     AMPLIFICATION_PSI,
@@ -209,7 +211,7 @@ class TestSpectralWeights:
     def test_qubit_meter_diagonal_is_the_joint_potent_operator(self, case):
         A, sel, g = case
         d = diagonal_potent_operator(*spectral_weights(A, sel), g, [0.0, 1.0])
-        joint = QubitMeter(alpha=0.6, beta=0.8).coupling_unitary(A, g)
+        joint = evolution_operators(tensor_product(A, PROJECT_1), [g])[0]
         assert np.max(np.abs(np.diag(d) - potent_operator(joint, sel).matrix)) <= 1e-12
 
     @settings(max_examples=150, deadline=None)
@@ -608,6 +610,21 @@ class TestWeakLimit:
             weak_limit_potent_values(coupling, np.ones(3) / np.sqrt(3),
                                      np.eye(3, dtype=complex), amplification)
 
+    def test_joint_unitary_takes_no_eigh(self, monkeypatch):
+        # the oracle kernel builds the joint, so it is refused past the Pade cap;
+        # exp(-i g A (x) |1><1|) = I (x) |0><0| + exp(-i g A) (x) |1><1| for A = sigma_x
+        def refuse(*args, **kwargs):
+            raise AssertionError("CouplingSpec.joint_unitary must not diagonalize")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        g = 0.7
+        closed_form = (tensor_product(IDENTITY_2, np.eye(2) - PROJECT_1) + tensor_product(
+            np.cos(g) * IDENTITY_2 - 1j * np.sin(g) * SIGMA_X, PROJECT_1))
+        joint = CouplingSpec(g=g, A=SIGMA_X, P=PROJECT_1).joint_unitary()
+        assert np.max(np.abs(joint - closed_form)) <= 1e-15
+        with pytest.raises(ValueError, match="above the cap"):
+            CouplingSpec(g=2 * PADE_NORM_CAP, A=SIGMA_Z, P=PROJECT_1).joint_unitary()
+
     def test_dark_basis_vectors_get_zero(self, amplification):
         Phi = np.array([1, 0, 0], dtype=complex)
         coupling = CouplingSpec(g=0.1, A=SIGMA_Z, P=random_hermitian(3, np.random.default_rng(19)))
@@ -881,8 +898,8 @@ class TestIdentityProperties:
         meter = QubitMeter(alpha=alpha, beta=beta)
         A = random_hermitian(d, rng)
         sel = PrePostSelection(*_selection_at_overlap(d, rng))
-        pvs = potent_values(meter.coupling_unitary(A, g), meter.state,
-                            np.eye(2, dtype=complex), sel)
+        pvs = potent_values(evolution_operators(tensor_product(A, PROJECT_1), [g])[0],
+                            meter.state, np.eye(2, dtype=complex), sel)
         expected = np.array([alpha, beta * modular_value(A, g, sel)])
         assert np.max(np.abs(pvs.values - expected)) <= 1e-12
 

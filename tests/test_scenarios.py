@@ -576,8 +576,8 @@ class TestFaultMatrix:
     verify runs each kind on one drawn config, and its kind rows fail as the
     kinds do. Its draws are complex, so the conjugation fault fails them with no
     sigma_y config. At the default seed, the one apparatus instance of its
-    conditional draw has 2x2 generators, so eigh-2x2, not eigh-3+, fails its
-    conditional row; eigh-3+ fails the 16x16 exponential of
+    conditional draw has 3x3 generators, so eigh-3+, not eigh-2x2, fails its
+    conditional row, beside the 16x16 exponential of
     general_vs_hermitian_exponential and the 4x4 Hamiltonian of time-machine."""
 
     PASSING = {"eigh": {"completeness"}, "pade": {"completeness"},
@@ -590,8 +590,9 @@ class TestFaultMatrix:
     QUBIT_KINDS = {"weak-value", "modular-value", "potent-values", "potent-operator"}
     VERIFY_FAILS = {"eigh": MATRIX_FAILS, "pade": MATRIX_FAILS,
                     "lattice": {"pointer_translation", "pointer-shift"},
-                    "eigh-2x2": QUBIT_KINDS | {"pointer-shift", "conditional"},
-                    "eigh-3+": {"general_vs_hermitian_exponential", "time-machine"},
+                    "eigh-2x2": QUBIT_KINDS | {"pointer-shift"},
+                    "eigh-3+": {"general_vs_hermitian_exponential", "conditional",
+                                "time-machine"},
                     "eigh-stacked": {"conditional"},
                     "eigh-conj": MATRIX_FAILS}
 
