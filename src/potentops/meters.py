@@ -18,6 +18,12 @@ from .pps import PrePostSelection, diagonal_potent_operator, spectral_weights, w
 GRID_SIZE_CAP = 2 ** 16
 
 
+def _require_finite(**values):
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class QubitMeter:
     """Two-level meter alpha|0> + beta|1>, coupled via the |1><1| projector
@@ -50,6 +56,7 @@ class Grid:
             raise ValueError(f"grid_size {n} exceeds the cap {GRID_SIZE_CAP}")
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"grid_size must be a power of two >= 2, got {n}")
+        _require_finite(x_min=self.x_min, x_max=self.x_max)
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
 
@@ -86,6 +93,7 @@ class GaussianPointer:
 
     def __post_init__(self):
         grid, sigma, x0 = self.grid, self.sigma, self.x0
+        _require_finite(sigma=sigma, x0=x0)
         if sigma <= 0:
             raise ValueError("sigma must be positive")
         if sigma < 4 * grid.dx:
@@ -165,70 +173,60 @@ def pointer_shift_sweep(A: np.ndarray, sel: PrePostSelection, gs,
     effective-evolution state exp(-i g A_w P)|Phi>).
 
     P is diagonal in momentum space, so the post-selected pointer at momentum
-    p_k is Phi~(p_k) <phi|exp(-i g p_k A)|psi>. That is computed twice: as the
-    branch sum over the eigenpairs of A, <phi|psi> times
-    :func:`~potentops.pps.diagonal_potent_operator` on the momentum lattice
-    (the reported state), and by :func:`_lattice_elements` from two Pade
-    exponentials of one lattice step, raised to integer powers, which uses no
-    eigendecomposition. Each oracle_residual is the larger of the two position-space
-    states' max-entry disagreement and |A_w - lam . w|, the A_w columns' witness.
+    p_k is Phi~(p_k) <phi|exp(-i g p_k A)|psi>. That is computed twice, as an
+    (n, N) array for all n couplings at once: as the branch sum over the
+    eigenpairs of A, <phi|psi> times :func:`~potentops.pps.diagonal_potent_operator`
+    on the momentum lattice (the reported states), and by :func:`_lattice_elements`
+    from two Pade exponentials of one lattice step, raised to integer powers,
+    which uses no eigendecomposition. One inverse FFT of the (2, n, N) stack of
+    states and oracle differences gives every oracle_residual: the larger of the
+    max-entry difference and |A_w - lam . w|, the A_w columns' witness.
 
-    The weak-limit state is the packet's closed-form spectrum times
-    exp(-i g A_w p), exponentiated in the log domain. A run is refused before
-    any row when a packet it forms would wrap around the periodic grid: a
-    branch centre x0 + g lam_n or the target centre x0 + g Re(A_w) within
-    6 sigma of an edge, or the target's momentum centre g Im(A_w) / (2 sigma^2)
-    within 3 / sigma of the lattice edge pi / dx.
+    The weak-limit states are the packet's closed-form spectrum times
+    exp(-i g A_w p), one (n, N) exponent in the log domain. A run is refused
+    before any row when a coupling is not finite or a packet it forms would wrap
+    around the periodic grid: a branch centre x0 + g lam_n or the target centre
+    x0 + g Re(A_w) within 6 sigma of an edge, or the target's momentum centre
+    g Im(A_w) / (2 sigma^2) within 3 / sigma of the lattice edge pi / dx.
     """
+    gs = [float(g) for g in np.atleast_1d(gs)]
     lam, w = spectral_weights(A, sel)
     grid, sigma, x0 = pointer.grid, pointer.sigma, pointer.x0
-    p = grid.momentum_lattice
-    gs = [float(g) for g in np.atleast_1d(gs)]
     a_w = weak_value(A, sel)
     weak_residual = abs(a_w - complex(lam @ w))
     for g in gs:
+        _require_finite(g=g)
         centres = [x0 + g * v for v in (float(lam[0]), float(lam[-1]), a_w.real)]  # lam ascends
         if (min(centres) - 6 * sigma < grid.x_min or max(centres) + 6 * sigma > grid.x_max
                 or abs(g * a_w.imag) / (2 * sigma ** 2) + 3 / sigma > np.pi / grid.dx):
             raise ValueError(f"at g = {g} a translated packet leaves the grid's support (+-6 "
                              "sigma in x, +-3/sigma in p); widen the extent or refine the grid")
 
-    psi = sel.psi / np.linalg.norm(sel.psi)
-    phi = sel.phi / np.linalg.norm(sel.phi)
+    p, x = grid.momentum_lattice, grid.x
+    psi, phi = (v / np.linalg.norm(v) for v in (sel.psi, sel.phi))
     meter_k = np.fft.fft(pointer.unit_amplitudes, norm="ortho")
     mean_p0, var_p0 = _moments(meter_k, p)
-    log_spectrum = -(sigma * p) ** 2 - 1j * p * (x0 - grid.x_min)  # of meter_k, up to a constant
-    overlap = np.vdot(phi, psi)
+    states_k = meter_k * (np.vdot(phi, psi) * diagonal_potent_operator(lam, w, gs, p))
+    states, differences = np.fft.ifft(
+        np.stack([states_k, states_k - meter_k * _lattice_elements(A, gs, grid, phi, psi)]),
+        norm="ortho")
+    residuals = np.maximum(np.max(np.abs(differences), axis=-1), weak_residual)  # NaN if either is
+    # Fidelity is basis-independent, so the targets stay in momentum space.
+    exponents = (-(sigma * p) ** 2 - 1j * p * (x0 - grid.x_min)  # of meter_k, up to a constant
+                 - np.array([1j * g * a_w for g in gs])[:, None] * p)
+    targets_k = np.exp(exponents - exponents.real.max(axis=-1, keepdims=True))
 
-    oracle = _lattice_elements(A, gs, grid, phi, psi)
     reports = []
-    for g, elements in zip(gs, oracle):
-        state_k = meter_k * (overlap * diagonal_potent_operator(lam, w, g, p))
-        oracle_k = meter_k * elements
-        state = np.fft.ifft(state_k, norm="ortho")
-        residual = float(np.maximum(np.max(np.abs(np.fft.ifft(state_k - oracle_k, norm="ortho"))),
-                                    weak_residual))  # NaN if either is
-
+    for g, state_k, state, residual, target_k in zip(gs, states_k, states, residuals, targets_k):
         p_exact = float(np.linalg.norm(state) ** 2)
-        mean_x, _ = _moments(state, grid.x)
+        mean_x, _ = _moments(state, x)
         mean_p, _ = _moments(state_k, p)
-        # Fidelity is basis-independent, so the target stays in momentum space.
-        exponent = log_spectrum - 1j * g * a_w * p
-        target_k = np.exp(exponent - exponent.real.max())
         fid = fidelity(state_k, target_k) if p_exact > 0 else 0.0
         reports.append(PointerShiftReport(
-            g=g,
-            weak_val=a_w,
-            probability=p_exact,
-            mean_shift=mean_x - x0,
-            predicted_shift=g * a_w.real,
-            momentum_shift=mean_p - mean_p0,
-            predicted_momentum_shift=2.0 * g * a_w.imag * var_p0,
-            fidelity=fid,
-            fidelity_gap=1.0 - fid,
-            oracle_residual=residual,
-            state=state,
-        ))
+            g=g, weak_val=a_w, probability=p_exact,
+            mean_shift=mean_x - x0, predicted_shift=g * a_w.real,
+            momentum_shift=mean_p - mean_p0, predicted_momentum_shift=2.0 * g * a_w.imag * var_p0,
+            fidelity=fid, fidelity_gap=1.0 - fid, oracle_residual=float(residual), state=state))
     return reports
 
 
@@ -241,16 +239,18 @@ def _lattice_elements(A: np.ndarray, gs: list[float], grid: Grid, phi: np.ndarra
     exp(-i g p_m A) = E^m with E = exp(-i g dp A). E and its inverse direction
     exp(+i g dp A) are separate Pade exponentials (neither is assumed unitary),
     taken for both directions and every coupling in one (2, n, d, d) stacked
-    call. One binary-doubling loop builds the rows <phi|E^m, m = 0 .. N/2, for
-    the whole stack: each round multiplies the rows already built by
-    E^(rows built), appends the products and squares that power.
+    call. One binary-doubling loop fills the rows <phi|E^m, m = 0 .. N/2, of one
+    (2, n, N/2 + 1, d) buffer for the whole stack: each round writes the rows built
+    so far times E^(rows built) into the next free rows and squares that power.
     """
     half = grid.grid_size // 2
     steps = 2 * np.pi / grid.length * np.asarray(gs)
     powers = evolution_operators(A, np.stack([steps, -steps]))
-    rows = np.broadcast_to(phi.conj(), (*powers.shape[:2], 1, phi.size))
-    while rows.shape[2] <= half:
-        rows = np.concatenate([rows, rows[:, :, :half + 1 - rows.shape[2]] @ powers], axis=2)
+    rows = np.empty((*powers.shape[:2], half + 1, phi.size), dtype=complex)
+    rows[:, :, 0] = phi.conj()
+    for built in (2 ** k for k in range(half.bit_length())):  # 1, 2, 4 .. N/2
+        new = min(built, half + 1 - built)
+        np.matmul(rows[:, :, :new], powers, out=rows[:, :, built:built + new])
         powers = powers @ powers
     # m = 0 .. N/2 - 1, then m = -N/2 .. -1
     return np.concatenate([rows[0, :, :half], rows[1, :, half:0:-1]], axis=1) @ psi

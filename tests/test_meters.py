@@ -16,6 +16,7 @@ from potentops import (
     hermitian_exponential,
     joint_evolve_and_postselect,
     linalg,
+    meters,
     modular_value,
     normalize,
     pointer_shift_sweep,
@@ -96,6 +97,13 @@ class TestGrid:
         assert grid.dx == pytest.approx(0.5)
         assert grid.x[0] == -2.0 and grid.x[-1] == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("x_min, x_max, named", [
+        (-np.inf, 12.0, "x_min"), (np.nan, 12.0, "x_min"), (-12.0, np.inf, "x_max"),
+        (-12.0, np.nan, "x_max")])
+    def test_non_finite_extent_refused_by_name(self, x_min, x_max, named):
+        with pytest.raises(ValueError, match=f"{named} must be finite"):
+            Grid(128, x_min, x_max)
+
 
 class TestGaussianPointer:
     def test_fresh_pointer_moments(self):
@@ -116,6 +124,13 @@ class TestGaussianPointer:
     def test_support_guard(self):
         with pytest.raises(ValueError, match="support"):
             build_gaussian_pointer(512, -12.0, 12.0, 1.0, 8.0)
+
+    @pytest.mark.parametrize("sigma, x0, named", [
+        (np.nan, 0.0, "sigma"), (np.inf, 0.0, "sigma"), (1.0, np.nan, "x0"), (1.0, -np.inf, "x0")])
+    def test_non_finite_packet_refused_by_name(self, sigma, x0, named):
+        # refused at construction; unit_amplitudes used to return NaN samples
+        with pytest.raises(ValueError, match=f"{named} must be finite"):
+            build_gaussian_pointer(128, -12.0, 12.0, sigma, x0)
 
 
 class TestMomentumOperator:
@@ -250,6 +265,39 @@ class TestPointerShift:
         report = pointer_shift_sweep(20 * SIGMA_Z, sel, [0.01], pointer)[0]
         assert np.isfinite(report.fidelity) and report.oracle_residual <= 1e-10
 
+    @pytest.mark.parametrize("gs, named", [([np.nan], "nan"), ([0.1, np.inf], "inf"),
+                                           ([0.1, -np.inf], "-inf")])
+    def test_non_finite_coupling_refused_by_name(self, monkeypatch, pointer, amplification,
+                                                 gs, named):
+        # the support check names g before the packet's spectrum is formed
+        monkeypatch.setattr(np.fft, "fft", None)
+        with pytest.raises(ValueError, match=f"g must be finite, got {named}$"):
+            pointer_shift_sweep(SIGMA_Z, amplification, gs, pointer)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 4),
+           grid_size=st.sampled_from([128, 256, 512]),
+           gs=st.lists(st.floats(0, 1), min_size=2, max_size=4))
+    def test_all_couplings_at_once_give_each_couplings_reports(self, seed, d, grid_size, gs):
+        # the residual is not compared: the Pade oracle takes its degree and
+        # squarings from the largest coupling of the stack
+        rng = np.random.default_rng(seed)
+        A, psi, phi = random_hermitian(d, rng), random_state(d, rng), random_state(d, rng)
+        assume(abs(np.vdot(phi, psi)) >= 0.3)
+        sel = PrePostSelection(psi, phi)
+        pointer = build_gaussian_pointer(grid_size, -12.0, 12.0, 1.0, 0.0)
+        try:
+            at_once = pointer_shift_sweep(A, sel, gs, pointer)
+        except ValueError:
+            assume(False)
+
+        def without_residual(reports):
+            return [repr({k: v.tolist() if k == "state" else v for k, v in vars(r).items()
+                          if k != "oracle_residual"}) for r in reports]
+
+        one_by_one = [r for g in gs for r in pointer_shift_sweep(A, sel, [g], pointer)]
+        assert without_residual(at_once) == without_residual(one_by_one)
+
     def test_matches_generic_oracle_path(self, pointer, momentum, amplification):
         # same physics through the pps-level functions on the same grid, the
         # dense joint taken by the Pade kernel, a route that shares no eigh
@@ -321,6 +369,47 @@ def test_lattice_elements_stack_matches_scalar_calls(grid_size):
     assert stacked.shape == (3, grid_size)
     for g, row in zip(gs, stacked):
         assert np.max(np.abs(row - _lattice_elements(A, [g], grid, phi, psi)[0])) <= 1e-14
+
+
+def _count_calls(monkeypatch, calls, module, name):
+    """Patch module.name to append name to calls before each call."""
+    function = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def _concatenating_lattice_elements(A, gs, grid, phi, psi):
+    """The doubling loop that appends each round's rows by np.concatenate."""
+    half = grid.grid_size // 2
+    steps = 2 * np.pi / grid.length * np.asarray(gs)
+    powers = evolution_operators(A, np.stack([steps, -steps]))
+    rows = np.broadcast_to(phi.conj(), (*powers.shape[:2], 1, phi.size))
+    while rows.shape[2] <= half:
+        rows = np.concatenate([rows, rows[:, :, :half + 1 - rows.shape[2]] @ powers], axis=2)
+        powers = powers @ powers
+    return np.concatenate([rows[0, :, :half], rows[1, :, half:0:-1]], axis=1) @ psi
+
+
+@pytest.mark.parametrize("grid_size", [2 ** k for k in range(1, 13)])
+def test_lattice_buffer_matches_concatenating_loop(monkeypatch, grid_size):
+    # bit for bit, for 1-4 couplings and d = 1-4; the doubling loop fills one
+    # buffer, so the final assembly is the only concatenation
+    rng = np.random.default_rng(grid_size)
+    grid = Grid(grid_size, -12.0, 12.0)
+    cases = [(random_hermitian(d, rng), list(rng.uniform(0, 2, n)), grid,
+              random_state(d, rng), random_state(d, rng)) for d in range(1, 5) for n in range(1, 5)]
+    references = [_concatenating_lattice_elements(*case) for case in cases]
+    calls = []
+    _count_calls(monkeypatch, calls, np, "concatenate")
+    for case, reference in zip(cases, references):
+        elements = _lattice_elements(*case)
+        assert elements.shape == (len(case[1]), grid_size)
+        assert np.array_equal(elements, reference)
+    assert len(calls) == len(cases)
 
 
 @pytest.mark.parametrize("gs", [[0.3], [0.05, 0.2, 0.7, 2.0]])
@@ -441,16 +530,12 @@ def test_sweep_matches_continuum_closed_form(seed, d, g, sigma, x0):
 
 @pytest.mark.parametrize("gs", [[0.3], [0.05, 0.2, 0.7, 2.0]])
 def test_one_forward_fft_per_sweep(monkeypatch, pointer, amplification, gs):
+    # and one inverse FFT and one branch-sum call, whatever the number of couplings
     calls = []
-    fft = np.fft.fft
-
-    def counting_fft(*args, **kwargs):
-        calls.append(1)
-        return fft(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    for module, name in [(np.fft, "fft"), (np.fft, "ifft"), (meters, "diagonal_potent_operator")]:
+        _count_calls(monkeypatch, calls, module, name)
     pointer_shift_sweep(SIGMA_Z, amplification, gs, pointer)
-    assert len(calls) == 1
+    assert sorted(calls) == ["diagonal_potent_operator", "fft", "ifft"]
 
 
 class TestTranslatedSupport:
