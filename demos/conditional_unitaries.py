@@ -16,7 +16,7 @@ import numpy as np
 from potentops import (
     PrePostSelection,
     conditional_unitary,
-    general_exponential,
+    evolution_operators,
     hermitian_exponential,
     potent_completeness_residual,
     potent_operator,
@@ -51,7 +51,7 @@ print("\napparatus-controlled branch weights (modular values at lambda=1.1):")
 for n, m in enumerate(modular_vals):
     print(f"  <A_{n}>_M = {m:.6f}")
 # the assembled joint takes its branches exp(-i lam A_n) from the Pade route
-branches = [general_exponential(a, -1j * lam) for a in generators]
+branches = evolution_operators(np.array(generators), [lam])[0]
 assembled = potent_operator(conditional_unitary(branches, projectors), sel)
 print(f"  matches potent operator of assembled U: "
       f"{np.max(np.abs(aop.matrix - assembled.matrix)):.2e}")

@@ -17,7 +17,7 @@ from potentops import (
     SuperpositionSpec,
     TimeTranslationSpec,
     conditional_unitary,
-    general_exponential,
+    evolution_operators,
     hermitian_exponential,
     potent_time_superposition,
     superposed_evolution,
@@ -55,7 +55,7 @@ print(f"\nc = (2, -1), T = (1, 3): T' = {t_past} (toward the past), "
 # product coupling, sum_i |i><i| (x) exp(-i H T_i) = exp(-i diag(T_i) (x) H)
 branches = [hermitian_exponential(SIGMA_Z, -1j * t) for t in spec.durations]
 controlled = conditional_unitary([np.diag(e) for e in np.eye(2)], branches)
-product = general_exponential(tensor_product(np.diag(spec.durations), SIGMA_Z), -1j)
+product = evolution_operators(tensor_product(np.diag(spec.durations), SIGMA_Z), [1.0])[0]
 print(f"\nsum_i |i><i| (x) exp(-i H T_i) vs exp(-i diag(T_i) (x) H): "
       f"{np.max(np.abs(controlled - product)):.2e}")
 op = potent_time_superposition(branches, spec.coefficients)
@@ -68,7 +68,10 @@ print(f"\npotent-operator route vs direct coefficient sum: "
 family = EvolutionFamily(parameters=(0.1, 0.2), generator=lambda a: a * SIGMA_Z,
                          duration=1.0)
 fam_spec = SuperpositionSpec(np.array([2.0, -1.0]))
-fam_op = potent_time_superposition(family.branch_unitaries(), fam_spec)
+# the branches exp(-i H(a_i) T) by Pade, against the family's kept eigh spectrum
+fam_branches = evolution_operators(np.array([family.generator(a) for a in family.parameters]),
+                                   [family.duration])[0]
+fam_op = potent_time_superposition(fam_branches, fam_spec)
 out, norm_out = superposed_evolution(family, fam_spec, Phi)
 print(f"\nfamily a = (0.1, 0.2), c = (2, -1): effective a' = sum c_i a_i = 0.0,")
 print(f"potent route vs direct: {np.max(np.abs(fam_op.apply(Phi) - out)):.2e}")

@@ -6,7 +6,6 @@ Gaussian-pointer meters, and post-selected superpositions of time evolutions.
 from .linalg import (
     evolution_operators,
     fidelity,
-    general_exponential,
     hermitian_exponential,
     normalize,
     partial_matrix_element,

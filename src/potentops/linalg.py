@@ -1,5 +1,6 @@
-"""Dense complex linear algebra substrate: tensor products, Hermitian and
-general matrix exponentials, partial matrix elements, and normalization.
+"""Dense complex linear algebra substrate: tensor products, the two matrix
+exponentials (one eigh for a Hermitian generator, one Pade call for every
+oracle's exp(-i t H)), partial matrix elements, and normalization.
 
 Conventions used throughout the package:
 
@@ -24,9 +25,6 @@ NORMALIZED_TOL = 1e-10
 PHASE_TOL = 1e-12
 ORTHONORMAL_TOL = 1e-10
 
-# exp(scale * M) is refused beyond this 1-norm; scaling-and-squaring loses
-# accuracy and overflow sets in well before double-precision infinities.
-EXP_NORM_CAP = 128.0
 # _pade_exponential refuses an exponent beyond this 1-norm before forming any
 # power. Every oracle argument is -i t H from evolution_operators, and every gated
 # oracle residual has failed well below the cap (the sigma_z qubit-meter oracle
@@ -140,21 +138,6 @@ def hermitian_exponential(h: np.ndarray, scale: complex) -> np.ndarray:
     h = require_hermitian(h, name="exponential generator")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(scale * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
-def general_exponential(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * M) for an arbitrary square M, by the scaling-and-squaring
-    Pade routine :func:`_pade_exponential` (no eigendecomposition).
-
-    Rejects arguments with 1-norm above EXP_NORM_CAP, where the rational
-    approximation degrades.
-    """
-    m = as_operator(m)
-    scaled = scale * m
-    norm = float(np.linalg.norm(scaled, 1))
-    if not np.isfinite(norm) or norm > EXP_NORM_CAP:
-        raise ValueError(f"1-norm of scale*M is {norm:.3e}, above the cap {EXP_NORM_CAP}")
-    return _pade_exponential(scaled)
 
 
 def evolution_operators(h: np.ndarray, ts) -> np.ndarray:

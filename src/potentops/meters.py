@@ -52,6 +52,8 @@ class Grid:
 
     def __post_init__(self):
         n = self.grid_size
+        if not isinstance(n, (int, np.integer)):
+            raise ValueError(f"grid_size must be an integer, got {n!r}")
         if n > GRID_SIZE_CAP:
             raise ValueError(f"grid_size {n} exceeds the cap {GRID_SIZE_CAP}")
         if n < 2 or (n & (n - 1)) != 0:

@@ -157,13 +157,11 @@ def modular_value(A: np.ndarray, g, sel: PrePostSelection):
 
 def joint_evolve_and_postselect(U: np.ndarray, psi: np.ndarray, Phi: np.ndarray,
                                 phi: np.ndarray, check_unitary: bool = True):
-    """Evolve |psi>(x)|Phi> under U and project the system onto <phi|.
+    """Evolve |psi>(x)|Phi> under one joint U and project the system onto <phi|.
 
     Returns the unnormalized apparatus state (<phi| (x) I) U (|psi> (x) |Phi>)
     and its squared norm, the exact post-selection probability. This is the
-    oracle every reduction in the package is checked against. U may also be
-    an (n, D, D) stack of joints, giving an (n, da) array of states and an
-    array of n probabilities; a stack is refused by its first non-unitary joint.
+    oracle every reduction in the package is checked against.
     """
     U = np.asarray(U, dtype=complex)
     psi = require_normalized(psi, "psi")
@@ -172,14 +170,11 @@ def joint_evolve_and_postselect(U: np.ndarray, psi: np.ndarray, Phi: np.ndarray,
     ds, da = psi.size, Phi.size
     if phi.size != ds:
         raise ValueError(f"phi dim {phi.size} != psi dim {ds}")
-    if U.ndim not in (2, 3) or U.shape[-2:] != (ds * da, ds * da):
-        raise ValueError(f"joint shape {U.shape} is not ({ds} * {da})^2 or a stack of those")
+    if U.shape != (ds * da, ds * da):
+        raise ValueError(f"joint shape {U.shape} is not ({ds} * {da})^2")
     if check_unitary:
         require_unitary(U, name="joint evolution")
-    evolved = (U @ tensor_product(psi, Phi)).reshape(*U.shape[:-2], ds, da)
-    apparatus = phi.conj() @ evolved
-    if U.ndim == 3:
-        return apparatus, np.linalg.norm(apparatus, axis=-1) ** 2
+    apparatus = phi.conj() @ (U @ tensor_product(psi, Phi)).reshape(ds, da)
     return apparatus, float(np.linalg.norm(apparatus) ** 2)
 
 

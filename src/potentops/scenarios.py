@@ -32,7 +32,7 @@ import numpy as np
 import yaml
 
 from . import linalg, meters, pauli
-from .linalg import general_exponential, hermitian_exponential, normalize, tensor_product
+from .linalg import hermitian_exponential, normalize, require_normalized, tensor_product
 from .meters import (
     QubitMeter,
     build_gaussian_pointer,
@@ -448,16 +448,21 @@ def _qubit_meter_points(p: dict, sel: PrePostSelection, lam, w):
 
 def _run_qubit_meter(cfg: ScenarioConfig) -> list[dict]:
     """Rows of the four qubit-meter kinds, one construction read out four ways,
-    every coupling in one array. Every residual holds prob_exact to the oracle,
-    the meters post-selected from the dense joints exp(-i g A (x) |1><1|) of one
-    evolution_operators call, which shares no decomposition; each kind adds one
-    term. Potent rows are the entries of d * (alpha, beta) or of diag(d)."""
+    every coupling in one array. Every residual holds prob_exact to the oracle;
+    each kind adds one term. exp(-i g A (x) |1><1|) is I on the meter's |0> and
+    exp(-i g A) on its |1>, so the oracle takes those blocks from one
+    evolution_operators call of A, which shares no decomposition and reads no
+    PROJECT_1, and post-selects the meter (alpha <phi|psi>, beta <phi|exp(-i g A)|psi>)
+    from them. Potent rows are the entries of d * (alpha, beta) or of diag(d)."""
     p, meter, sel = cfg.params, cfg.params["meter"], cfg.params["sel"]
     lam, w = spectral_weights(p["observable"], sel)
     d, prob = _qubit_meter_points(p, sel, lam, w)
-    oracle, oracle_p = joint_evolve_and_postselect(
-        linalg.evolution_operators(tensor_product(p["observable"], pauli.PROJECT_1), p["g"]),
-        sel.psi, meter.state, sel.phi, check_unitary=False)
+    psi, phi = require_normalized(sel.psi, "psi"), require_normalized(sel.phi, "phi")
+    amplitudes = np.empty((len(p["g"]), 2), dtype=complex)  # the meter's |0> and |1> branches
+    amplitudes[:, 0] = phi.conj() @ psi
+    amplitudes[:, 1] = (linalg.evolution_operators(p["observable"], p["g"]) @ psi) @ phi.conj()
+    oracle = require_normalized(meter.state, "Phi") * amplitudes
+    oracle_p = np.linalg.norm(oracle, axis=-1) ** 2
     index_columns = {"potent-values": ("k",), "potent-operator": ("row", "col")}.get(cfg.kind, ())
     if cfg.kind == "weak-value":
         # Independent route: spectral decomposition turns A_w into an
@@ -769,7 +774,7 @@ def verification_suite(seed: int = 0) -> list[dict]:
     u = hermitian_exponential(h, -1j * g)
     check("hermitian_exponential_unitary", linalg.unitarity_defect(u), 1e-10)
     check("general_vs_hermitian_exponential",
-          np.max(np.abs(general_exponential(h, -1j * 0.7)
+          np.max(np.abs(linalg.evolution_operators(h, [0.7])[0]
                         - hermitian_exponential(h, -1j * 0.7))), 1e-10)
 
     # Kraus completeness and the probability identity; the selection's floor keeps the

@@ -63,12 +63,6 @@ class EvolutionFamily:
         object.__setattr__(self, "parameters", params)
         object.__setattr__(self, "_spectrum", np.linalg.eigh(stack))
 
-    def branch_unitaries(self) -> np.ndarray:
-        """The (n, d, d) exp(-i H(a_i) T) from the kept spectrum, for potent_time_superposition."""
-        energies, v = self._spectrum
-        phases = np.exp(-1j * self.duration * energies)
-        return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
 
 @dataclass(frozen=True)
 class SuperpositionSpec:
@@ -142,8 +136,9 @@ def superposed_evolution(family: EvolutionFamily, spec: SuperpositionSpec, Phi: 
 
 
 def potent_time_superposition(branches, spec: SuperpositionSpec) -> PotentOperator:
-    """Realize sum_i c_i U_i, for branch unitaries U_i given as a list or an
-    (n, d, d) stack, as the potent operator of the system-controlled unitary
+    """Realize sum_i c_i U_i, for any branch unitaries U_i given as a list or an
+    (n, d, d) stack (a family's are evolution_operators of its stacked H(a_i) at
+    its duration), as the potent operator of the system-controlled unitary
     sum_i |i><i| (x) U_i on a control register pre-selected along the
     coefficients and post-selected on the uniform superposition.
 

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from potentops.linalg import evolution_operators
 from potentops.meters import Grid
 
 
@@ -27,3 +28,11 @@ def momentum_operator(grid: Grid) -> MomentumOperator:
     f = np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
     matrix = (f.conj().T * grid.momentum_lattice) @ f
     return MomentumOperator(grid=grid, matrix=(matrix + matrix.conj().T) / 2)
+
+
+def family_branches(family) -> np.ndarray:
+    """The (n, d, d) branches exp(-i H(a_i) T) of an EvolutionFamily, by one Pade
+    call on its stacked generators: a route that shares no eigh with the spectrum
+    the family keeps, which superposed_evolution reads."""
+    stack = np.array([family.generator(a) for a in family.parameters])
+    return evolution_operators(stack, [family.duration])[0]

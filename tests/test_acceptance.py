@@ -21,7 +21,6 @@ from potentops import (
     build_gaussian_pointer,
     conditional_unitary,
     evolution_operators,
-    general_exponential,
     joint_evolve_and_postselect,
     modular_value,
     normalize,
@@ -48,6 +47,8 @@ from potentops.sampling import (
 )
 from potentops.scenarios import KINDS
 from potentops.timemachine import EvolutionFamily, SuperpositionSpec, TimeTranslationSpec
+
+from dense_oracles import family_branches
 
 
 def report(number: int, label: str, ok: bool, detail: str = ""):
@@ -184,7 +185,7 @@ def test_criterion_6_conditional_reductions():
         generators = [random_hermitian(ds, rng) for _ in aprojs]
         lam = float(rng.uniform(0.1, 2 * np.pi))
         aop, _ = potent_operator_apparatus_controlled(generators, aprojs, lam, sel)
-        branches = [general_exponential(a, -1j * lam) for a in generators]
+        branches = evolution_operators(np.array(generators), [lam])[0]
         aassembled = potent_operator(conditional_unitary(branches, aprojs), sel)
         worst_apparatus = max(worst_apparatus,
                               float(np.max(np.abs(aop.matrix - aassembled.matrix))))
@@ -211,7 +212,7 @@ def test_criterion_7_time_machine():
             c[0] += 1.0
         spec = SuperpositionSpec(c / c.sum())
         Phi = random_state(dim, rng)
-        op = potent_time_superposition(family.branch_unitaries(), spec)
+        op = potent_time_superposition(family_branches(family), spec)
         direct, _ = superposed_evolution(family, spec, Phi)
         worst = max(worst, float(np.max(np.abs(op.apply(Phi) - direct))))
     preset = TimeTranslationSpec(durations=(1.0, 2.0),

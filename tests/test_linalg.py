@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from potentops import linalg
 from potentops.linalg import (
-    EXP_NORM_CAP,
     HERMITIAN_TOL,
     ORTHONORMAL_TOL,
     PADE_NORM_CAP,
@@ -18,7 +17,6 @@ from potentops.linalg import (
     _pade_exponential,
     evolution_operators,
     fidelity,
-    general_exponential,
     hermitian_exponential,
     hermiticity_defect,
     normalize,
@@ -346,30 +344,15 @@ class TestHermiticityDefectStack:
         assert outcome(stack) == expected
 
 
-class TestGeneralExponential:
-    def test_zero(self):
-        np.testing.assert_allclose(general_exponential(np.zeros((3, 3))), np.eye(3), atol=1e-15)
-
-    def test_matches_hermitian_route(self):
-        rng = np.random.default_rng(4)
-        for dim in (2, 5, 8):
-            h = random_hermitian(dim, rng)
-            diff = general_exponential(h, -1j * 1.7) - hermitian_exponential(h, -1j * 1.7)
-            assert np.max(np.abs(diff)) <= 1e-10
-
-    def test_nilpotent_two_term_series(self):
-        n = np.array([[0, 1], [0, 0]], dtype=complex)
-        np.testing.assert_allclose(general_exponential(n), [[1, 1], [0, 1]], atol=1e-15)
-
-    def test_norm_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            general_exponential(np.eye(2), 1e6)
+# The largest 1-norm complex_matrices draws: where degree 13 already takes
+# several squarings, and a non-normal exponential is still far from overflow.
+DRAWN_NORM_MAX = 128.0
 
 
 @st.composite
 def complex_matrices(draw, shape=(), form="dense"):
     """A (*shape, d, d) complex stack, d in 1..16, each matrix rescaled to a
-    drawn 1-norm in [0, EXP_NORM_CAP]. form is "dense", "triangular" (upper,
+    drawn 1-norm in [0, DRAWN_NORM_MAX]. form is "dense", "triangular" (upper,
     non-normal) or "hermitian"."""
     d = draw(st.integers(1, 16))
     parts = draw(arrays(np.float64, (2, *shape, d, d), elements=st.floats(-1, 1)))
@@ -378,7 +361,7 @@ def complex_matrices(draw, shape=(), form="dense"):
         m = np.triu(m)
     elif form == "hermitian":
         m = m + np.swapaxes(m, -1, -2).conj()
-    norms = draw(arrays(np.float64, shape, elements=st.floats(0, EXP_NORM_CAP)))
+    norms = draw(arrays(np.float64, shape, elements=st.floats(0, DRAWN_NORM_MAX)))
     current = np.abs(m).sum(axis=-2).max(axis=-1)
     # a matrix of negligible entries becomes zero rather than overflow
     scale = np.divide(norms, current, out=np.zeros_like(current), where=current > 1e-6)
@@ -457,11 +440,27 @@ class TestPadeExponential:
         for name in ("eig", "eigh", "eigvals", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, refuse)
         h = random_hermitian(4, np.random.default_rng(5))
-        assert _relative_error(general_exponential(h, -3j),
+        assert _relative_error(evolution_operators(h, [3.0])[0],
                                scipy.linalg.expm(-3j * h)) <= 1e-13
 
 
 class TestEvolutionOperators:
+    def test_zero(self):
+        np.testing.assert_allclose(evolution_operators(np.zeros((3, 3)), [1.0])[0], np.eye(3),
+                                   atol=1e-15)
+
+    def test_matches_hermitian_route(self):
+        rng = np.random.default_rng(4)
+        for dim in (2, 5, 8):
+            h = random_hermitian(dim, rng)
+            diff = evolution_operators(h, [1.7])[0] - hermitian_exponential(h, -1j * 1.7)
+            assert np.max(np.abs(diff)) <= 1e-10
+
+    def test_nilpotent_two_term_series(self):
+        # at t = i, exp(-i t N) = exp(N) = I + N
+        n = np.array([[0, 1], [0, 0]], dtype=complex)
+        np.testing.assert_allclose(evolution_operators(n, [1j])[0], [[1, 1], [0, 1]], atol=1e-15)
+
     # exp(-i t H) at every t of ts, for one H or a stack, against scipy.linalg.expm.
     # Over 20,000 random draws of this range (H entries in the unit square) the
     # largest max-entry difference was 8.0e-15; the bound leaves a factor of 6.

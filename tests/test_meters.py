@@ -104,6 +104,19 @@ class TestGrid:
         with pytest.raises(ValueError, match=f"{named} must be finite"):
             Grid(128, x_min, x_max)
 
+    # a string is refused before the cap test, which would compare it with an int
+    @pytest.mark.parametrize("build, shown", [
+        (lambda: Grid(128.0, -1, 1), r"128\.0"),
+        (lambda: build_gaussian_pointer(128.0, -12.0, 12.0, 1.0, 0.0), r"128\.0"),
+        (lambda: Grid("128", -1, 1), "'128'")], ids=["float", "float-pointer", "string"])
+    def test_non_integer_grid_size_refused_by_name(self, build, shown):
+        with pytest.raises(ValueError, match=rf"^grid_size must be an integer, got {shown}$"):
+            build()
+
+    def test_numpy_integer_grid_size_accepted(self):
+        grid = Grid(np.int64(128), -1.0, 1.0)
+        assert grid.x.size == 128 and grid.dx == pytest.approx(2 / 128)
+
 
 class TestGaussianPointer:
     def test_fresh_pointer_moments(self):

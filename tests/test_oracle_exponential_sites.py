@@ -1,7 +1,8 @@
 """Every joint oracle takes exp(-i t H) from linalg.evolution_operators. Outside
 linalg no module names the private Pade routine, so no other site forms a Pade
 argument, and no function hands a tensor_product to hermitian_exponential, so
-no joint is built by eigh."""
+no joint is built by eigh. Inside linalg, evolution_operators is the one
+function that names the Pade routine, and PADE_NORM_CAP its one 1-norm cap."""
 
 import ast
 from pathlib import Path
@@ -21,6 +22,20 @@ def pade_references(tree) -> list[str]:
         if "_pade_exponential" in names:
             found.add(node.lineno)
     return [str(line) for line in sorted(found)]
+
+
+def pade_sites(tree) -> list[str]:
+    """'name line' for every reference to _pade_exponential, by the top-level
+    function or class that holds it, or '<module>'."""
+    return [f"{getattr(node, 'name', '<module>')} {line}"
+            for node in tree.body for line in pade_references(node)]
+
+
+def norm_caps(tree) -> list[str]:
+    """Every module-level name bound in tree that ends in _NORM_CAP."""
+    targets = [target for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for target in getattr(node, "targets", [getattr(node, "target", None)])]
+    return sorted(t.id for t in targets if isinstance(t, ast.Name) and t.id.endswith("_NORM_CAP"))
 
 
 def _callee(node):
@@ -60,6 +75,15 @@ def test_only_linalg_names_the_pade_routine():
     assert {module: lines for module, lines in found.items() if lines} == {}
 
 
+def test_only_evolution_operators_names_the_pade_routine_in_linalg():
+    callers = {site.split()[0] for site in pade_sites(TREES["linalg.py"])}
+    assert callers == {"evolution_operators"}
+
+
+def test_linalg_has_one_norm_cap():
+    assert norm_caps(TREES["linalg.py"]) == ["PADE_NORM_CAP"]
+
+
 def test_no_joint_is_built_by_eigh():
     found = {module: eigh_joints(tree) for module, tree in TREES.items()}
     assert {module: sites for module, sites in found.items() if sites} == {}
@@ -89,3 +113,27 @@ def factor(A, P, g):
     tree = ast.parse(source)
     assert pade_references(tree) == ["2", "6"]
     assert eigh_joints(tree) == ["bound_joint 15", "joint 10"]
+
+
+def test_the_linalg_checks_see_each_site():
+    source = """
+EXP_NORM_CAP = 128.0
+PADE_NORM_CAP: float = 2.0 ** 23
+OTHER_CAP = 1.0
+ROUTINE = _pade_exponential
+
+
+def evolution_operators(h, ts):
+    return _pade_exponential(np.multiply.outer(-1j * np.asarray(ts), h))
+
+
+def general_exponential(m, scale=1.0):
+    return _pade_exponential(scale * m)
+
+
+def _pade_exponential(a):
+    return a
+"""
+    tree = ast.parse(source)
+    assert pade_sites(tree) == ["<module> 5", "evolution_operators 9", "general_exponential 13"]
+    assert norm_caps(tree) == ["EXP_NORM_CAP", "PADE_NORM_CAP"]

@@ -15,7 +15,6 @@ from potentops import (
     conditional_unitary,
     evolution_operators,
     fidelity,
-    general_exponential,
     hermitian_exponential,
     joint_evolve_and_postselect,
     kraus_slices,
@@ -317,22 +316,14 @@ class TestJointEvolveAndPostselect:
         with pytest.raises(ValueError, match="not unitary"):
             joint_evolve_and_postselect(np.eye(4) * 2, psi, random_state(2, rng), phi)
 
-    def test_stack_matches_each_joint(self):
+    def test_joint_of_the_wrong_shape_refused(self):
         rng = np.random.default_rng(7)
         psi, phi = random_selection(2, rng)
         Phi = random_state(3, rng)
-        joints = np.stack([random_unitary(6, rng) for _ in range(3)])
-        states, probs = joint_evolve_and_postselect(joints, psi, Phi, phi)
-        assert states.shape == (3, 3) and probs.shape == (3,)
-        for u, state, p in zip(joints, states, probs):
-            one, p_one = joint_evolve_and_postselect(u, psi, Phi, phi)
-            np.testing.assert_allclose(state, one, atol=1e-15)
-            assert abs(p - p_one) <= 1e-15
-        joints[1] *= 2
-        with pytest.raises(ValueError, match="not unitary"):
-            joint_evolve_and_postselect(joints, psi, Phi, phi)
-        with pytest.raises(ValueError, match=r"joint shape \(5, 5\)"):
+        with pytest.raises(ValueError, match=r"^joint shape \(5, 5\) is not \(2 \* 3\)\^2$"):
             joint_evolve_and_postselect(np.eye(5), psi, Phi, phi)
+        with pytest.raises(ValueError, match=r"^joint shape \(3, 6, 6\) is not"):
+            joint_evolve_and_postselect(np.stack([np.eye(6)] * 3), psi, Phi, phi)
 
     def test_rejects_unnormalized_states(self):
         rng = np.random.default_rng(6)
@@ -835,7 +826,7 @@ class TestApparatusControlled:
         lam = 1.21
         op, _ = potent_operator_apparatus_controlled(generators, projectors, lam,
                                                      amplification)
-        branches = [general_exponential(a, -1j * lam) for a in generators]
+        branches = evolution_operators(np.array(generators), [lam])[0]
         assembled = potent_operator(conditional_unitary(branches, projectors), amplification)
         np.testing.assert_allclose(op.matrix, assembled.matrix, atol=1e-12)
 

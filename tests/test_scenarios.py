@@ -15,6 +15,7 @@ from potentops import (
     linalg,
     meters,
     partial_matrix_element,
+    pauli,
     pps,
     scenarios,
     timemachine,
@@ -340,8 +341,9 @@ QUBIT_METER_3 = {
 class TestSharedDecompositions:
     # Per run, whatever the number of couplings: one eigh of the observable,
     # shared by every coupling's branch sum (and by weak-value's spectral
-    # oracle), and one stacked Pade exponential of the joints A (x) |1><1|
-    # for the oracle of every kind, weak-value's prob_exact included.
+    # oracle), and one stacked Pade exponential of g A, the |1> block of
+    # exp(-i g A (x) |1><1|), for the oracle of every kind, weak-value's
+    # prob_exact included.
     @pytest.mark.parametrize("kind, pade_calls", [
         ("weak-value", 1), ("modular-value", 1), ("potent-values", 1), ("potent-operator", 1),
     ])
@@ -355,7 +357,7 @@ class TestSharedDecompositions:
         rows = run_scenario(parse_config_mapping({"scenario": kind, "g": g, **QUBIT_METER_3}))
         assert all(within_tolerance(r["residual"], KINDS[kind].tolerance) for r in rows)
         assert eigh_shapes == [(3, 3)]
-        assert stacks == [(n, 6, 6)] * pade_calls
+        assert stacks == [(n, 3, 3)] * pade_calls
 
     # Eigenvectors scaled by 1 + 1e-6 scale every branch weight, and so every
     # row, by about 1 + 2e-6 without turning the post-selected meter: only the
@@ -393,13 +395,15 @@ class TestSharedDecompositions:
     @pytest.mark.parametrize("kind", ["weak-value", "modular-value", "potent-values",
                                       "potent-operator"])
     def test_nan_oracle_probability_fails(self, monkeypatch, capsys, kind):
-        evolve = scenarios.joint_evolve_and_postselect
+        norm = np.linalg.norm
 
-        def nan_probabilities(*args, **kwargs):
-            states, probabilities = evolve(*args, **kwargs)
-            return states, probabilities * np.nan
+        def nan_probabilities(x, *args, axis=None, **kwargs):
+            # the oracle meters' norms, one per coupling, are the package's only
+            # np.linalg.norm over axis -1
+            out = norm(x, *args, axis=axis, **kwargs)
+            return out * np.nan if axis == -1 else out
 
-        monkeypatch.setattr(scenarios, "joint_evolve_and_postselect", nan_probabilities)
+        monkeypatch.setattr(np.linalg, "norm", nan_probabilities)
         assert main([kind]) == EXIT_RESIDUAL
 
     # A coupling whose joint the Pade oracle cannot exponentiate is refused
@@ -455,8 +459,8 @@ class TestSharedDecompositions:
 
     # Every Pade call a run makes exponentiates an exactly anti-Hermitian stack,
     # -i t H, whose exponential is unitary and cannot overflow; that is why
-    # PADE_NORM_CAP may exceed general_exponential's EXP_NORM_CAP, whose
-    # argument may be any matrix.
+    # PADE_NORM_CAP may be far above the 1-norms where a general argument's
+    # exponential overflows.
     def test_every_pade_argument_is_anti_hermitian(self, monkeypatch, capsys):
         pade = linalg._pade_exponential
         defects = []
@@ -473,6 +477,17 @@ class TestSharedDecompositions:
 
 
 class TestQubitMeterOracleProperty:
+    # parse normalizes psi and phi; a hand-built config that does not is refused
+    # by the oracle, which post-selects normalized states only
+    @pytest.mark.parametrize("state", ["psi", "phi"])
+    def test_unnormalized_selection_refused(self, state):
+        states = {"psi": np.array([0.6, 0.8]), "phi": np.array([0.8, 0.6])}
+        states[state] = 2 * states[state]
+        params = {"observable": np.diag([1.0, -1.0]), "sel": PrePostSelection(**states),
+                  "g": [0.5], "meter": QubitMeter(alpha=0.6, beta=0.8)}
+        with pytest.raises(ValueError, match=rf"^{state} must be normalized \(norm = 2\.0\)$"):
+            run_scenario(ScenarioConfig(kind="potent-values", params=params))
+
     # Each joint kind's rows (one eigh of A) against its stacked Pade joint
     # oracle, at the kind's own tolerance, for A of dimension 2-4, a random
     # meter, a selection of normalized overlap >= 0.1 and g in [0, 5].
@@ -621,6 +636,25 @@ class TestFaultMatrix:
         assert main(["verify"]) == EXIT_RESIDUAL
         out = capsys.readouterr().out.splitlines()
         assert {line.split()[1] for line in out if line.startswith("FAIL")} == self.VERIFY_FAILS[fault]
+
+
+class TestMeterProjectorFault:
+    """The qubit rows read the meter's coupling projector pauli.PROJECT_1, and the
+    oracle reads only the |1> block exp(-i g A), so a wrong projector fails the
+    qubit kinds at run time. |0><0| swaps the meter's two branches. The weak-value
+    preset still passes: its balanced meter, alpha = beta, gives the same
+    probability under that swap, so it runs here with an unbalanced meter."""
+
+    @pytest.mark.parametrize("doc", [
+        {"scenario": "modular-value"}, {"scenario": "potent-values"},
+        {"scenario": "potent-operator"},
+        {"scenario": "weak-value", "meter": {"kind": "qubit", "alpha": 0.6, "beta": 0.8}}],
+        ids=["modular-value", "potent-values", "potent-operator", "weak-value-unbalanced"])
+    def test_projector_onto_zero_fails(self, monkeypatch, capsys, tmp_path, doc):
+        monkeypatch.setattr(pauli, "PROJECT_1", np.diag([1.0, 0.0]).astype(complex))
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(json.dumps(doc))
+        assert main([doc["scenario"], "--config", str(cfg)]) == EXIT_RESIDUAL
 
 
 def _scale_effective_duration(monkeypatch):
