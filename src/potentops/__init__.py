@@ -21,7 +21,6 @@ from .meters import (
     pointer_statistics,
 )
 from .pps import (
-    CouplingSpec,
     OrthogonalSelectionError,
     PotentOperator,
     PotentValueSet,
@@ -31,13 +30,11 @@ from .pps import (
     joint_evolve_and_postselect,
     kraus_slices,
     modular_value,
-    postselection_probability_weak,
     potent_completeness_residual,
     potent_operator,
     potent_operator_apparatus_controlled,
     potent_operator_system_controlled,
     potent_values,
-    weak_limit_potent_values,
     weak_value,
 )
 from .timemachine import (

@@ -1,9 +1,9 @@
 """Weak values, modular values, potent values, and potent operators for
 pre- and post-selected systems.
 
-Every reduction in this module (weak-coupling limit, qubit-meter formulas,
-conditional-unitary forms) can be cross-checked against
-:func:`joint_evolve_and_postselect`, the brute-force evolve-then-project
+Every reduction in this module (the spectral_weights branch engine behind the
+qubit and pointer meters, the conditional-unitary forms) can be cross-checked
+against :func:`joint_evolve_and_postselect`, the brute-force evolve-then-project
 oracle. The tests do exactly that; nothing here trusts a shortcut.
 """
 
@@ -17,8 +17,6 @@ from . import linalg
 from .linalg import (
     as_operator,
     as_state,
-    evolution_operators,
-    hermitian_exponential,
     normalize,
     partial_matrix_element,
     require_hermitian,
@@ -73,27 +71,6 @@ class PrePostSelection:
     @property
     def dim(self) -> int:
         return self.psi.size
-
-
-@dataclass(frozen=True)
-class CouplingSpec:
-    """Impulsive coupling g * A (x) P between a system observable A and an
-    apparatus observable P."""
-
-    g: float
-    A: np.ndarray
-    P: np.ndarray
-
-    def __post_init__(self):
-        if not np.isfinite(self.g):
-            raise ValueError("coupling strength g must be finite")
-        object.__setattr__(self, "A", require_hermitian(as_operator(self.A), name="A"))
-        object.__setattr__(self, "P", require_hermitian(as_operator(self.P), name="P"))
-
-    def joint_unitary(self) -> np.ndarray:
-        """exp(-i g A (x) P) on the system-major joint space, by evolution_operators
-        (no eigh), so refused where g |A (x) P|_1 exceeds linalg.PADE_NORM_CAP."""
-        return evolution_operators(tensor_product(self.A, self.P), [self.g])[0]
 
 
 @dataclass(frozen=True)
@@ -156,7 +133,7 @@ def modular_value(A: np.ndarray, g, sel: PrePostSelection):
 
 
 def joint_evolve_and_postselect(U: np.ndarray, psi: np.ndarray, Phi: np.ndarray,
-                                phi: np.ndarray, check_unitary: bool = True):
+                                phi: np.ndarray):
     """Evolve |psi>(x)|Phi> under one joint U and project the system onto <phi|.
 
     Returns the unnormalized apparatus state (<phi| (x) I) U (|psi> (x) |Phi>)
@@ -172,25 +149,9 @@ def joint_evolve_and_postselect(U: np.ndarray, psi: np.ndarray, Phi: np.ndarray,
         raise ValueError(f"phi dim {phi.size} != psi dim {ds}")
     if U.shape != (ds * da, ds * da):
         raise ValueError(f"joint shape {U.shape} is not ({ds} * {da})^2")
-    if check_unitary:
-        require_unitary(U, name="joint evolution")
+    require_unitary(U, name="joint evolution")
     apparatus = phi.conj() @ (U @ tensor_product(psi, Phi)).reshape(ds, da)
     return apparatus, float(np.linalg.norm(apparatus) ** 2)
-
-
-def postselection_probability_weak(coupling: CouplingSpec, sel: PrePostSelection,
-                                   Phi: np.ndarray):
-    """First-order and exact post-selection probabilities for exp(-i g A (x) P).
-
-    The first-order formula is |<phi|psi>|^2 (1 + 2 g Im(A_w) <P>), with
-    <P> = <Phi|P|Phi>.
-    """
-    _, p_exact = joint_evolve_and_postselect(  # it guards psi, phi and Phi
-        coupling.joint_unitary(), sel.psi, Phi, sel.phi, check_unitary=False)
-    p_expect = float(np.vdot(Phi, coupling.P @ Phi).real)
-    a_w = weak_value(coupling.A, sel)
-    p_first_order = abs(sel.overlap) ** 2 * (1.0 + 2.0 * coupling.g * a_w.imag * p_expect)
-    return p_first_order, p_exact
 
 
 def kraus_slices(U: np.ndarray, Phi: np.ndarray, basis: np.ndarray) -> list[np.ndarray]:
@@ -227,34 +188,6 @@ def apparatus_state_from_potent_values(pvs: PotentValueSet) -> np.ndarray:
     if np.linalg.norm(pvs.values) <= linalg.ZERO_NORM_TOL:
         raise ValueError("all potent values vanish: post-selection probability is zero")
     return normalize(state)
-
-
-def weak_limit_potent_values(coupling: CouplingSpec, Phi: np.ndarray, basis: np.ndarray,
-                             sel: PrePostSelection):
-    """First-order-in-g approximations to the potent values and final state.
-
-    Per basis vector: <k|Phi> * exp(-i g A_w P_w(k|Phi)), where P_w(k|Phi) is
-    the weak value of P pre-selected on Phi and post-selected on |k>; basis
-    vectors with |<k|Phi>| <= 1e-12 get the value 0 (P_w is undefined there).
-    The approximate final state is exp(-i g A_w P)|Phi>, normalized; A_w is
-    complex in general so the generator is not anti-Hermitian, but P is
-    Hermitian, so its eigendecomposition exponentiates any complex scale.
-    """
-    Phi = require_normalized(Phi, "Phi")
-    basis = require_orthonormal_basis(basis)
-    scale = -1j * coupling.g * weak_value(coupling.A, sel)  # -i g A_w
-    meter_amps = basis.conj().T @ Phi
-    p_amps = basis.conj().T @ (coupling.P @ Phi)
-    values = np.zeros(basis.shape[1], dtype=complex)
-    significant = np.abs(meter_amps) > 1e-12
-    p_w = p_amps[significant] / meter_amps[significant]
-    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below refuses
-        values[significant] = meter_amps[significant] * np.exp(scale * p_w)
-        state = hermitian_exponential(coupling.P, scale) @ Phi
-    if not (np.isfinite(np.linalg.norm(state)) and np.all(np.isfinite(values))):
-        raise ValueError("weak-limit values overflow a double: g*|Im A_w| times the "
-                         "spectral extent of P is too large")
-    return values, normalize(state)
 
 
 def potent_operator(U: np.ndarray, sel: PrePostSelection) -> PotentOperator:

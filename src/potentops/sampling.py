@@ -7,6 +7,9 @@ from __future__ import annotations
 import numpy as np
 
 SELECTION_FLOOR = 1e-6
+# random_selection's least acceptance probability: 1/MIN_ACCEPTANCE draws of 13-25 us
+# (dim 2-147, 2 vCPUs) take under half a minute; dim 256 at floor 0.3 would take days.
+MIN_ACCEPTANCE = 1e-6
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -37,7 +40,13 @@ def _haar_unitaries(gaussians: np.ndarray) -> np.ndarray:
 
 
 def random_selection(dim: int, rng: np.random.Generator, floor: float = SELECTION_FLOOR):
-    """Random normalized (psi, phi) with |<phi|psi>| >= floor."""
+    """Random normalized (psi, phi) with |<phi|psi>| >= floor, which a Haar pair meets
+    with probability (1 - floor^2)^(dim - 1). Below MIN_ACCEPTANCE, a NaN floor or one
+    above 1 included, it refuses before any draw, leaving rng as it was."""
+    acceptance = (1.0 - max(floor, 0.0) ** 2) ** (dim - 1) if floor <= 1 else 0.0
+    if not acceptance >= MIN_ACCEPTANCE:
+        raise ValueError(f"dim {dim} at floor {floor}: a Haar pair meets the floor with "
+                         f"probability {acceptance:.1e} < MIN_ACCEPTANCE {MIN_ACCEPTANCE:.0e}")
     while True:
         psi, phi = random_state(dim, rng), random_state(dim, rng)
         if abs(np.vdot(phi, psi)) >= floor:

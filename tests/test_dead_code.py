@@ -56,3 +56,57 @@ def test_no_statement_is_a_bare_read():
             if isinstance(node, ast.Expr)
             and isinstance(node.value, (ast.Name, ast.Attribute, ast.Subscript))]
     assert bare == []
+
+
+# Defaulted parameters that no call inside the package passes, each for a reason
+# outside it: the console entry point calls main() bare, and PyYAML's loader calls
+# construct_mapping with deep.
+UNPASSED_DEFAULTS_ALLOWED = {"cli.py:main(argv)", "scenarios.py:construct_mapping(deep)"}
+
+
+def _defaulted_parameters(fn, is_method):
+    """(name, index among the call's positional arguments or None) per defaulted parameter."""
+    positional = fn.args.posonlyargs + fn.args.args
+    bound = int(is_method and any(p.arg in ("self", "cls") for p in positional[:1]))
+    first = len(positional) - len(fn.args.defaults)
+    return ([(p.arg, i - bound) for i, p in enumerate(positional) if i >= first]
+            + [(p.arg, None) for p, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+               if default is not None])
+
+
+def _callee(call):
+    """The name a call reaches, None for super().name(...), which reaches the base class."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and not (
+            isinstance(func.value, ast.Call) and getattr(func.value.func, "id", None) == "super"):
+        return func.attr
+    return None
+
+
+def _passes(call, name, index):
+    """Whether a call passes the parameter, by keyword, by position or by unpacking."""
+    return (any(k.arg in (name, None) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (index is not None and len(call.args) > index))
+
+
+def test_every_defaulted_parameter_is_passed_inside_the_package():
+    """A default that no package call overrides is a knob with no caller: the
+    tests and demos do not count, so it becomes a constant or goes."""
+    calls = {}
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+    unpassed = []
+    for module, tree in TREES.items():
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                unpassed += [f"{module}:{fn.name}({name})"
+                             for name, index in _defaulted_parameters(fn, id(fn) in methods)
+                             if not any(_passes(c, name, index) for c in calls.get(fn.name, []))]
+    assert set(unpassed) == UNPASSED_DEFAULTS_ALLOWED

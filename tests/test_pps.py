@@ -5,32 +5,26 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from potentops import (
-    CouplingSpec,
     OrthogonalSelectionError,
     PotentValueSet,
     PrePostSelection,
     QubitMeter,
     apparatus_state_from_potent_values,
-    build_gaussian_pointer,
     conditional_unitary,
     evolution_operators,
-    fidelity,
     hermitian_exponential,
     joint_evolve_and_postselect,
     kraus_slices,
     modular_value,
     normalize,
-    postselection_probability_weak,
     potent_completeness_residual,
     potent_operator,
     potent_operator_apparatus_controlled,
     potent_operator_system_controlled,
     potent_values,
     tensor_product,
-    weak_limit_potent_values,
     weak_value,
 )
-from potentops.linalg import PADE_NORM_CAP
 from potentops.pauli import (
     AMPLIFICATION_PHI,
     AMPLIFICATION_PSI,
@@ -38,7 +32,6 @@ from potentops.pauli import (
     KET_PLUS,
     PROJECT_1,
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
 )
 from potentops.pps import EPS_OVERLAP, diagonal_potent_operator, spectral_weights
@@ -50,8 +43,6 @@ from potentops.sampling import (
     random_state,
     random_unitary,
 )
-
-from dense_oracles import momentum_operator
 
 
 @pytest.fixture
@@ -332,44 +323,6 @@ class TestJointEvolveAndPostselect:
             joint_evolve_and_postselect(np.eye(4), 2 * psi, random_state(2, rng), phi)
 
 
-class TestPostselectionProbability:
-    def test_zero_coupling(self, amplification):
-        coupling = CouplingSpec(g=0.0, A=SIGMA_Z, P=PROJECT_1)
-        Phi = np.array([0.6, 0.8])
-        first, exact = postselection_probability_weak(coupling, amplification, Phi)
-        assert abs(first - 0.25) <= 1e-13
-        assert abs(exact - 0.25) <= 1e-13
-
-    def test_real_weak_value_flat_first_order(self, amplification):
-        Phi = np.array([0.6, 0.8])
-        for g in (0.3, 0.9):
-            coupling = CouplingSpec(g=g, A=SIGMA_Z, P=PROJECT_1)
-            first, _ = postselection_probability_weak(coupling, amplification, Phi)
-            assert abs(first - 0.25) <= 1e-13  # Im A_w = 0 for this pair
-
-    def test_first_order_residual_quarters(self, amplification):
-        # oracle sweep: |p_exact - p_first| = O(g^2)
-        Phi = np.array([1, 1]) / np.sqrt(2)
-        residuals = []
-        for g in (0.1, 0.05, 0.025):
-            coupling = CouplingSpec(g=g, A=SIGMA_Z, P=PROJECT_1)
-            first, exact = postselection_probability_weak(coupling, amplification, Phi)
-            residuals.append(abs(exact - first))
-        assert residuals[0] / residuals[1] == pytest.approx(4.0, abs=0.5)
-        assert residuals[1] / residuals[2] == pytest.approx(4.0, abs=0.5)
-
-    def test_first_order_tracks_imaginary_weak_value(self):
-        sel = PrePostSelection(AMPLIFICATION_PSI, np.array([1, 1j]) / np.sqrt(2))
-        Phi = np.array([1, 1]) / np.sqrt(2)
-        a_w = weak_value(SIGMA_Z, sel)
-        assert abs(a_w.imag) > 0.5
-        coupling = CouplingSpec(g=0.05, A=SIGMA_Z, P=PROJECT_1)
-        first, exact = postselection_probability_weak(coupling, sel, Phi)
-        expected = abs(sel.overlap) ** 2 * (1 + 2 * 0.05 * a_w.imag * 0.5)
-        assert abs(first - expected) <= 1e-13
-        assert abs(exact - first) <= 0.05 ** 2  # agreement to first order
-
-
 class TestKrausSlices:
     def test_identity_evolution(self):
         rng = np.random.default_rng(8)
@@ -519,109 +472,6 @@ class TestApparatusState:
         pvs = PotentValueSet(basis=np.eye(2, dtype=complex), values=np.zeros(2, dtype=complex))
         with pytest.raises(ValueError, match="vanish"):
             apparatus_state_from_potent_values(pvs)
-
-
-class TestWeakLimit:
-    def test_zero_coupling(self, amplification):
-        rng = np.random.default_rng(17)
-        Phi = random_state(4, rng)
-        basis = random_unitary(4, rng)
-        coupling = CouplingSpec(g=0.0, A=SIGMA_Z, P=random_hermitian(4, rng))
-        values, state = weak_limit_potent_values(coupling, Phi, basis, amplification)
-        np.testing.assert_allclose(values, basis.conj().T @ Phi, atol=1e-13)
-        np.testing.assert_allclose(state, normalize(Phi), atol=1e-13)
-
-    def test_per_value_error_quarters(self, amplification):
-        rng = np.random.default_rng(18)
-        p = random_hermitian(3, rng)
-        Phi = random_state(3, rng)
-        basis = random_unitary(3, rng)
-        errors = []
-        for g in (0.1, 0.05, 0.025):
-            coupling = CouplingSpec(g=g, A=SIGMA_Z, P=p)
-            exact = potent_values(coupling.joint_unitary(), Phi, basis, amplification).values
-            approx, _ = weak_limit_potent_values(coupling, Phi, basis, amplification)
-            errors.append(np.max(np.abs(exact - approx)))
-        assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.5)
-        assert errors[1] / errors[2] == pytest.approx(4.0, abs=0.5)
-
-    def test_fidelity_gap_scales_quartically(self):
-        # The normalized states differ at O(g^2), so the overlap gap
-        # 1 - |<exact|approx>| shrinks 16x per halving (oracle-derived; the
-        # chordal distance sqrt(2 gap) is the quantity that quarters).
-        rng = np.random.default_rng(11)
-        sel = PrePostSelection(*random_selection(3, rng))
-        p = random_hermitian(4, rng)
-        Phi = random_state(4, rng)
-        basis = random_unitary(4, rng)
-        a = random_hermitian(3, rng)
-        gaps = []
-        for g in (0.2, 0.1, 0.05):
-            coupling = CouplingSpec(g=g, A=a, P=p)
-            _, approx_state = weak_limit_potent_values(coupling, Phi, basis, sel)
-            oracle, _ = joint_evolve_and_postselect(
-                coupling.joint_unitary(), sel.psi, Phi, sel.phi)
-            gaps.append(1 - fidelity(oracle, approx_state))
-        assert gaps[0] / gaps[1] == pytest.approx(16.0, abs=2.0)
-        assert gaps[1] / gaps[2] == pytest.approx(16.0, abs=2.0)
-        chordal = [np.sqrt(2 * gap) for gap in gaps]
-        assert chordal[0] / chordal[1] == pytest.approx(4.0, abs=0.5)
-        assert chordal[1] / chordal[2] == pytest.approx(4.0, abs=0.5)
-
-    def test_strong_coupling_state_matches_fft_translation(self, amplification):
-        # g |A_w| ||P||_1 = 242 here, above the Pade route's 1-norm cap
-        pointer = build_gaussian_pointer(256, -12.0, 12.0, 1.0, 0.0)
-        Phi = pointer.unit_amplitudes
-        g = 1.0
-        coupling = CouplingSpec(g=g, A=SIGMA_Z, P=momentum_operator(pointer.grid).matrix)
-        _, state = weak_limit_potent_values(coupling, Phi, np.eye(256, dtype=complex),
-                                            amplification)
-        a_w = weak_value(SIGMA_Z, amplification)
-        target = np.fft.ifft(np.exp(-1j * g * a_w * pointer.grid.momentum_lattice)
-                             * np.fft.fft(Phi))
-        target /= np.linalg.norm(target)
-        phase = np.vdot(target, state) / abs(np.vdot(target, state))
-        assert np.max(np.abs(state - phase * target)) <= 1e-10
-
-    # The overflow is refused by the finiteness check alone: under the suite's
-    # filterwarnings = error, an overflow or invalid-value RuntimeWarning on the
-    # way would escape pytest.raises(ValueError).
-    def test_overflow_refused(self):
-        sel = PrePostSelection(AMPLIFICATION_PSI, np.array([1, 1j]) / np.sqrt(2))
-        coupling = CouplingSpec(g=1.0, A=SIGMA_Z, P=np.diag([1000.0, -1000.0, 0.0]))
-        with pytest.raises(ValueError, match="overflow"):
-            weak_limit_potent_values(coupling, np.ones(3) / np.sqrt(3),
-                                     np.eye(3, dtype=complex), sel)
-
-    def test_sigma_y_probe_refused_without_warning(self, amplification):
-        # A_w = -i sqrt(3), so exp(-i g A_w P) = exp(-sqrt(3) P) reaches
-        # e^{1000 sqrt(3)} at the eigenvalue -1000 of P: past a double
-        coupling = CouplingSpec(g=1.0, A=SIGMA_Y, P=np.diag([0.0, 1.0, -1000.0]))
-        with pytest.raises(ValueError, match="^weak-limit values overflow a double"):
-            weak_limit_potent_values(coupling, np.ones(3) / np.sqrt(3),
-                                     np.eye(3, dtype=complex), amplification)
-
-    def test_joint_unitary_takes_no_eigh(self, monkeypatch):
-        # the oracle kernel builds the joint, so it is refused past the Pade cap;
-        # exp(-i g A (x) |1><1|) = I (x) |0><0| + exp(-i g A) (x) |1><1| for A = sigma_x
-        def refuse(*args, **kwargs):
-            raise AssertionError("CouplingSpec.joint_unitary must not diagonalize")
-
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
-        g = 0.7
-        closed_form = (tensor_product(IDENTITY_2, np.eye(2) - PROJECT_1) + tensor_product(
-            np.cos(g) * IDENTITY_2 - 1j * np.sin(g) * SIGMA_X, PROJECT_1))
-        joint = CouplingSpec(g=g, A=SIGMA_X, P=PROJECT_1).joint_unitary()
-        assert np.max(np.abs(joint - closed_form)) <= 1e-15
-        with pytest.raises(ValueError, match="above the cap"):
-            CouplingSpec(g=2 * PADE_NORM_CAP, A=SIGMA_Z, P=PROJECT_1).joint_unitary()
-
-    def test_dark_basis_vectors_get_zero(self, amplification):
-        Phi = np.array([1, 0, 0], dtype=complex)
-        coupling = CouplingSpec(g=0.1, A=SIGMA_Z, P=random_hermitian(3, np.random.default_rng(19)))
-        values, _ = weak_limit_potent_values(coupling, Phi, np.eye(3, dtype=complex),
-                                             amplification)
-        assert values[1] == 0 and values[2] == 0
 
 
 class TestPotentOperator:
