@@ -21,7 +21,6 @@ from .meters import (
     pointer_statistics,
 )
 from .pps import (
-    OrthogonalSelectionError,
     PotentOperator,
     PotentValueSet,
     PrePostSelection,

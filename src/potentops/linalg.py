@@ -23,7 +23,6 @@ UNITARY_TOL = 1e-10
 ZERO_NORM_TOL = 1e-14
 NORMALIZED_TOL = 1e-10
 PHASE_TOL = 1e-12
-ORTHONORMAL_TOL = 1e-10
 
 # _pade_exponential refuses an exponent beyond this 1-norm before forming any
 # power. Every oracle argument is -i t H from evolution_operators, and every gated
@@ -90,8 +89,11 @@ def require_hermitian(m: np.ndarray, name="operator") -> np.ndarray:
 
 
 def unitarity_defect(m: np.ndarray):
-    """orthonormality_defect of a square matrix or (..., d, d) stack: max |U^dag U - I|."""
-    return orthonormality_defect(_as_square_stack(m))
+    """max |U^dag U - I| of a square matrix (a float) or of each matrix of a (..., d, d)
+    stack (an array): the defect of a unitary, or of a complete orthonormal basis as columns."""
+    m = _as_square_stack(m)
+    gram = m.conj().swapaxes(-1, -2) @ m
+    return _max_abs_per_matrix(gram - np.eye(m.shape[-1]))
 
 
 def require_unitary(m: np.ndarray, name="operator") -> np.ndarray:
@@ -267,22 +269,3 @@ def fidelity(u: np.ndarray, v: np.ndarray) -> float:
         raise ValueError("fidelity of a zero vector is undefined")
     return float(abs(np.vdot(u, v)) / (nu * nv))
 
-
-def orthonormality_defect(basis: np.ndarray):
-    """Max entry of |B^dag B - I| for a (dim x n) matrix of basis columns (a
-    float), or for each matrix of a (..., dim, n) stack of them (an array)."""
-    basis = np.asarray(basis, dtype=complex)
-    if basis.ndim < 2:
-        raise ValueError("basis must be a (..., dim, n) array with basis vectors as columns")
-    gram = basis.conj().swapaxes(-1, -2) @ basis
-    return _max_abs_per_matrix(gram - np.eye(basis.shape[-1]))
-
-
-def require_orthonormal_basis(basis: np.ndarray) -> np.ndarray:
-    defect = orthonormality_defect(basis)
-    dim, n = np.shape(basis)[-2:]
-    if dim != n:
-        raise ValueError(f"basis with {n} vectors is incomplete for dim {dim}")
-    _refuse_first(defect <= ORTHONORMAL_TOL, defect, "basis", lambda d: (
-        f"is not orthonormal (Gram defect {d:.3e} > {ORTHONORMAL_TOL:.1e})"))
-    return np.asarray(basis, dtype=complex)

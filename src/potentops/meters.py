@@ -52,7 +52,7 @@ class Grid:
 
     def __post_init__(self):
         n = self.grid_size
-        if not isinstance(n, (int, np.integer)):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise ValueError(f"grid_size must be an integer, got {n!r}")
         if n > GRID_SIZE_CAP:
             raise ValueError(f"grid_size {n} exceeds the cap {GRID_SIZE_CAP}")
@@ -161,10 +161,6 @@ class PointerShiftReport:
     @property
     def shift_error(self) -> float:
         return abs(self.mean_shift - self.predicted_shift)
-
-    @property
-    def momentum_error(self) -> float:
-        return abs(self.momentum_shift - self.predicted_momentum_shift)
 
 
 def pointer_shift_sweep(A: np.ndarray, sel: PrePostSelection, gs,

@@ -21,18 +21,12 @@ from .linalg import (
     partial_matrix_element,
     require_hermitian,
     require_normalized,
-    require_orthonormal_basis,
     require_unitary,
     tensor_product,
 )
 
 EPS_OVERLAP = 1e-10
 PROJECTOR_TOL = 1e-10
-
-
-class OrthogonalSelectionError(ValueError):
-    """Pre- and post-selected states are (numerically) orthogonal, so
-    selection-conditioned values are undefined."""
 
 
 @dataclass(frozen=True)
@@ -62,7 +56,7 @@ class PrePostSelection:
             raise ValueError(f"psi and phi must be finite (|phi||psi| = {norms})")
         if abs(ov) <= EPS_OVERLAP * norms:
             cosine = abs(ov) / norms if norms > 0 else 0.0
-            raise OrthogonalSelectionError(
+            raise ValueError(
                 f"|<phi|psi>|/(|phi||psi|) = {cosine:.3e} <= {EPS_OVERLAP:.1e}; "
                 "weak/modular/potent values need non-orthogonal selections"
             )
@@ -155,13 +149,11 @@ def joint_evolve_and_postselect(U: np.ndarray, psi: np.ndarray, Phi: np.ndarray,
 
 
 def kraus_slices(U: np.ndarray, Phi: np.ndarray, basis: np.ndarray) -> list[np.ndarray]:
-    """System-side slices <k|U|Phi> over a complete orthonormal apparatus basis.
-
-    For unitary U they satisfy sum_k A_k^dag A_k = I.
-    """
+    """System-side slices <k|U|Phi> over a complete orthonormal apparatus basis
+    (the columns of a unitary). For unitary U they satisfy sum_k A_k^dag A_k = I."""
     U = as_operator(U)
     Phi = require_normalized(Phi, "Phi")
-    basis = require_orthonormal_basis(basis)
+    basis = require_unitary(basis, name="basis")
     da = basis.shape[0]
     if Phi.size != da:
         raise ValueError(f"Phi dim {Phi.size} != basis dim {da}")
@@ -205,7 +197,7 @@ def potent_completeness_residual(U: np.ndarray, phi: np.ndarray, basis: np.ndarr
     """
     U = require_unitary(U, name="joint evolution")
     phi = require_normalized(phi, "phi")
-    basis = require_orthonormal_basis(basis)
+    basis = require_unitary(basis, name="basis")
     ds = basis.shape[-1]
     if phi.shape[-1] != ds:
         raise ValueError(f"phi dim {phi.shape[-1]} != basis dim {ds}")

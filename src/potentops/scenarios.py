@@ -297,12 +297,9 @@ def _parse_gaussian_meter(value: dict, key: str) -> meters.GaussianPointer:
     _require_keys(value, {"kind", "grid_size", "x_min", "x_max", "sigma", "x0"}, f"'{key}'")
     if value["kind"] != "gaussian":
         raise ConfigError(f"'{key}.kind' must be 'gaussian' for this scenario")
-    grid_size = value["grid_size"]
-    if isinstance(grid_size, bool) or not isinstance(grid_size, int) or grid_size < 2:
-        raise ConfigError(f"'{key}.grid_size' must be an integer >= 2")
     numbers = [_parse_number(value[k], f"{key}.{k}") for k in ("x_min", "x_max", "sigma", "x0")]
     try:
-        return build_gaussian_pointer(grid_size, *numbers)
+        return build_gaussian_pointer(value["grid_size"], *numbers)
     except ValueError as exc:  # a grid or packet the Grid and GaussianPointer guards refuse
         raise ConfigError(f"'{key}': {exc}") from exc
 
@@ -463,7 +460,8 @@ def _run_qubit_meter(cfg: ScenarioConfig) -> list[dict]:
     amplitudes[:, 1] = (linalg.evolution_operators(p["observable"], p["g"]) @ psi) @ phi.conj()
     oracle = require_normalized(meter.state, "Phi") * amplitudes
     oracle_p = np.linalg.norm(oracle, axis=-1) ** 2
-    index_columns = {"potent-values": ("k",), "potent-operator": ("row", "col")}.get(cfg.kind, ())
+    columns = KINDS[cfg.kind].columns
+    index_columns = columns[columns.index("g") + 1:columns.index("value_re")]
     if cfg.kind == "weak-value":
         # Independent route: spectral decomposition turns A_w into an
         # eigenvalue-weighted sum of projector weak values.
@@ -700,9 +698,6 @@ def parse_sweep_document(text: str):
         raise ConfigError("'base' must be a scenario mapping")
     if not isinstance(sweep, dict) or not sweep:
         raise ConfigError("'sweep' must be a nonempty mapping of key paths to value lists")
-    for key, values in sweep.items():
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"sweep key '{key}' must map to a nonempty list")
     return base, sweep
 
 
@@ -713,8 +708,12 @@ def run_sweep(base: dict, sweep: dict, seed: int | None = None):
     declared sweep order. A sweep whose 'scenario' values name more than one
     kind is refused before any point runs: its rows would not share columns
     or a tolerance. So is 'output' in the base or the sweep: --format and
-    --out place the one table. So is a key that is not a string.
+    --out place the one table. So is a key that is not a string or not mapped
+    to a nonempty list.
     """
+    for key, values in sweep.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"sweep key '{key}' must map to a nonempty list")
     for key in sweep:
         if not isinstance(key, str):
             raise ConfigError(f"sweep key {key!r} is not a dotted key path string")

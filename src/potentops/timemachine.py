@@ -5,7 +5,6 @@ T' = sum_i c_i T_i, which may be zero or negative)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -67,9 +66,12 @@ class EvolutionFamily:
 @dataclass(frozen=True)
 class SuperpositionSpec:
     """Superposition coefficients with the sum-to-one convention that makes
-    the post-selected construction reproduce sum_i c_i U_i exactly."""
+    the post-selected construction reproduce sum_i c_i U_i exactly, and the register
+    selection realizing them (pre-selected along c, post-selected uniform, so that
+    <|i><i|>_w = c_i), both built and checked with the spec."""
 
     coefficients: np.ndarray
+    register_selection: PrePostSelection = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
@@ -78,18 +80,16 @@ class SuperpositionSpec:
         total = complex(np.sum(c))
         if not abs(total - 1.0) <= WEAK_SUM_TOL:
             raise ValueError(f"coefficients sum to {total}, not 1")
+        with np.errstate(over="ignore"):  # an overflowing norm is refused by name below
+            norm = np.linalg.norm(c)
+        if not np.isfinite(norm):
+            raise ValueError(f"coefficients have non-finite norm {norm}")
         object.__setattr__(self, "coefficients", c)
+        object.__setattr__(self, "register_selection", PrePostSelection(
+            psi=c / norm, phi=np.ones(c.size, dtype=complex) / np.sqrt(c.size)))
 
     def __len__(self) -> int:
         return self.coefficients.size
-
-    @cached_property
-    def register_selection(self) -> PrePostSelection:
-        """The control register pre-selected along c and post-selected uniform,
-        so that <|i><i|>_w = c_i; built on first use and kept."""
-        n = len(self)
-        return PrePostSelection(psi=self.coefficients / np.linalg.norm(self.coefficients),
-                                phi=np.ones(n, dtype=complex) / np.sqrt(n))
 
 
 @dataclass(frozen=True)

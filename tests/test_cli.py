@@ -297,6 +297,17 @@ class TestSweep:
         assert captured.out == ""
         assert not out.exists()
 
+    # a key refused for its value is named in the CLI's words, before any point runs
+    @pytest.mark.parametrize("value", ["0.1", "[]"], ids=["scalar", "empty"])
+    def test_value_that_is_not_a_nonempty_list_refused(self, capsys, tmp_path, value):
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(f"base:\n  scenario: modular-value\nsweep:\n  g: {value}\n")
+        assert run_cli("sweep", "--config", str(cfg)) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == ("potentops: configuration error: "
+                                "sweep key 'g' must map to a nonempty list\n")
+        assert captured.out == ""
+
     def test_format_and_out_flags(self, tmp_path):
         cfg = tmp_path / "sweep.yaml"
         cfg.write_text("base:\n  scenario: modular-value\nsweep:\n  g: [0.1, 0.2]\n")

@@ -1,14 +1,19 @@
 """Dead-code guard over the package source: what a deletion leaves behind
-(an import no longer used, a private helper no longer called) fails here."""
+(an import no longer used, a private helper no longer called) fails here. The
+unused-import rule holds the tests and demos too."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "potentops"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "potentops"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
          for path in sorted(SRC.glob("*.py"))}
+IMPORTERS = {**{name: tree for name, tree in TREES.items() if name != "__init__.py"},
+             **{path.relative_to(ROOT).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+                for folder in ("tests", "demos") for path in sorted((ROOT / folder).glob("*.py"))}}
 
 
 def _loaded_names(tree) -> set[str]:
@@ -18,9 +23,9 @@ def _loaded_names(tree) -> set[str]:
             | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
 
 
-@pytest.mark.parametrize("module", [name for name in TREES if name != "__init__.py"])
+@pytest.mark.parametrize("module", IMPORTERS)
 def test_every_import_is_used(module):
-    tree = TREES[module]
+    tree = IMPORTERS[module]
     imported = {(alias.asname or alias.name).split(".")[0]
                 for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
                 and getattr(node, "module", None) != "__future__"

@@ -67,7 +67,7 @@ def f(us, ps):
     while not linalg.hermiticity_defect(ps[0]) <= 1e-12:
         pass
     names = {n: require_hermitian(p) for n, p in ps}
-    return [p for p in ps if orthonormality_defect(p)], (require_normalized(p) for p in ps)
+    return [p for p in ps if unitarity_defect(p)], (require_normalized(p) for p in ps)
 
 
 def g(As, gs, sel, us, vs):
@@ -83,7 +83,7 @@ def g(As, gs, sel, us, vs):
 """
     assert guard_calls_in_loops(ast.parse(source)) == [
         "f:4 require_unitary", "f:5 hermiticity_defect", "f:7 require_hermitian",
-        "f:8 orthonormality_defect", "f:8 require_normalized",
+        "f:8 require_normalized", "f:8 unitarity_defect",
         "g:13 weak_value", "g:14 spectral_weights", "g:15 modular_value",
         "g:16 diagonal_potent_operator", "g:17 tensor_product", "g:18 normalize",
         "g:19 hermitian_exponential"]

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from potentops import linalg
 from potentops.linalg import (
     HERMITIAN_TOL,
-    ORTHONORMAL_TOL,
     PADE_NORM_CAP,
     UNITARY_TOL,
     _pade_exponential,
@@ -20,9 +19,7 @@ from potentops.linalg import (
     hermitian_exponential,
     hermiticity_defect,
     normalize,
-    orthonormality_defect,
     partial_matrix_element,
-    require_orthonormal_basis,
     tensor_product,
 )
 from potentops.pauli import IDENTITY_2, KET_PLUS, PROJECT_1, SIGMA_X, SIGMA_Z
@@ -141,16 +138,15 @@ class TestNonFiniteGuards:
         with pytest.raises(ValueError, match="not unitary"):
             linalg.require_unitary(u)
 
-    # sigma_x is Hermitian, unitary and an orthonormal basis, so one stack of
-    # it serves every guard; entry 1 carries the non-finite entry
+    # sigma_x is Hermitian and unitary, so one stack of it serves every guard;
+    # entry 1 carries the non-finite entry
     @pytest.mark.parametrize("index, bad", NON_FINITE_ENTRIES)
     @pytest.mark.parametrize("guard, label, message", [
         (linalg.require_hermitian, r"operator\[1\]", "is not Hermitian"),
         (partial(linalg.require_hermitian, name=["A_0", "A_1", "A_2"]), "A_1", "is not Hermitian"),
         (linalg.require_unitary, r"operator\[1\]", "is not unitary"),
         (partial(linalg.require_unitary, name=["U_0", "U_1", "U_2"]), "U_1", "is not unitary"),
-        (require_orthonormal_basis, r"basis\[1\]", "is not orthonormal"),
-    ], ids=["hermitian", "hermitian-named", "unitary", "unitary-named", "orthonormal"])
+    ], ids=["hermitian", "hermitian-named", "unitary", "unitary-named"])
     def test_stack_names_the_failing_entry(self, guard, label, message, index, bad):
         stack = np.stack([SIGMA_X.astype(complex)] * 3)
         np.testing.assert_array_equal(guard(stack), stack)
@@ -194,18 +190,12 @@ def _of_second(defect_of):
      "not Hermitian"),
     (linalg.require_unitary, linalg.unitarity_defect, _diagonal_with_gram_defect, UNITARY_TOL,
      "not unitary"),
-    (require_orthonormal_basis, orthonormality_defect, _diagonal_with_gram_defect,
-     ORTHONORMAL_TOL, "not orthonormal"),
     (partial(linalg.require_hermitian, name=["H(0.5)", "H(1.5)"]),
      _of_second(hermiticity_defect), _second_of_two(_hermitian_with_defect), HERMITIAN_TOL,
      r"^H\(1\.5\) is not Hermitian"),
     (linalg.require_unitary, _of_second(linalg.unitarity_defect),
      _second_of_two(_diagonal_with_gram_defect), UNITARY_TOL, r"^operator\[1\] is not unitary"),
-    (require_orthonormal_basis, _of_second(orthonormality_defect),
-     _second_of_two(_diagonal_with_gram_defect), ORTHONORMAL_TOL,
-     r"^basis\[1\] is not orthonormal"),
-], ids=["hermitian", "unitary", "orthonormal", "hermitian-stack", "unitary-stack",
-        "orthonormal-stack"])
+], ids=["hermitian", "unitary", "hermitian-stack", "unitary-stack"])
 class TestGuardsAtTheirConstants:
     """Each guard reads its module tolerance: a defect of half the bound
     passes, twice the bound is refused, and NaN is refused."""
@@ -255,28 +245,24 @@ class TestHermiticityDefectStack:
         with pytest.raises(ValueError, match="square matrix"):
             hermiticity_defect(np.zeros(shape))
 
-    # the Gram defects: unitarity of square matrices, orthonormality of any
-    # (dim, n) block of columns
+    # the Gram defect of square matrices: unitarity, and orthonormality of a
+    # complete basis of columns
     @settings(max_examples=100, deadline=None)
     @given(parts=st.integers(1, 5).flatmap(lambda n: st.integers(1, 4).flatmap(
-        lambda d: st.integers(1, d).flatmap(lambda k: arrays(
-            np.float64, (2, n, d, k), elements=st.one_of(st.floats(-1e3, 1e3), st.just(np.nan)))))))
+        lambda d: arrays(np.float64, (2, n, d, d),
+                         elements=st.one_of(st.floats(-1e3, 1e3), st.just(np.nan))))))
     def test_gram_defects_match_per_matrix_values(self, parts):
         stack = parts[0] + 1j * parts[1]
-        defects = [orthonormality_defect]
-        if stack.shape[-1] == stack.shape[-2]:
-            defects.append(linalg.unitarity_defect)
-        for defect in defects:
-            out = defect(stack)
-            assert isinstance(out, np.ndarray) and out.shape == stack.shape[:1]
-            per_matrix = [defect(m) for m in stack]
-            assert all(type(value) is float for value in per_matrix)
-            by_definition = [np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))) for m in stack]
-            np.testing.assert_array_equal(out, per_matrix)
-            np.testing.assert_array_equal(out, by_definition)
-            has_nan = np.isnan(stack).any(axis=(1, 2))
-            assert np.all(np.isnan(out[has_nan]))
-            assert np.all(np.isfinite(out[~has_nan]))
+        out = linalg.unitarity_defect(stack)
+        assert isinstance(out, np.ndarray) and out.shape == stack.shape[:1]
+        per_matrix = [linalg.unitarity_defect(m) for m in stack]
+        assert all(type(value) is float for value in per_matrix)
+        by_definition = [np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))) for m in stack]
+        np.testing.assert_array_equal(out, per_matrix)
+        np.testing.assert_array_equal(out, by_definition)
+        has_nan = np.isnan(stack).any(axis=(1, 2))
+        assert np.all(np.isnan(out[has_nan]))
+        assert np.all(np.isfinite(out[~has_nan]))
 
     @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (4, 2, 3), (0, 0), (2, 0, 0)])
     def test_unitarity_defect_refuses_what_is_not_a_square_stack(self, shape):
@@ -579,23 +565,24 @@ class TestNormalize:
 
 
 class TestBasisHelpers:
+    # a complete orthonormal basis, as columns, is a unitary: require_unitary guards it
     def test_orthonormality_defect(self):
         u = random_unitary(4, np.random.default_rng(11))
-        assert orthonormality_defect(u) <= 1e-12
-        with pytest.raises(ValueError, match="incomplete"):
-            require_orthonormal_basis(u[:, :2])
+        assert linalg.unitarity_defect(u) <= 1e-12
+        with pytest.raises(ValueError, match=r"^need a square matrix .* got shape \(4, 2\)$"):
+            linalg.require_unitary(u[:, :2], name="basis")
         skewed = u.copy()
         skewed[:, 0] *= 1.5
-        with pytest.raises(ValueError, match="not orthonormal"):
-            require_orthonormal_basis(skewed)
+        with pytest.raises(ValueError, match="^basis is not unitary"):
+            linalg.require_unitary(skewed, name="basis")
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_basis_refused(self, bad):
         basis = np.eye(2, dtype=complex)
         basis[1, 0] = bad
-        with pytest.raises(ValueError, match="not orthonormal"):
-            require_orthonormal_basis(basis)
+        with pytest.raises(ValueError, match="^basis is not unitary"):
+            linalg.require_unitary(basis, name="basis")
 
     def test_fidelity_phase_invariant(self):
         rng = np.random.default_rng(12)

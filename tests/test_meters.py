@@ -18,7 +18,6 @@ from potentops import (
     linalg,
     meters,
     modular_value,
-    normalize,
     pointer_shift_sweep,
     pointer_statistics,
     potent_values,
@@ -104,11 +103,14 @@ class TestGrid:
         with pytest.raises(ValueError, match=f"{named} must be finite"):
             Grid(128, x_min, x_max)
 
-    # a string is refused before the cap test, which would compare it with an int
+    # a string is refused before the cap test, which would compare it with an int;
+    # a bool is an int to isinstance, but no grid size
     @pytest.mark.parametrize("build, shown", [
         (lambda: Grid(128.0, -1, 1), r"128\.0"),
         (lambda: build_gaussian_pointer(128.0, -12.0, 12.0, 1.0, 0.0), r"128\.0"),
-        (lambda: Grid("128", -1, 1), "'128'")], ids=["float", "float-pointer", "string"])
+        (lambda: Grid("128", -1, 1), "'128'"), (lambda: Grid(True, -1, 1), "True"),
+        (lambda: Grid(False, -1, 1), "False")],
+        ids=["float", "float-pointer", "string", "true", "false"])
     def test_non_integer_grid_size_refused_by_name(self, build, shown):
         with pytest.raises(ValueError, match=rf"^grid_size must be an integer, got {shown}$"):
             build()
@@ -207,7 +209,8 @@ class TestPointerShift:
         report = pointer_shift_sweep(SIGMA_Z, sel, [0.1], pointer)[0]
         assert abs(report.weak_val.imag) > 0.5
         assert report.predicted_momentum_shift != 0
-        assert report.momentum_error <= 0.02 * abs(report.predicted_momentum_shift)
+        momentum_error = abs(report.momentum_shift - report.predicted_momentum_shift)
+        assert momentum_error <= 0.02 * abs(report.predicted_momentum_shift)
 
     def test_fidelity_gap_quarters_in_chordal_distance(self, pointer, amplification):
         reports = pointer_shift_sweep(SIGMA_Z, amplification, [0.2, 0.1, 0.05], pointer)
@@ -447,7 +450,7 @@ def test_complex_weak_value_moves_momentum(case):
     # with a relative error of order g^2
     A, sel = case
     pointer = build_gaussian_pointer(512, -12.0, 12.0, 1.0, 0.0)
-    errors = [r.momentum_error / abs(r.predicted_momentum_shift)
+    errors = [abs(r.momentum_shift - r.predicted_momentum_shift) / abs(r.predicted_momentum_shift)
               for r in pointer_shift_sweep(A, sel, [1e-3, 5e-4], pointer)]
     assert errors[0] <= 1e-4
     assert 3.5 <= errors[0] / errors[1] <= 4.5

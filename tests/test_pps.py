@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from potentops import (
-    OrthogonalSelectionError,
     PotentValueSet,
     PrePostSelection,
     QubitMeter,
@@ -34,6 +33,7 @@ from potentops.pauli import (
     SIGMA_X,
     SIGMA_Z,
 )
+from potentops.linalg import UNITARY_TOL
 from potentops.pps import EPS_OVERLAP, diagonal_potent_operator, spectral_weights
 from potentops.sampling import (
     complex_gaussian,
@@ -63,7 +63,7 @@ class TestPrePostSelection:
         assert abs(scaled - np.conj(lam) * PrePostSelection(psi, phi).overlap) <= 1e-12
 
     def test_orthogonal_rejected(self):
-        with pytest.raises(OrthogonalSelectionError):
+        with pytest.raises(ValueError, match="non-orthogonal selections"):
             PrePostSelection(np.array([1, 0]), np.array([0, 1]))
 
     @staticmethod
@@ -77,7 +77,7 @@ class TestPrePostSelection:
         assert abs(sel.overlap) == pytest.approx(2 * EPS_OVERLAP, rel=1e-12)
 
     def test_half_the_floor_refused(self):
-        with pytest.raises(OrthogonalSelectionError, match=f"<= {EPS_OVERLAP:.1e}"):
+        with pytest.raises(ValueError, match=f"<= {EPS_OVERLAP:.1e}"):
             PrePostSelection(*self._at_cosine(EPS_OVERLAP / 2))
 
     def test_nan_overlap_refused(self):
@@ -101,7 +101,7 @@ class TestPrePostSelection:
         tiny = PrePostSelection(1e-11 * AMPLIFICATION_PSI, AMPLIFICATION_PHI)
         assert weak_value(SIGMA_Z, tiny) == pytest.approx(weak_value(SIGMA_Z, amplification),
                                                           abs=1e-12)
-        with pytest.raises(OrthogonalSelectionError):
+        with pytest.raises(ValueError, match="non-orthogonal selections"):
             PrePostSelection(1e6 * np.array([1, 0]), np.array([1e-11, 1.0]))
 
 
@@ -375,7 +375,7 @@ class TestKrausSlices:
         rng = np.random.default_rng(10)
         basis = random_unitary(3, rng)
         basis[:, 0] *= 1.2
-        with pytest.raises(ValueError, match="orthonormal"):
+        with pytest.raises(ValueError, match="^basis is not unitary"):
             kraus_slices(np.eye(6), random_state(3, rng), basis)
 
     def test_rejects_unnormalized_meter_state(self):
@@ -542,7 +542,7 @@ class TestCompletenessIdentity:
 
     def test_incomplete_basis_rejected(self):
         phi = random_state(2, np.random.default_rng(26))
-        with pytest.raises(ValueError, match="incomplete"):
+        with pytest.raises(ValueError, match=r"square matrix .* got shape \(2, 1\)$"):
             potent_completeness_residual(np.eye(6), phi, np.eye(2, dtype=complex)[:, :1])
 
     @pytest.mark.parametrize("ds, da", [(2, 3), (3, 2), (4, 4)])
@@ -573,6 +573,22 @@ class TestCompletenessIdentity:
         phis[3] *= 2
         with pytest.raises(ValueError, match=r"^phi\[3\] must be normalized"):
             potent_completeness_residual(joints, phis, basis)
+
+
+# Both readers of a complete orthonormal basis guard it as one unitary, under the
+# name 'basis': a Gram defect of half UNITARY_TOL passes and twice it is refused.
+@pytest.mark.parametrize("read", [
+    lambda basis: kraus_slices(np.eye(6), np.array([1.0, 0.0, 0.0]), basis),
+    lambda basis: potent_completeness_residual(np.eye(9), np.array([1.0, 0.0, 0.0]), basis),
+], ids=["kraus_slices", "potent_completeness_residual"])
+def test_basis_is_guarded_as_a_unitary(read):
+    def with_gram_defect(defect):  # B^dag B - I = diag(0, 0, defect), up to rounding
+        return np.diag([1.0, 1.0, np.sqrt(1.0 + defect)]).astype(complex)
+
+    read(with_gram_defect(UNITARY_TOL / 2))
+    refusal = rf"^basis is not unitary \(max \|U\^dag U - I\| = 2\.000e-10 > {UNITARY_TOL:.1e}\)$"
+    with pytest.raises(ValueError, match=refusal):
+        read(with_gram_defect(2 * UNITARY_TOL))
 
 
 class TestSystemControlled:

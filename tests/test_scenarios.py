@@ -172,12 +172,14 @@ class TestParseConfig:
          "'meter': packet support (+-6 sigma) leaves the grid"),
         ({"scenario": "pointer-shift", "meter": {"grid_size": 300}},
          "'meter': grid_size must be a power of two"),
+        ({"scenario": "pointer-shift", "meter": {"grid_size": True}},
+         "'meter': grid_size must be an integer, got True"),
         ({"scenario": "time-machine", "coefficients": [2, -0.5]},
          "'coefficients': coefficients sum to (1.5+0j), not 1"),
         ({"scenario": "time-machine", "coefficients": [[1, 1], [0, -1]]},
          "'coefficients': effective duration (1-1j) is not real"),
-    ], ids=["orthogonal", "under-resolved", "off-grid", "grid-size", "coefficient-sum",
-            "complex-duration"])
+    ], ids=["orthogonal", "under-resolved", "off-grid", "grid-size", "grid-size-bool",
+            "coefficient-sum", "complex-duration"])
     def test_input_object_refused_at_parse(self, doc, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             parse_config_mapping(doc)
@@ -430,14 +432,15 @@ class TestSharedDecompositions:
         assert eigh_shapes == [(3, 3)]
 
     def test_time_machine_run_builds_one_register_selection(self, monkeypatch):
-        cfg = parse_config_mapping({"scenario": "time-machine"})
-        spec = cfg.params["spec"]
         built = []
         build = PrePostSelection.__post_init__
         monkeypatch.setattr(PrePostSelection, "__post_init__",
                             lambda sel: built.append(sel) or build(sel))
+        cfg = parse_config_mapping({"scenario": "time-machine"})
+        spec = cfg.params["spec"]
         run_scenario(cfg)
-        # the T'_w witness and the register potent operator read one selection
+        # parse builds the spec's one selection, which the T'_w witness and the
+        # register potent operator both read
         assert len(built) == 1
         assert built[0] is spec.coefficients.register_selection
 
@@ -806,6 +809,20 @@ sweep:
         with pytest.raises(ConfigError, match="sweep key") as info:
             run_sweep({"scenario": "modular-value"}, {"g": [0.1], key: [0.1]})
         assert repr(key) in str(info.value)
+
+    # run_sweep owns the value check, so a library call is refused as the CLI is
+    @pytest.mark.parametrize("values", [0.1, [], "g", None], ids=["scalar", "empty", "string",
+                                                                  "null"])
+    def test_rejects_a_value_that_is_not_a_nonempty_list_before_running(self, values,
+                                                                         monkeypatch):
+        import potentops.scenarios as scenarios
+
+        def must_not_run(cfg):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(scenarios, "run_scenario", must_not_run)
+        with pytest.raises(ConfigError, match="^sweep key 'g' must map to a nonempty list$"):
+            run_sweep({"scenario": "weak-value"}, {"seed": [0, 1], "g": values})
 
     def test_single_kind_in_scenario_key_runs(self):
         rows, kind = run_sweep({"scenario": "weak-value", "g": [0.1]},

@@ -83,6 +83,34 @@ class TestSpecs:
         with pytest.raises(ValueError, match="sum"):
             SuperpositionSpec(np.array(bad))
 
+    # the register selection is built and checked with the spec: a register cosine
+    # at or below EPS_OVERLAP, or a norm that overflows, is refused there, with no warning
+    @pytest.mark.parametrize("coefficients, refusal", [
+        ([1.0e11, -1.0e11, 1.0], r"^\|<phi\|psi>\|/\(\|phi\|\|psi\|\) = 4\.082e-12 <= 1\.0e-10; "),
+        ([1.0e200, -1.0e200, 1.0], r"^coefficients have non-finite norm inf$"),
+    ], ids=["register-orthogonal", "norm-overflow"])
+    def test_register_selection_refused_with_the_spec(self, coefficients, refusal):
+        with pytest.raises(ValueError, match=refusal):
+            SuperpositionSpec(coefficients)
+
+    @pytest.mark.parametrize("coefficients, durations, refusal", [
+        ("[1.0e11, -1.0e11, 1]", "[1, 1, 1]", "= 4.082e-12 <= 1.0e-10"),
+        ("[1.0e200, -1.0e200, 1]", "[1, 2, 3]", "coefficients have non-finite norm inf"),
+    ], ids=["register-orthogonal", "norm-overflow"])
+    def test_register_refusal_is_a_configuration_error(self, tmp_path, capsys, coefficients,
+                                                       durations, refusal):
+        cfg = tmp_path / "register.yaml"
+        cfg.write_text(f"scenario: time-machine\ncoefficients: {coefficients}\n"
+                       f"durations: {durations}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["time-machine", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert not caught
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("potentops: configuration error: 'coefficients': ")
+        assert refusal in captured.err and "Warning" not in captured.err
+
     def test_nan_effective_duration_rejected(self):
         with pytest.raises(ValueError, match=r"^durations must be finite, got \(1\.0, nan\)$"):
             TimeTranslationSpec(durations=(1.0, np.nan),
