@@ -8,7 +8,6 @@ from .linalg import (
     fidelity,
     hermitian_exponential,
     normalize,
-    partial_matrix_element,
     tensor_product,
 )
 from .meters import (
@@ -18,7 +17,6 @@ from .meters import (
     QubitMeter,
     build_gaussian_pointer,
     pointer_shift_sweep,
-    pointer_statistics,
 )
 from .pps import (
     PotentOperator,

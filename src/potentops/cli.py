@@ -26,7 +26,6 @@ from .scenarios import (
     parse_sweep_document,
     run_scenario,
     run_sweep,
-    scenario_template,
     verification_suite,
     within_tolerance,
 )
@@ -119,12 +118,11 @@ def _run_scenario_command(args) -> tuple[list[dict], float]:
             raise ConfigError(
                 f"config is a {cfg.kind!r} scenario but the subcommand is {args.command!r}")
     else:
-        cfg = parse_config_mapping(scenario_template(args.command))
+        cfg = parse_config_mapping({"scenario": args.command})
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     rows = run_scenario(cfg)
-    emit_results(rows, args.format or cfg.output_format or "csv", args.out or cfg.output_path,
-                 KINDS[cfg.kind].columns)
+    emit_results(rows, args.format or "csv", args.out, KINDS[cfg.kind].columns)
     return rows, KINDS[cfg.kind].tolerance
 
 

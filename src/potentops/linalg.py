@@ -1,6 +1,6 @@
 """Dense complex linear algebra substrate: tensor products, the two matrix
 exponentials (one eigh for a Hermitian generator, one Pade call for every
-oracle's exp(-i t H)), partial matrix elements, and normalization.
+oracle's exp(-i t H)), and normalization.
 
 Conventions used throughout the package:
 
@@ -208,25 +208,6 @@ def _pade_exponential(a: np.ndarray) -> np.ndarray:
     for _ in range(s):
         r = r @ r
     return r
-
-
-def partial_matrix_element(u: np.ndarray, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """<bra| U |ket> on the system factor: with (bra, ket) = (phi, psi) this is
-    <phi|U|psi>, an operator on the apparatus. (The apparatus-side contraction
-    <k|U|Phi> is :func:`potentops.pps.kraus_slices`.) Linear in U,
-    conjugate-linear in bra, linear in ket.
-    """
-    u = as_operator(u)
-    bra, ket = as_state(bra), as_state(ket)
-    if bra.size != ket.size:
-        raise ValueError(f"bra dim {bra.size} != ket dim {ket.size}")
-    n = u.shape[0]
-    d = bra.size
-    if n % d != 0:
-        raise ValueError(f"joint dim {n} is not divisible by factor dim {d}")
-    other = n // d
-    u4 = u.reshape(d, other, d, other)
-    return np.einsum("s,satb,t->ab", bra.conj(), u4, ket)
 
 
 def _norms(v: np.ndarray):

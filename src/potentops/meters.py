@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_state, evolution_operators, fidelity
+from .linalg import evolution_operators, fidelity
 from .pps import PrePostSelection, diagonal_potent_operator, spectral_weights, weak_value
 
 # Larger grids are refused before any array is built; the oracle raises one
@@ -114,21 +114,6 @@ def build_gaussian_pointer(grid_size: int, x_min: float, x_max: float,
                            sigma: float, x0: float) -> GaussianPointer:
     """A Gaussian pointer on the grid of grid_size points over [x_min, x_max)."""
     return GaussianPointer(Grid(grid_size, float(x_min), float(x_max)), float(sigma), float(x0))
-
-
-def pointer_statistics(state: np.ndarray, grid: Grid):
-    """(mean position, position variance, mean momentum) of a grid state.
-
-    Probability weights are renormalized internally, so grid-normalized and
-    l2-normalized amplitudes give identical statistics. The momentum mean is
-    computed in Fourier space.
-    """
-    state = as_state(state)
-    if state.size != grid.grid_size:
-        raise ValueError(f"state dim {state.size} != grid size {grid.grid_size}")
-    mean_x, var_x = _moments(state, grid.x)
-    mean_p, _ = _moments(np.fft.fft(state), grid.momentum_lattice)
-    return mean_x, var_x, mean_p
 
 
 def _moments(amplitudes: np.ndarray, coords: np.ndarray):

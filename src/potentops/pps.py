@@ -18,7 +18,6 @@ from .linalg import (
     as_operator,
     as_state,
     normalize,
-    partial_matrix_element,
     require_hermitian,
     require_normalized,
     require_unitary,
@@ -183,8 +182,15 @@ def apparatus_state_from_potent_values(pvs: PotentValueSet) -> np.ndarray:
 
 
 def potent_operator(U: np.ndarray, sel: PrePostSelection) -> PotentOperator:
-    """<phi|U|psi> / <phi|psi> as an operator on the apparatus factor."""
-    return PotentOperator(matrix=partial_matrix_element(U, sel.phi, sel.psi) / sel.overlap)
+    """<phi|U|psi> / <phi|psi> as an operator on the apparatus factor: the
+    system-side contraction, as :func:`kraus_slices` is the apparatus-side one."""
+    U = as_operator(U)
+    if U.shape[0] % sel.dim != 0:
+        raise ValueError(f"joint dim {U.shape[0]} is not divisible by selection dim {sel.dim}")
+    da = U.shape[0] // sel.dim
+    u4 = U.reshape(sel.dim, da, sel.dim, da)
+    return PotentOperator(matrix=np.einsum("s,satb,t->ab", sel.phi.conj(), u4, sel.psi)
+                          / sel.overlap)
 
 
 def potent_completeness_residual(U: np.ndarray, phi: np.ndarray, basis: np.ndarray):

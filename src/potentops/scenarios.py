@@ -33,12 +33,7 @@ import yaml
 
 from . import linalg, meters, pauli
 from .linalg import hermitian_exponential, normalize, require_normalized, tensor_product
-from .meters import (
-    QubitMeter,
-    build_gaussian_pointer,
-    pointer_shift_sweep,
-    pointer_statistics,
-)
+from .meters import QubitMeter, build_gaussian_pointer, pointer_shift_sweep
 from .pps import (
     PrePostSelection,
     apparatus_state_from_potent_values,
@@ -154,8 +149,6 @@ class ScenarioConfig:
     kind: str
     seed: int = 0
     params: dict = field(default_factory=dict)
-    output_format: str | None = None
-    output_path: str | None = None
 
 
 def within_tolerance(residual: float, tolerance: float) -> bool:
@@ -385,23 +378,10 @@ def parse_config_mapping(doc) -> ScenarioConfig:
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"'seed' must be a non-negative integer, got {seed!r}")
-    out_format = out_path = None
-    if "output" in doc:
-        output = doc["output"]
-        if not isinstance(output, dict):
-            raise ConfigError("'output' must be a mapping with 'format' and/or 'path'")
-        _require_keys(output, {"format", "path"}, "'output'")
-        out_format = output.get("format")
-        if out_format is not None and out_format not in ("csv", "json"):
-            raise ConfigError(f"'output.format' must be 'csv' or 'json', got {out_format!r}")
-        out_path = output.get("path")
-        if out_path is not None and not isinstance(out_path, str):
-            raise ConfigError("'output.path' must be a string")
     kind = KINDS[name]
-    _require_keys(doc, {"scenario", "seed", "output", *kind.template}, f"{name} config")
+    _require_keys(doc, {"scenario", "seed", *kind.template}, f"{name} config")
     params = kind.parse(_with_defaults(doc, kind.template))
-    return ScenarioConfig(kind=name, seed=seed, params=params,
-                          output_format=out_format, output_path=out_path)
+    return ScenarioConfig(kind=name, seed=seed, params=params)
 
 
 def _load_yaml(text: str):
@@ -420,18 +400,6 @@ def parse_config(text: str) -> ScenarioConfig:
     return parse_config_mapping(_load_yaml(text))
 
 
-def scenario_template(kind: str) -> dict:
-    """A fresh copy of the named preset configuration for each scenario kind.
-
-    Every worked example in the README is runnable from these: the sigma_z
-    amplification pair with a balanced qubit meter, the default Gaussian
-    pointer, and the (2, -1) time-machine design.
-    """
-    if kind not in KINDS:
-        raise ConfigError(f"no template for {kind!r}; kinds: {list(KINDS)}")
-    return {"scenario": kind, "seed": 0, **copy.deepcopy(KINDS[kind].template)}
-
-
 # ---------------------------------------------------------------------------
 # runners, and the configs each kind draws for verify
 
@@ -446,7 +414,7 @@ def _qubit_meter_points(p: dict, sel: PrePostSelection, lam, w):
 def _run_qubit_meter(cfg: ScenarioConfig) -> list[dict]:
     """Rows of the four qubit-meter kinds, one construction read out four ways,
     every coupling in one array. Every residual holds prob_exact to the oracle;
-    each kind adds one term. exp(-i g A (x) |1><1|) is I on the meter's |0> and
+    each kind adds its own terms. exp(-i g A (x) |1><1|) is I on the meter's |0> and
     exp(-i g A) on its |1>, so the oracle takes those blocks from one
     evolution_operators call of A, which shares no decomposition and reads no
     PROJECT_1, and post-selects the meter (alpha <phi|psi>, beta <phi|exp(-i g A)|psi>)
@@ -463,10 +431,13 @@ def _run_qubit_meter(cfg: ScenarioConfig) -> list[dict]:
     columns = KINDS[cfg.kind].columns
     index_columns = columns[columns.index("g") + 1:columns.index("value_re")]
     if cfg.kind == "weak-value":
-        # Independent route: spectral decomposition turns A_w into an
-        # eigenvalue-weighted sum of projector weak values.
+        # Independent routes: spectral decomposition turns A_w into an
+        # eigenvalue-weighted sum of projector weak values, and the
+        # post-selected meter <phi|psi> d (alpha, beta) is the oracle's.
         value = weak_value(p["observable"], sel)
-        table, term = np.full(len(p["g"]), value), abs(value - complex(lam @ w))
+        table = np.full(len(p["g"]), value)
+        term = np.maximum(abs(value - complex(lam @ w)),
+                          np.max(np.abs(sel.overlap * d * meter.state - oracle), axis=-1))
     elif cfg.kind == "modular-value":
         # Independent route: the |1> amplitude of the post-selected meter is
         # overlap * beta * modular value.
@@ -673,52 +644,51 @@ def _finalize_row(row: dict) -> dict:
 
 
 def _override_path(doc: dict, dotted: str, value):
+    """Set doc at the dotted key path, creating each absent (or null) mapping
+    on the way; a prefix that holds any other value is refused."""
     parts = dotted.split(".")
     target = doc
-    for part in parts[:-1]:
-        node = target.get(part)
-        if not isinstance(node, dict):
-            node = {}
-            target[part] = node
-        target = node
+    for depth, part in enumerate(parts[:-1], 1):
+        if target.get(part) is None:
+            target[part] = {}
+        target = target[part]
+        if not isinstance(target, dict):
+            raise ConfigError(f"sweep key '{dotted}' reaches into "
+                              f"'{'.'.join(parts[:depth])}', which is {target!r}, not a mapping")
     target[parts[-1]] = value
 
 
 def parse_sweep_document(text: str):
-    """Parse a sweep config: a 'base' scenario plus a 'sweep' mapping of
-    dotted config keys to value lists, expanded as a Cartesian grid in
-    declaration order."""
+    """Parse a sweep config into its 'base' scenario and its 'sweep' mapping of
+    dotted config keys to value lists, whose shape :func:`run_sweep` checks."""
     doc = _load_yaml(text)
     if not isinstance(doc, dict):
         raise ConfigError("sweep config must be a mapping")
     _require_keys(doc, {"base", "sweep"}, "sweep config")
-    base = doc.get("base")
-    sweep = doc.get("sweep")
-    if not isinstance(base, dict):
-        raise ConfigError("'base' must be a scenario mapping")
-    if not isinstance(sweep, dict) or not sweep:
-        raise ConfigError("'sweep' must be a nonempty mapping of key paths to value lists")
-    return base, sweep
+    return doc.get("base"), doc.get("sweep")
 
 
 def run_sweep(base: dict, sweep: dict, seed: int | None = None):
     """Run the Cartesian product of sweep points over the base scenario.
 
     Returns (rows, kind): each row gains a leading 'point' index following the
-    declared sweep order. A sweep whose 'scenario' values name more than one
-    kind is refused before any point runs: its rows would not share columns
-    or a tolerance. So is 'output' in the base or the sweep: --format and
-    --out place the one table. So is a key that is not a string or not mapped
-    to a nonempty list.
+    declared sweep order. A base that is not a mapping, or a sweep that is not
+    a nonempty mapping, is refused before any point runs. So is a sweep whose
+    'scenario' values name more than one kind: its rows would not share columns
+    or a tolerance. So is a key that is not a string or not mapped to a
+    nonempty list. A key whose dotted prefix holds a value that is not a
+    mapping is refused when its point is built.
     """
+    if not isinstance(base, dict):
+        raise ConfigError("'base' must be a scenario mapping")
+    if not isinstance(sweep, dict) or not sweep:
+        raise ConfigError("'sweep' must be a nonempty mapping of key paths to value lists")
     for key, values in sweep.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep key '{key}' must map to a nonempty list")
     for key in sweep:
         if not isinstance(key, str):
             raise ConfigError(f"sweep key {key!r} is not a dotted key path string")
-    if "output" in base or any(k.split(".")[0] == "output" for k in sweep):
-        raise ConfigError("'output' is not read in a sweep config; use --format and --out")
     kinds = []
     for value in sweep.get("scenario", []):
         if value not in kinds:
@@ -814,8 +784,7 @@ def verification_suite(seed: int = 0) -> list[dict]:
     shift = 0.6
     translated = np.fft.ifft(np.exp(-1j * shift * pointer.grid.momentum_lattice)
                              * np.fft.fft(pointer.unit_amplitudes))
-    mean_x, _, _ = pointer_statistics(translated, pointer.grid)
-    check("pointer_translation", abs(mean_x - shift), 1e-6)
+    check("pointer_translation", abs(meters._moments(translated, pointer.grid.x)[0] - shift), 1e-6)
 
     # Every kind through its own parse and gate, on one drawn config
     for name, kind in KINDS.items():

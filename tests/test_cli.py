@@ -158,13 +158,17 @@ class TestOutputs:
         assert "'seed' must be a non-negative integer, got -1" in captured.err
         assert captured.out == ""
 
-    def test_config_output_block_respected(self, tmp_path):
+    def test_config_output_block_refused(self, capsys, tmp_path):
+        """Rows go where --format and --out put them; 'output' is an unknown key."""
         cfg = tmp_path / "cfg.yaml"
         dest = tmp_path / "rows.json"
         cfg.write_text("scenario: time-machine\noutput: {format: json, path: %s}\n"
                        % dest.as_posix())
-        assert run_cli("time-machine", "--config", str(cfg)) == EXIT_OK
-        assert dest.read_text().lstrip().startswith("[")
+        assert run_cli("time-machine", "--config", str(cfg)) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "unknown key(s) ['output'] in time-machine config" in captured.err
+        assert captured.out == ""
+        assert not dest.exists()
 
 
 class TestVerify:
@@ -281,7 +285,7 @@ class TestSweep:
         cfg.write_text(doc.format(dest=dest.as_posix()))
         assert run_cli("sweep", "--config", str(cfg)) == EXIT_VALIDATION
         captured = capsys.readouterr()
-        assert "'output'" in captured.err
+        assert "unknown key(s) ['output'] in modular-value config" in captured.err
         assert captured.out == ""
         assert not dest.exists()
 
@@ -307,6 +311,18 @@ class TestSweep:
         assert captured.err == ("potentops: configuration error: "
                                 "sweep key 'g' must map to a nonempty list\n")
         assert captured.out == ""
+
+    def test_key_into_a_non_mapping_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text("base:\n  scenario: potent-values\n  meter: 5\n"
+                       "sweep:\n  meter.alpha: [0.6]\n")
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == ("potentops: configuration error: sweep key 'meter.alpha' "
+                                "reaches into 'meter', which is 5, not a mapping\n")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_format_and_out_flags(self, tmp_path):
         cfg = tmp_path / "sweep.yaml"
@@ -347,7 +363,6 @@ class TestOddYaml:
         ("potent-values", "scenario: potent-values\nmeter: {1: 2, x: 3}\n", "'meter'"),
         ("weak-value", "scenario: weak-value\ng: {start: 0, stop: 1, num: 2, 1: 2, x: 3}\n",
          "'g' range"),
-        ("weak-value", "scenario: weak-value\noutput: {1: 2, x: 3}\n", "'output'"),
         ("sweep", SWEEP_BASE.format(kind="weak-value", base="", sweep="") + MIXED_KEYS,
          "sweep config"),
         ("sweep", SWEEP_BASE.format(kind="potent-values", base="  meter: {1: 2, x: 3}\n",
@@ -355,7 +370,7 @@ class TestOddYaml:
         ("sweep", SWEEP_BASE.format(kind="weak-value", base="",
                                     sweep="  g: [{start: 0, stop: 1, num: 2, 1: 2, x: 3}]\n"),
          "'g' range"),
-    ], ids=["top", "meter", "range", "output", "sweep-top", "sweep-meter", "sweep-range"])
+    ], ids=["top", "meter", "range", "sweep-top", "sweep-meter", "sweep-range"])
     def test_mixed_type_unknown_keys_named(self, capsys, tmp_path, command, doc, context):
         cfg = tmp_path / "odd.yaml"
         cfg.write_text(doc)

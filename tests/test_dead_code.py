@@ -3,6 +3,7 @@
 unused-import rule holds the tests and demos too."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,14 @@ TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
 IMPORTERS = {**{name: tree for name, tree in TREES.items() if name != "__init__.py"},
              **{path.relative_to(ROOT).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
                 for folder in ("tests", "demos") for path in sorted((ROOT / folder).glob("*.py"))}}
+
+
+# Outside the package itself, the readers a public name may have: the
+# acceptance suite and the benchmark, not the unit tests.
+CALLERS = [tree for name, tree in TREES.items() if name != "__init__.py"] + [
+    ast.parse(path.read_text(encoding="utf-8"))
+    for path in [ROOT / "tests" / "test_acceptance.py",
+                 *sorted((ROOT / "perfbench").glob("*.py"))]]
 
 
 def _loaded_names(tree) -> set[str]:
@@ -31,6 +40,18 @@ def test_every_import_is_used(module):
                 and getattr(node, "module", None) != "__future__"
                 for alias in node.names}
     assert imported - _loaded_names(tree) == set()
+
+
+def test_every_public_name_has_a_caller():
+    """Each name potentops exports, its submodules aside, is read by the package
+    outside __init__.py, by the acceptance suite or by the benchmark: a name only
+    its own unit tests call is a second way in, so it goes."""
+    import potentops
+
+    exported = {name for name in potentops.__all__
+                if not isinstance(getattr(potentops, name), types.ModuleType)}
+    assert len(potentops.__all__) - len(exported) == 4
+    assert sorted(exported - set().union(*map(_loaded_names, CALLERS))) == []
 
 
 def test_every_private_module_name_is_referenced():

@@ -19,11 +19,10 @@ from potentops.linalg import (
     hermitian_exponential,
     hermiticity_defect,
     normalize,
-    partial_matrix_element,
     tensor_product,
 )
-from potentops.pauli import IDENTITY_2, KET_PLUS, PROJECT_1, SIGMA_X, SIGMA_Z
-from potentops.sampling import complex_gaussian, random_hermitian, random_state, random_unitary
+from potentops.pauli import IDENTITY_2, PROJECT_1, SIGMA_X, SIGMA_Z
+from potentops.sampling import complex_gaussian, random_hermitian, random_unitary
 
 
 class TestTensorProduct:
@@ -468,69 +467,6 @@ class TestEvolutionOperators:
         h = random_hermitian(3, np.random.default_rng(6))
         (out,) = evolution_operators(h, [0.4 - 0.3j])
         assert _relative_error(out, scipy.linalg.expm(-1j * (0.4 - 0.3j) * h)) <= 1e-14
-
-
-def _pme_bruteforce(u, bra, ket):
-    # explicit index-sum definition of the system-side contraction
-    d = bra.size
-    other = u.shape[0] // d
-    out = np.zeros((other, other), dtype=complex)
-    for a in range(other):
-        for b in range(other):
-            for s in range(d):
-                for t in range(d):
-                    out[a, b] += bra[s].conjugate() * u[s * other + a, t * other + b] * ket[t]
-    return out
-
-
-class TestPartialMatrixElement:
-    def test_identity_contraction(self):
-        u = np.eye(6, dtype=complex)
-        e0 = np.eye(2, dtype=complex)[0]
-        out = partial_matrix_element(u, e0, e0)
-        np.testing.assert_allclose(out, np.eye(3), atol=1e-15)
-
-    def test_factorized_operator(self):
-        rng = np.random.default_rng(5)
-        b = complex_gaussian(rng, (3, 3))
-        psi = random_state(2, rng)
-        out = partial_matrix_element(tensor_product(np.eye(2), b), psi, psi)
-        np.testing.assert_allclose(out, b, atol=1e-14)
-
-    def test_cnot_on_plus(self):
-        cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-                        dtype=complex)
-        out = partial_matrix_element(cnot, KET_PLUS, KET_PLUS)
-        # explicit 4x4 contraction gives (I + X)/2
-        np.testing.assert_allclose(out, (np.eye(2) + SIGMA_X) / 2, atol=1e-15)
-
-    @pytest.mark.parametrize("dims", [(2, 2), (3, 4), (4, 3)])
-    def test_against_bruteforce(self, dims):
-        rng = np.random.default_rng(list(dims))
-        ds, da = dims
-        u = complex_gaussian(rng, (ds * da, ds * da))
-        bra, ket = complex_gaussian(rng, ds), complex_gaussian(rng, ds)
-        out = partial_matrix_element(u, bra, ket)
-        np.testing.assert_allclose(out, _pme_bruteforce(u, bra, ket), atol=1e-12)
-
-    def test_linear_in_u_sesquilinear_in_states(self):
-        rng = np.random.default_rng(6)
-        u1, u2 = (complex_gaussian(rng, (6, 6)) for _ in range(2))
-        bra, ket = complex_gaussian(rng, 2), complex_gaussian(rng, 2)
-        lam, mu = 0.3 - 1.1j, -0.7 + 0.2j
-        combined = partial_matrix_element(lam * u1 + mu * u2, bra, ket)
-        split = (lam * partial_matrix_element(u1, bra, ket)
-                 + mu * partial_matrix_element(u2, bra, ket))
-        np.testing.assert_allclose(combined, split, atol=1e-12)
-        scaled = partial_matrix_element(u1, lam * bra, mu * ket)
-        np.testing.assert_allclose(
-            scaled, np.conj(lam) * mu * partial_matrix_element(u1, bra, ket),
-            atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="not divisible"):
-            e0 = np.eye(4, dtype=complex)[0]
-            partial_matrix_element(np.eye(6), e0, e0)
 
 
 class TestNormalize:

@@ -496,6 +496,55 @@ class TestPotentOperator:
         oracle, _ = joint_evolve_and_postselect(joint, psi, Phi, phi)
         np.testing.assert_allclose(op.apply(Phi) * sel.overlap, oracle, atol=1e-12)
 
+    def test_identity_on_a_basis_state(self):
+        e0 = np.eye(2, dtype=complex)[0]
+        op = potent_operator(np.eye(6, dtype=complex), PrePostSelection(e0, e0))
+        np.testing.assert_allclose(op.matrix, np.eye(3), atol=1e-15)
+
+    def test_factorized_operator(self):
+        rng = np.random.default_rng(5)
+        b = complex_gaussian(rng, (3, 3))
+        psi = random_state(2, rng)
+        op = potent_operator(tensor_product(np.eye(2), b), PrePostSelection(psi, psi))
+        np.testing.assert_allclose(op.matrix, b, atol=1e-14)
+
+    def test_cnot_on_plus(self):
+        cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                        dtype=complex)
+        op = potent_operator(cnot, PrePostSelection(KET_PLUS, KET_PLUS))
+        # explicit 4x4 contraction gives (I + X)/2
+        np.testing.assert_allclose(op.matrix, (np.eye(2) + SIGMA_X) / 2, atol=1e-15)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 4), (4, 3)])
+    def test_against_bruteforce(self, dims):
+        rng = np.random.default_rng(list(dims))
+        ds, da = dims
+        u = complex_gaussian(rng, (ds * da, ds * da))
+        phi, psi = complex_gaussian(rng, ds), complex_gaussian(rng, ds)
+        out = potent_operator(u, PrePostSelection(psi, phi)).matrix
+        # explicit index-sum definition of <phi|U|psi> / <phi|psi>
+        expected = np.zeros((da, da), dtype=complex)
+        for a in range(da):
+            for b in range(da):
+                for s in range(ds):
+                    for t in range(ds):
+                        expected[a, b] += phi[s].conjugate() * u[s * da + a, t * da + b] * psi[t]
+        np.testing.assert_allclose(out, expected / np.vdot(phi, psi), atol=1e-12)
+
+    def test_linear_in_u(self):
+        rng = np.random.default_rng(6)
+        u1, u2 = (complex_gaussian(rng, (6, 6)) for _ in range(2))
+        sel = PrePostSelection(complex_gaussian(rng, 2), complex_gaussian(rng, 2))
+        lam, mu = 0.3 - 1.1j, -0.7 + 0.2j
+        combined = potent_operator(lam * u1 + mu * u2, sel).matrix
+        split = lam * potent_operator(u1, sel).matrix + mu * potent_operator(u2, sel).matrix
+        np.testing.assert_allclose(combined, split, atol=1e-12)
+
+    def test_dimension_mismatch(self):
+        e0 = np.eye(4, dtype=complex)[0]
+        with pytest.raises(ValueError, match="not divisible"):
+            potent_operator(np.eye(6), PrePostSelection(e0, e0))
+
     def test_three_way_consistency(self):
         rng = np.random.default_rng(21)
         for _ in range(10):

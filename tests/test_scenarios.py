@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import re
@@ -14,7 +15,6 @@ from potentops import (
     QubitMeter,
     linalg,
     meters,
-    partial_matrix_element,
     pauli,
     pps,
     scenarios,
@@ -33,7 +33,6 @@ from potentops.scenarios import (
     parse_sweep_document,
     run_scenario,
     run_sweep,
-    scenario_template,
     verification_suite,
     within_tolerance,
 )
@@ -138,11 +137,6 @@ class TestParseConfig:
                            match="^'seed' must be a non-negative integer, got -1$"):
             parse_config("scenario: weak-value\nseed: -1")
 
-    def test_output_block(self):
-        cfg = parse_config("scenario: weak-value\noutput: {format: json, path: out.json}")
-        assert cfg.output_format == "json"
-        assert cfg.output_path == "out.json"
-
     @pytest.mark.parametrize("doc, key", [
         ("scenario: completeness\ncount: 0", "count"),
         ("scenario: conditional\ncount: true", "count"),
@@ -186,7 +180,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_template_round_trip(self, kind):
-        template = scenario_template(kind)
+        template = {"scenario": kind, **KINDS[kind].template}
         reparsed = parse_config(yaml.safe_dump(template))
         direct = parse_config_mapping(template)
         assert reparsed.kind == direct.kind == kind
@@ -218,7 +212,7 @@ def _assert_identical(actual, expected, path):
 @pytest.mark.parametrize("kind", KINDS)
 def test_omitted_keys_take_the_template_values(kind):
     minimal = parse_config_mapping({"scenario": kind})
-    preset = parse_config_mapping(scenario_template(kind))
+    preset = parse_config_mapping({"scenario": kind, **KINDS[kind].template})
     assert minimal.params.keys() == preset.params.keys()
     for key, value in preset.params.items():
         _assert_identical(minimal.params[key], value, key)
@@ -226,23 +220,24 @@ def test_omitted_keys_take_the_template_values(kind):
 
 def test_omitted_meter_keys_take_the_template_values():
     cfg = parse_config_mapping({"scenario": "potent-values", "meter": {"beta": 0.8}})
-    preset = parse_config_mapping(scenario_template("potent-values"))
+    preset = parse_config_mapping({"scenario": "potent-values"})
     assert cfg.params["meter"] == preset.params["meter"]
     with pytest.raises(ConfigError, match="'meter' must be a mapping"):
         parse_config_mapping({"scenario": "potent-values", "meter": 5})
 
 
-def test_template_is_a_fresh_copy():
-    template = scenario_template("potent-values")
-    template["meter"]["alpha"] = 0.0
-    template["g"].append(2.0)
-    assert scenario_template("potent-values")["meter"]["alpha"] == 0.6
-    assert KINDS["potent-values"].template["g"] == [1.0]
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_preset_run_leaves_the_template_unchanged(kind):
+    """A config that omits a key shares the template's value, nested lists and
+    mappings included, so neither parse nor run may write to it."""
+    before = copy.deepcopy(KINDS[kind].template)
+    run_scenario(parse_config_mapping({"scenario": kind}))
+    assert KINDS[kind].template == before
 
 
 class TestRunScenario:
     def test_weak_value_amplification_row(self):
-        rows = run_scenario(parse_config_mapping(scenario_template("weak-value")))
+        rows = run_scenario(parse_config_mapping({"scenario": "weak-value"}))
         assert all(row["value_re"] == pytest.approx(2.0, abs=1e-12) for row in rows)
         assert all(row["value_im"] == pytest.approx(0.0, abs=1e-12) for row in rows)
         assert all(row["residual"] <= KINDS["weak-value"].tolerance for row in rows)
@@ -250,12 +245,12 @@ class TestRunScenario:
                    for row in rows)
 
     def test_modular_value_quarter_turn_row(self):
-        rows = run_scenario(parse_config_mapping(scenario_template("modular-value")))
+        rows = run_scenario(parse_config_mapping({"scenario": "modular-value"}))
         quarter = [row for row in rows if row["g"] == pytest.approx(np.pi / 2)]
         assert quarter and quarter[0]["value_im"] == pytest.approx(-2.0, abs=1e-12)
 
     def test_potent_values_rows_are_meter_weighted(self):
-        cfg = parse_config_mapping(scenario_template("potent-values"))
+        cfg = parse_config_mapping({"scenario": "potent-values"})
         rows = run_scenario(cfg)
         assert [row["k"] for row in rows] == [0, 1]
         assert rows[0]["value_re"] == pytest.approx(0.6, abs=1e-12)
@@ -268,7 +263,7 @@ class TestRunScenario:
                                                                                abs=1e-12)
 
     def test_time_machine_preset_row(self):
-        rows = run_scenario(parse_config_mapping(scenario_template("time-machine")))
+        rows = run_scenario(parse_config_mapping({"scenario": "time-machine"}))
         (row,) = rows
         assert row["t_prime"] == pytest.approx(0.0, abs=1e-15)
         assert row["fidelity"] == pytest.approx(1.0, abs=1e-12)
@@ -292,8 +287,9 @@ class TestRunScenario:
         for ds, da in KINDS["completeness"].template["dims"]:
             for _ in range(KINDS["completeness"].template["count"]):
                 joint, phi = random_unitary(ds * da, rng), random_state(ds, rng)
-                total = sum(m @ m.conj().T for m in (partial_matrix_element(joint, phi, e)
-                                                     for e in np.eye(ds)))
+                u4 = joint.reshape(ds, da, ds, da)
+                slices = (np.einsum("s,satb,t->ab", phi.conj(), u4, e) for e in np.eye(ds))
+                total = sum(m @ m.conj().T for m in slices)
                 expected.append((len(expected), ds, da, np.max(np.abs(total - np.eye(da)))))
         assert len(rows) == len(expected) == 450
         assert [(r["instance"], r["system_dim"], r["apparatus_dim"]) for r in rows] \
@@ -644,15 +640,16 @@ class TestFaultMatrix:
 class TestMeterProjectorFault:
     """The qubit rows read the meter's coupling projector pauli.PROJECT_1, and the
     oracle reads only the |1> block exp(-i g A), so a wrong projector fails the
-    qubit kinds at run time. |0><0| swaps the meter's two branches. The weak-value
-    preset still passes: its balanced meter, alpha = beta, gives the same
-    probability under that swap, so it runs here with an unbalanced meter."""
+    qubit kinds at run time. |0><0| swaps the meter's two branches. The balanced
+    weak-value preset, alpha = beta, has the same probability under that swap; it
+    fails on its post-selected meter <phi|psi> d (alpha, beta), held to the oracle's."""
 
     @pytest.mark.parametrize("doc", [
         {"scenario": "modular-value"}, {"scenario": "potent-values"},
-        {"scenario": "potent-operator"},
+        {"scenario": "potent-operator"}, {"scenario": "weak-value"},
         {"scenario": "weak-value", "meter": {"kind": "qubit", "alpha": 0.6, "beta": 0.8}}],
-        ids=["modular-value", "potent-values", "potent-operator", "weak-value-unbalanced"])
+        ids=["modular-value", "potent-values", "potent-operator", "weak-value",
+             "weak-value-unbalanced"])
     def test_projector_onto_zero_fails(self, monkeypatch, capsys, tmp_path, doc):
         monkeypatch.setattr(pauli, "PROJECT_1", np.diag([1.0, 0.0]).astype(complex))
         cfg = tmp_path / "scenario.yaml"
@@ -781,9 +778,32 @@ sweep:
         rows, _ = run_sweep(base, sweep)
         assert rows[0]["value_re"] == pytest.approx(0.6, abs=1e-12)
 
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ConfigError, match="sweep"):
-            parse_sweep_document("base: {scenario: weak-value}\nsweep: {}")
+    # run_sweep owns the document's shape, so a library call is refused as the CLI is
+    @pytest.mark.parametrize("base, sweep, message", [
+        ({"scenario": "weak-value"}, {}, "'sweep' must be a nonempty mapping"),
+        ({"scenario": "weak-value"}, [["g", [0.1]]], "'sweep' must be a nonempty mapping"),
+        ({"scenario": "weak-value"}, None, "'sweep' must be a nonempty mapping"),
+        (["scenario", "weak-value"], {"g": [0.1]}, "'base' must be a scenario mapping"),
+        (None, {"g": [0.1]}, "'base' must be a scenario mapping"),
+    ], ids=["empty-sweep", "list-sweep", "null-sweep", "list-base", "null-base"])
+    def test_rejects_bad_shape(self, base, sweep, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            run_sweep(base, sweep)
+
+    @pytest.mark.parametrize("base, key", [
+        ({"scenario": "potent-values", "meter": 5}, "meter.alpha"),
+        ({"scenario": "potent-values", "g": [1.0]}, "g.start"),
+        ({"scenario": "potent-values", "meter": {"alpha": 0.6}}, "meter.alpha.re"),
+    ], ids=["number", "list", "nested"])
+    def test_rejects_a_key_into_a_non_mapping(self, base, key):
+        prefix = key.rsplit(".", 1)[0]
+        with pytest.raises(ConfigError, match=f"^sweep key '{key}' reaches into '{prefix}', "
+                                              f"which is .*, not a mapping$"):
+            run_sweep(base, {key: [0.6]})
+
+    def test_a_null_prefix_is_created_as_an_absent_one_is(self):
+        rows, _ = run_sweep({"scenario": "potent-values", "meter": None}, {"meter.alpha": [0.6]})
+        assert rows == run_sweep({"scenario": "potent-values"}, {"meter.alpha": [0.6]})[0]
 
     @pytest.mark.parametrize("kinds", [["weak-value", "completeness"],
                                        ["weak-value", "modular-value"]])
