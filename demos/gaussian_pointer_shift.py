@@ -11,11 +11,11 @@ chordal state distance both fall ~4x per halving of g.
 
 import numpy as np
 
-from potentops import PrePostSelection, build_gaussian_pointer, pointer_shift_sweep
+from potentops import GaussianPointer, PrePostSelection, pointer_shift_sweep
 from potentops.pauli import AMPLIFICATION_PHI, AMPLIFICATION_PSI, SIGMA_Z
 
 sel = PrePostSelection(AMPLIFICATION_PSI, AMPLIFICATION_PHI)
-pointer = build_gaussian_pointer(grid_size=512, x_min=-12.0, x_max=12.0, sigma=1.0, x0=0.0)
+pointer = GaussianPointer(grid_size=512, x_min=-12.0, x_max=12.0, sigma=1.0, x0=0.0)
 
 gs = [0.2, 0.1, 0.05, 0.025]
 reports = pointer_shift_sweep(SIGMA_Z, sel, gs, pointer)

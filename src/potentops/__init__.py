@@ -12,10 +12,8 @@ from .linalg import (
 )
 from .meters import (
     GaussianPointer,
-    Grid,
     PointerShiftReport,
     QubitMeter,
-    build_gaussian_pointer,
     pointer_shift_sweep,
 )
 from .pps import (

@@ -16,6 +16,9 @@ from .pps import PrePostSelection, diagonal_potent_operator, spectral_weights, w
 # lattice-step exponential to every power up to N/2, and its rounding grows
 # with the power (about 1e-11 at 2**16 points and g = 2).
 GRID_SIZE_CAP = 2 ** 16
+# A packet, as built and as each coupling translates it, keeps its +-6 sigma
+# support inside the grid, so periodic wrap-around stays below test tolerances.
+SUPPORT_SIGMAS = 6
 
 
 def _require_finite(**values):
@@ -43,15 +46,25 @@ class QubitMeter:
 
 
 @dataclass(frozen=True)
-class Grid:
-    """Uniform periodic position grid on [x_min, x_max), right endpoint excluded."""
+class GaussianPointer:
+    """Gaussian wavepacket exp(-(x - x0)^2 / (4 sigma^2)) on the uniform periodic
+    grid of grid_size points over [x_min, x_max), right endpoint excluded.
+
+    Rejects packets the grid cannot resolve: sigma must span at least 4 grid
+    steps, and the +-6 sigma support must lie inside [x_min, x_max], keeping
+    periodic wrap-around (aliasing) below the tolerances this package tests at.
+    """
 
     grid_size: int
     x_min: float
     x_max: float
+    sigma: float
+    x0: float
 
     def __post_init__(self):
-        n = self.grid_size
+        for name in ("x_min", "x_max", "sigma", "x0"):  # stored as floats, as parsed
+            object.__setattr__(self, name, float(getattr(self, name)))
+        n, sigma, x0 = self.grid_size, self.sigma, self.x0
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise ValueError(f"grid_size must be an integer, got {n!r}")
         if n > GRID_SIZE_CAP:
@@ -61,6 +74,14 @@ class Grid:
         _require_finite(x_min=self.x_min, x_max=self.x_max)
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
+        _require_finite(sigma=sigma, x0=x0)
+        if sigma <= 0:
+            raise ValueError("sigma must be positive")
+        if sigma < 4 * self.dx:
+            raise ValueError(f"sigma = {sigma} under-resolved: needs at least 4*dx = {4 * self.dx}")
+        if x0 - SUPPORT_SIGMAS * sigma < self.x_min or x0 + SUPPORT_SIGMAS * sigma > self.x_max:
+            raise ValueError(f"packet support (+-{SUPPORT_SIGMAS} sigma) leaves the grid; "
+                             "widen the extent")
 
     @property
     def length(self) -> float:
@@ -79,41 +100,11 @@ class Grid:
         """2*pi*m / length in FFT ordering."""
         return 2 * np.pi * np.fft.fftfreq(self.grid_size, d=self.dx)
 
-
-@dataclass(frozen=True)
-class GaussianPointer:
-    """Gaussian wavepacket exp(-(x - x0)^2 / (4 sigma^2)) on a Grid.
-
-    Rejects packets the grid cannot resolve: sigma must span at least 4 grid
-    steps, and the +-6 sigma support must lie inside [x_min, x_max], keeping
-    periodic wrap-around (aliasing) below the tolerances this package tests at.
-    """
-
-    grid: Grid
-    sigma: float
-    x0: float
-
-    def __post_init__(self):
-        grid, sigma, x0 = self.grid, self.sigma, self.x0
-        _require_finite(sigma=sigma, x0=x0)
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if sigma < 4 * grid.dx:
-            raise ValueError(f"sigma = {sigma} under-resolved: needs at least 4*dx = {4 * grid.dx}")
-        if x0 - 6 * sigma < grid.x_min or x0 + 6 * sigma > grid.x_max:
-            raise ValueError("packet support (+-6 sigma) leaves the grid; widen the extent")
-
     @property
     def unit_amplitudes(self) -> np.ndarray:
         """l2-normalized samples, the form joint evolutions consume."""
-        amp = np.exp(-((self.grid.x - self.x0) ** 2) / (4 * self.sigma ** 2)).astype(complex)
-        return amp / np.sqrt(np.sum(np.abs(amp) ** 2) * self.grid.dx) * np.sqrt(self.grid.dx)
-
-
-def build_gaussian_pointer(grid_size: int, x_min: float, x_max: float,
-                           sigma: float, x0: float) -> GaussianPointer:
-    """A Gaussian pointer on the grid of grid_size points over [x_min, x_max)."""
-    return GaussianPointer(Grid(grid_size, float(x_min), float(x_max)), float(sigma), float(x0))
+        amp = np.exp(-((self.x - self.x0) ** 2) / (4 * self.sigma ** 2)).astype(complex)
+        return amp / np.sqrt(np.sum(np.abs(amp) ** 2) * self.dx) * np.sqrt(self.dx)
 
 
 def _moments(amplitudes: np.ndarray, coords: np.ndarray):
@@ -138,8 +129,7 @@ class PointerShiftReport:
     predicted_shift: float          # g * Re(weak value)
     momentum_shift: float
     predicted_momentum_shift: float  # 2 g Im(weak value) Var_p
-    fidelity: float                  # against exp(-i g A_w P)|Phi>
-    fidelity_gap: float
+    fidelity_gap: float              # 1 - fidelity against exp(-i g A_w P)|Phi>
     oracle_residual: float           # branch sum vs lattice-step powers, and A_w vs lam . w
     state: np.ndarray                # post-selected pointer, unnormalized, l2 units
 
@@ -174,28 +164,29 @@ def pointer_shift_sweep(A: np.ndarray, sel: PrePostSelection, gs,
     """
     gs = [float(g) for g in np.atleast_1d(gs)]
     lam, w = spectral_weights(A, sel)
-    grid, sigma, x0 = pointer.grid, pointer.sigma, pointer.x0
+    sigma, x0, reach = pointer.sigma, pointer.x0, SUPPORT_SIGMAS * pointer.sigma
     a_w = weak_value(A, sel)
     weak_residual = abs(a_w - complex(lam @ w))
     for g in gs:
         _require_finite(g=g)
         centres = [x0 + g * v for v in (float(lam[0]), float(lam[-1]), a_w.real)]  # lam ascends
-        if (min(centres) - 6 * sigma < grid.x_min or max(centres) + 6 * sigma > grid.x_max
-                or abs(g * a_w.imag) / (2 * sigma ** 2) + 3 / sigma > np.pi / grid.dx):
-            raise ValueError(f"at g = {g} a translated packet leaves the grid's support (+-6 "
-                             "sigma in x, +-3/sigma in p); widen the extent or refine the grid")
+        if (min(centres) - reach < pointer.x_min or max(centres) + reach > pointer.x_max
+                or abs(g * a_w.imag) / (2 * sigma ** 2) + 3 / sigma > np.pi / pointer.dx):
+            raise ValueError(f"at g = {g} a translated packet leaves the grid's support "
+                             f"(+-{SUPPORT_SIGMAS} sigma in x, +-3/sigma in p); widen the extent "
+                             "or refine the grid")
 
-    p, x = grid.momentum_lattice, grid.x
+    p, x = pointer.momentum_lattice, pointer.x
     psi, phi = (v / np.linalg.norm(v) for v in (sel.psi, sel.phi))
     meter_k = np.fft.fft(pointer.unit_amplitudes, norm="ortho")
     mean_p0, var_p0 = _moments(meter_k, p)
     states_k = meter_k * (np.vdot(phi, psi) * diagonal_potent_operator(lam, w, gs, p))
     states, differences = np.fft.ifft(
-        np.stack([states_k, states_k - meter_k * _lattice_elements(A, gs, grid, phi, psi)]),
+        np.stack([states_k, states_k - meter_k * _lattice_elements(A, gs, pointer, phi, psi)]),
         norm="ortho")
     residuals = np.maximum(np.max(np.abs(differences), axis=-1), weak_residual)  # NaN if either is
     # Fidelity is basis-independent, so the targets stay in momentum space.
-    exponents = (-(sigma * p) ** 2 - 1j * p * (x0 - grid.x_min)  # of meter_k, up to a constant
+    exponents = (-(sigma * p) ** 2 - 1j * p * (x0 - pointer.x_min)  # of meter_k, up to a constant
                  - np.array([1j * g * a_w for g in gs])[:, None] * p)
     targets_k = np.exp(exponents - exponents.real.max(axis=-1, keepdims=True))
 
@@ -209,14 +200,14 @@ def pointer_shift_sweep(A: np.ndarray, sel: PrePostSelection, gs,
             g=g, weak_val=a_w, probability=p_exact,
             mean_shift=mean_x - x0, predicted_shift=g * a_w.real,
             momentum_shift=mean_p - mean_p0, predicted_momentum_shift=2.0 * g * a_w.imag * var_p0,
-            fidelity=fid, fidelity_gap=1.0 - fid, oracle_residual=float(residual), state=state))
+            fidelity_gap=1.0 - fid, oracle_residual=float(residual), state=state))
     return reports
 
 
-def _lattice_elements(A: np.ndarray, gs: list[float], grid: Grid, phi: np.ndarray,
-                      psi: np.ndarray) -> np.ndarray:
-    """<phi|exp(-i g p_m A)|psi> on the momentum lattice, in FFT ordering, for
-    each coupling in ``gs``: shape (len(gs), N).
+def _lattice_elements(A: np.ndarray, gs: list[float], pointer: GaussianPointer,
+                      phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """<phi|exp(-i g p_m A)|psi> on the pointer's momentum lattice, in FFT
+    ordering, for each coupling in ``gs``: shape (len(gs), N).
 
     The lattice is p_m = m dp with dp = 2 pi / length and m in [-N/2, N/2), so
     exp(-i g p_m A) = E^m with E = exp(-i g dp A). E and its inverse direction
@@ -226,8 +217,8 @@ def _lattice_elements(A: np.ndarray, gs: list[float], grid: Grid, phi: np.ndarra
     (2, n, N/2 + 1, d) buffer for the whole stack: each round writes the rows built
     so far times E^(rows built) into the next free rows and squares that power.
     """
-    half = grid.grid_size // 2
-    steps = 2 * np.pi / grid.length * np.asarray(gs)
+    half = pointer.grid_size // 2
+    steps = 2 * np.pi / pointer.length * np.asarray(gs)
     powers = evolution_operators(A, np.stack([steps, -steps]))
     rows = np.empty((*powers.shape[:2], half + 1, phi.size), dtype=complex)
     rows[:, :, 0] = phi.conj()

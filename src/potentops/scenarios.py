@@ -33,7 +33,7 @@ import yaml
 
 from . import linalg, meters, pauli
 from .linalg import hermitian_exponential, normalize, require_normalized, tensor_product
-from .meters import QubitMeter, build_gaussian_pointer, pointer_shift_sweep
+from .meters import GaussianPointer, QubitMeter, pointer_shift_sweep
 from .pps import (
     PrePostSelection,
     apparatus_state_from_potent_values,
@@ -286,14 +286,14 @@ def _parse_qubit_meter(value: dict, key: str) -> QubitMeter:
     return QubitMeter(alpha=complex(alpha), beta=complex(beta))
 
 
-def _parse_gaussian_meter(value: dict, key: str) -> meters.GaussianPointer:
+def _parse_gaussian_meter(value: dict, key: str) -> GaussianPointer:
     _require_keys(value, {"kind", "grid_size", "x_min", "x_max", "sigma", "x0"}, f"'{key}'")
     if value["kind"] != "gaussian":
         raise ConfigError(f"'{key}.kind' must be 'gaussian' for this scenario")
     numbers = [_parse_number(value[k], f"{key}.{k}") for k in ("x_min", "x_max", "sigma", "x0")]
     try:
-        return build_gaussian_pointer(value["grid_size"], *numbers)
-    except ValueError as exc:  # a grid or packet the Grid and GaussianPointer guards refuse
+        return GaussianPointer(value["grid_size"], *numbers)
+    except ValueError as exc:  # a grid or packet the GaussianPointer guards refuse
         raise ConfigError(f"'{key}': {exc}") from exc
 
 
@@ -780,11 +780,11 @@ def verification_suite(seed: int = 0) -> list[dict]:
           abs(weak_value(A_scale, scaled) - weak_value(A_scale, sel)), 1e-12)
 
     # Gaussian pointer: translation by a momentum phase
-    pointer = build_gaussian_pointer(128, -8.0, 8.0, 1.0, 0.0)
+    pointer = GaussianPointer(128, -8.0, 8.0, 1.0, 0.0)
     shift = 0.6
-    translated = np.fft.ifft(np.exp(-1j * shift * pointer.grid.momentum_lattice)
+    translated = np.fft.ifft(np.exp(-1j * shift * pointer.momentum_lattice)
                              * np.fft.fft(pointer.unit_amplitudes))
-    check("pointer_translation", abs(meters._moments(translated, pointer.grid.x)[0] - shift), 1e-6)
+    check("pointer_translation", abs(meters._moments(translated, pointer.x)[0] - shift), 1e-6)
 
     # Every kind through its own parse and gate, on one drawn config
     for name, kind in KINDS.items():

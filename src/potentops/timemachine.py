@@ -27,7 +27,10 @@ from .pps import (
 # Complex entries one stacked eigendecomposition of the fit scan may hold
 # (16 MiB); a longer scan is split into chunks of this size.
 SCAN_STACK_ENTRIES = 2**20
-BRACKET_TOL = 1e-12  # relative bracket width that ends the fit's zoom
+# Relative bracket width that ends the fit's zoom: sqrt(eps) of float64, Brent's
+# limit for a quadratic maximum, below which rounding, not the objective, ranks
+# the points.
+BRACKET_TOL = 2.0 ** -26
 WEAK_SUM_TOL = 1e-12  # |sum_i c_i - 1|; the c_i are the register's clock weak values
 
 
@@ -162,10 +165,7 @@ def effective_parameter_fit(family: EvolutionFamily, spec: SuperpositionSpec,
     A 1000-point scan brackets the optimum, then the fit zooms: it re-scans
     the bracket [grid[best-1], grid[best+1]] at 17 points, which cuts it by 8,
     until the bracket is narrower than BRACKET_TOL * max(1, |lo|, |hi|), and
-    returns the best scanned point. That does not fix a* to BRACKET_TOL: the
-    objective is quadratic at its maximum, so rounding in the overlaps fixes a*
-    only to about 1e-7, and the last rounds choose among points whose scores
-    differ only by rounding. When the magnitude objective of the first
+    returns the best scanned point. When the magnitude objective of the first
     scan is flat (phase-only action, e.g. eigenstate meters), every scan ranks
     by the real part of the overlap instead, which picks the a' whose phase
     matches; the reported fidelity is still the phase-invariant magnitude. No

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from potentops import (
+    GaussianPointer,
     PrePostSelection,
     QubitMeter,
     apparatus_state_from_potent_values,
-    build_gaussian_pointer,
     conditional_unitary,
     evolution_operators,
     joint_evolve_and_postselect,
@@ -142,7 +142,7 @@ def test_criterion_4_completeness_identity():
 def test_criterion_5_weak_limit_convergence():
     start = time.perf_counter()
     sel = PrePostSelection(AMPLIFICATION_PSI, AMPLIFICATION_PHI)
-    pointer = build_gaussian_pointer(512, -12.0, 12.0, 1.0, 0.0)
+    pointer = GaussianPointer(512, -12.0, 12.0, 1.0, 0.0)
     reports = pointer_shift_sweep(SIGMA_Z, sel, [0.2, 0.1, 0.05, 0.025], pointer)
     gaps = [r.fidelity_gap for r in reports[:3]]
     chordal = [np.sqrt(2 * gap) for gap in gaps]

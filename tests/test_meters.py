@@ -1,5 +1,7 @@
 import json
+import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,10 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from potentops import (
-    Grid,
+    GaussianPointer,
     PrePostSelection,
     QubitMeter,
-    build_gaussian_pointer,
     evolution_operators,
     hermitian_exponential,
     joint_evolve_and_postselect,
@@ -25,7 +26,7 @@ from potentops import (
 )
 from potentops.cli import EXIT_OK, EXIT_RESIDUAL, EXIT_VALIDATION, main
 from potentops.linalg import hermiticity_defect
-from potentops.meters import GRID_SIZE_CAP, _lattice_elements, _moments
+from potentops.meters import GRID_SIZE_CAP, SUPPORT_SIGMAS, _lattice_elements, _moments
 from potentops.pauli import AMPLIFICATION_PHI, AMPLIFICATION_PSI, IDENTITY_2, PROJECT_1, SIGMA_Z
 from potentops.pps import spectral_weights
 from potentops.sampling import random_hermitian, random_selection, random_state
@@ -36,12 +37,12 @@ from dense_oracles import momentum_operator
 
 @pytest.fixture(scope="module")
 def pointer():
-    return build_gaussian_pointer(512, -12.0, 12.0, 1.0, 0.0)
+    return GaussianPointer(512, -12.0, 12.0, 1.0, 0.0)
 
 
 @pytest.fixture(scope="module")
 def momentum(pointer):
-    return momentum_operator(pointer.grid)
+    return momentum_operator(pointer)
 
 
 @pytest.fixture
@@ -85,78 +86,74 @@ class TestQubitMeter:
             np.testing.assert_allclose(oracle, sel.overlap * expected, atol=1e-12)
 
 
-class TestGrid:
+class TestGaussianPointer:
     def test_power_of_two_required(self):
         with pytest.raises(ValueError, match="power of two"):
-            Grid(grid_size=300, x_min=-1, x_max=1)
+            GaussianPointer(grid_size=300, x_min=-12.0, x_max=12.0, sigma=1.0, x0=0.0)
 
     def test_geometry(self):
-        grid = Grid(grid_size=8, x_min=-2.0, x_max=2.0)
-        assert grid.dx == pytest.approx(0.5)
-        assert grid.x[0] == -2.0 and grid.x[-1] == pytest.approx(1.5)
+        pointer = GaussianPointer(grid_size=64, x_min=-2.0, x_max=2.0, sigma=0.3, x0=0.0)
+        assert pointer.dx == pytest.approx(1 / 16)
+        assert pointer.x[0] == -2.0 and pointer.x[-1] == pytest.approx(2.0 - 1 / 16)
 
     @pytest.mark.parametrize("x_min, x_max, named", [
         (-np.inf, 12.0, "x_min"), (np.nan, 12.0, "x_min"), (-12.0, np.inf, "x_max"),
         (-12.0, np.nan, "x_max")])
     def test_non_finite_extent_refused_by_name(self, x_min, x_max, named):
         with pytest.raises(ValueError, match=f"{named} must be finite"):
-            Grid(128, x_min, x_max)
+            GaussianPointer(128, x_min, x_max, 1.0, 0.0)
 
     # a string is refused before the cap test, which would compare it with an int;
     # a bool is an int to isinstance, but no grid size
-    @pytest.mark.parametrize("build, shown", [
-        (lambda: Grid(128.0, -1, 1), r"128\.0"),
-        (lambda: build_gaussian_pointer(128.0, -12.0, 12.0, 1.0, 0.0), r"128\.0"),
-        (lambda: Grid("128", -1, 1), "'128'"), (lambda: Grid(True, -1, 1), "True"),
-        (lambda: Grid(False, -1, 1), "False")],
-        ids=["float", "float-pointer", "string", "true", "false"])
-    def test_non_integer_grid_size_refused_by_name(self, build, shown):
+    @pytest.mark.parametrize("grid_size, shown", [
+        (128.0, r"128\.0"), (np.float64(128), r"np\.float64\(128\.0\)"), ("128", "'128'"),
+        (True, "True"), (False, "False")],
+        ids=["float", "numpy-float", "string", "true", "false"])
+    def test_non_integer_grid_size_refused_by_name(self, grid_size, shown):
         with pytest.raises(ValueError, match=rf"^grid_size must be an integer, got {shown}$"):
-            build()
+            GaussianPointer(grid_size, -12.0, 12.0, 1.0, 0.0)
 
     def test_numpy_integer_grid_size_accepted(self):
-        grid = Grid(np.int64(128), -1.0, 1.0)
-        assert grid.x.size == 128 and grid.dx == pytest.approx(2 / 128)
+        pointer = GaussianPointer(np.int64(128), -12.0, 12.0, 1.0, 0.0)
+        assert pointer.x.size == 128 and pointer.dx == pytest.approx(24 / 128)
 
-
-class TestGaussianPointer:
     def test_fresh_pointer_moments(self):
-        pointer = build_gaussian_pointer(512, -10.0, 14.0, 1.0, 2.0)
-        mean_x, var_x = _moments(pointer.unit_amplitudes, pointer.grid.x)
-        mean_p, _ = _moments(np.fft.fft(pointer.unit_amplitudes), pointer.grid.momentum_lattice)
+        pointer = GaussianPointer(512, -10.0, 14.0, 1.0, 2.0)
+        mean_x, var_x = _moments(pointer.unit_amplitudes, pointer.x)
+        mean_p, _ = _moments(np.fft.fft(pointer.unit_amplitudes), pointer.momentum_lattice)
         assert abs(mean_x - 2.0) <= 1e-8
         assert abs(mean_p) <= 1e-8
         assert abs(var_x - 1.0) <= 0.01  # grid quadrature vs sigma^2
 
     def test_grid_normalization(self):
-        pointer = build_gaussian_pointer(256, -8.0, 8.0, 0.7, 0.0)
+        pointer = GaussianPointer(256, -8.0, 8.0, 0.7, 0.0)
         assert abs(np.linalg.norm(pointer.unit_amplitudes) - 1.0) <= 1e-12
 
     def test_underresolved_sigma_rejected(self):
         with pytest.raises(ValueError, match="under-resolved"):
-            build_gaussian_pointer(64, -12.0, 12.0, 0.2, 0.0)
+            GaussianPointer(64, -12.0, 12.0, 0.2, 0.0)
 
     def test_support_guard(self):
         with pytest.raises(ValueError, match="support"):
-            build_gaussian_pointer(512, -12.0, 12.0, 1.0, 8.0)
+            GaussianPointer(512, -12.0, 12.0, 1.0, 8.0)
 
     @pytest.mark.parametrize("sigma, x0, named", [
         (np.nan, 0.0, "sigma"), (np.inf, 0.0, "sigma"), (1.0, np.nan, "x0"), (1.0, -np.inf, "x0")])
     def test_non_finite_packet_refused_by_name(self, sigma, x0, named):
         # refused at construction; unit_amplitudes used to return NaN samples
         with pytest.raises(ValueError, match=f"{named} must be finite"):
-            build_gaussian_pointer(128, -12.0, 12.0, sigma, x0)
+            GaussianPointer(128, -12.0, 12.0, sigma, x0)
 
 
 class TestMomentumOperator:
     def test_annihilates_constant(self, momentum):
-        const = np.ones(momentum.grid.grid_size, dtype=complex)
+        const = np.ones(momentum.pointer.grid_size, dtype=complex)
         assert np.max(np.abs(momentum.matrix @ const)) <= 1e-10
 
     def test_plane_wave_eigenvector(self, momentum):
-        grid = momentum.grid
-        p0 = 2 * np.pi * 3 / grid.length  # on the lattice
-        wave = np.exp(1j * p0 * grid.x)
+        pointer = momentum.pointer
+        p0 = 2 * np.pi * 3 / pointer.length  # on the lattice
+        wave = np.exp(1j * p0 * pointer.x)
         np.testing.assert_allclose(momentum.matrix @ wave, p0 * wave, atol=1e-10)
 
     def test_exactly_hermitian(self, momentum):
@@ -164,14 +161,14 @@ class TestMomentumOperator:
 
     def test_eigenvalues_match_lattice(self, momentum):
         eigenvalues = np.sort(np.linalg.eigvalsh(momentum.matrix))
-        lattice = np.sort(momentum.grid.momentum_lattice)
+        lattice = np.sort(momentum.pointer.momentum_lattice)
         assert np.max(np.abs(eigenvalues - lattice)) <= 1e-8
 
     @pytest.mark.parametrize("shift", [0.25, 0.6, 1.0])
     def test_translation_generator(self, pointer, momentum, shift):
         translated = hermitian_exponential(momentum.matrix, -1j * shift) @ pointer.unit_amplitudes
-        mean_x, var_x = _moments(translated, pointer.grid.x)
-        mean_p, _ = _moments(np.fft.fft(translated), pointer.grid.momentum_lattice)
+        mean_x, var_x = _moments(translated, pointer.x)
+        mean_p, _ = _moments(np.fft.fft(translated), pointer.momentum_lattice)
         assert abs(mean_x - shift) <= 1e-6
         assert abs(var_x - 1.0) <= 0.01
         assert abs(mean_p) <= 1e-8
@@ -181,7 +178,7 @@ class TestPointerShift:
     def test_zero_coupling(self, pointer, amplification):
         report = pointer_shift_sweep(SIGMA_Z, amplification, [0.0], pointer)[0]
         assert abs(report.mean_shift) <= 1e-9
-        assert report.fidelity == pytest.approx(1.0, abs=1e-12)
+        assert 1 - report.fidelity_gap == pytest.approx(1.0, abs=1e-12)
         assert report.probability == pytest.approx(0.25, abs=1e-12)
 
     def test_identity_observable_translates_exactly(self, pointer):
@@ -191,7 +188,7 @@ class TestPointerShift:
         report = pointer_shift_sweep(IDENTITY_2, sel, [g], pointer)[0]
         assert abs(report.weak_val - 1.0) <= 1e-12
         assert abs(report.mean_shift - g) <= 1e-8
-        assert report.fidelity == pytest.approx(1.0, abs=1e-10)
+        assert 1 - report.fidelity_gap == pytest.approx(1.0, abs=1e-10)
 
     def test_amplified_shift_and_convergence(self, pointer, amplification):
         reports = pointer_shift_sweep(SIGMA_Z, amplification, [0.1, 0.05, 0.025], pointer)
@@ -226,7 +223,7 @@ class TestPointerShift:
             assert gap == pytest.approx(9 * g ** 4 / 64, rel=0.05)
 
     def test_large_grid_runs(self, amplification, tmp_path, capsys):
-        big = build_gaussian_pointer(4096, -12.0, 12.0, 1.0, 0.0)
+        big = GaussianPointer(4096, -12.0, 12.0, 1.0, 0.0)
         reports = pointer_shift_sweep(SIGMA_Z, amplification, [0.1, 2.0], big)
         for r in reports:
             assert r.oracle_residual <= 1e-10
@@ -242,7 +239,7 @@ class TestPointerShift:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="cap"):
-                build_gaussian_pointer(2 ** 17, -12.0, 12.0, 1.0, 0.0)
+                GaussianPointer(2 ** 17, -12.0, 12.0, 1.0, 0.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -267,7 +264,7 @@ class TestPointerShift:
         with pytest.raises(ValueError, match="at g = 1.0 a translated packet"):
             pointer_shift_sweep(20 * SIGMA_Z, sel, [0.01, 1.0], pointer)
         report = pointer_shift_sweep(20 * SIGMA_Z, sel, [0.01], pointer)[0]
-        assert np.isfinite(report.fidelity) and report.oracle_residual <= 1e-10
+        assert np.isfinite(1 - report.fidelity_gap) and report.oracle_residual <= 1e-10
 
     @pytest.mark.parametrize("gs, named", [([np.nan], "nan"), ([0.1, np.inf], "inf"),
                                            ([0.1, -np.inf], "-inf")])
@@ -289,7 +286,7 @@ class TestPointerShift:
         A, psi, phi = random_hermitian(d, rng), random_state(d, rng), random_state(d, rng)
         assume(abs(np.vdot(phi, psi)) >= 0.3)
         sel = PrePostSelection(psi, phi)
-        pointer = build_gaussian_pointer(grid_size, -12.0, 12.0, 1.0, 0.0)
+        pointer = GaussianPointer(grid_size, -12.0, 12.0, 1.0, 0.0)
         try:
             at_once = pointer_shift_sweep(A, sel, gs, pointer)
         except ValueError:
@@ -310,7 +307,7 @@ class TestPointerShift:
         oracle, p = joint_evolve_and_postselect(
             joint, AMPLIFICATION_PSI, pointer.unit_amplitudes, AMPLIFICATION_PHI)
         report = pointer_shift_sweep(SIGMA_Z, amplification, [g], pointer)[0]
-        mean_x, _ = _moments(oracle, pointer.grid.x)
+        mean_x, _ = _moments(oracle, pointer.x)
         assert abs(report.mean_shift - (mean_x - pointer.x0)) <= 1e-10
         assert abs(report.probability - p) <= 1e-10
 
@@ -326,8 +323,8 @@ def test_engine_matches_dense_joint_oracle(grid_size, observable):
     else:
         A = random_hermitian(3, rng)
         sel = PrePostSelection(*random_selection(3, rng))
-    pointer = build_gaussian_pointer(grid_size, -12.0, 12.0, 0.9, 0.3)
-    P = momentum_operator(pointer.grid).matrix
+    pointer = GaussianPointer(grid_size, -12.0, 12.0, 0.9, 0.3)
+    P = momentum_operator(pointer).matrix
     gs = [0.05, 0.5, 2.0]
     joints = [hermitian_exponential(np.kron(A, P), -1j * g) for g in gs]
     psi, phi = sel.psi / np.linalg.norm(sel.psi), sel.phi / np.linalg.norm(sel.phi)
@@ -348,21 +345,27 @@ def test_lattice_elements_at_grid_cap(observable, g):
         A, (psi, phi) = SIGMA_Z, (AMPLIFICATION_PSI, AMPLIFICATION_PHI)
     else:
         A, (psi, phi) = random_hermitian(3, rng), random_selection(3, rng)
-    grid = Grid(GRID_SIZE_CAP, -12.0, 12.0)
-    elements = _lattice_elements(A, [g], grid, phi, psi)[0]
+    pointer = GaussianPointer(GRID_SIZE_CAP, -12.0, 12.0, 1.0, 0.0)
+    elements = _lattice_elements(A, [g], pointer, phi, psi)[0]
     assert elements.shape == (GRID_SIZE_CAP,)
     idx = np.r_[np.arange(0, GRID_SIZE_CAP, 64), GRID_SIZE_CAP // 2 - 1, GRID_SIZE_CAP - 1]
-    p = grid.momentum_lattice[idx]
+    p = pointer.momentum_lattice[idx]
     reference = np.einsum("s,kst,t->k", phi.conj(),
                           scipy.linalg.expm((-1j * g * p)[:, None, None] * A), psi)
     assert np.max(np.abs(elements[idx] - reference)) <= 1e-10
+
+
+def _lattice(grid_size: int) -> SimpleNamespace:
+    """The two fields _lattice_elements reads of a pointer, on a 24-wide grid.
+    No packet fits a grid under 64 points (sigma >= 4 dx and 12 sigma <= length)."""
+    return SimpleNamespace(grid_size=grid_size, length=24.0)
 
 
 @pytest.mark.parametrize("grid_size", [8, 512])
 def test_lattice_elements_stack_matches_scalar_calls(grid_size):
     rng = np.random.default_rng(305)
     A, (psi, phi) = random_hermitian(3, rng), random_selection(3, rng)
-    grid = Grid(grid_size, -12.0, 12.0)
+    grid = _lattice(grid_size)
     # a stacked Pade call takes one schedule from its largest norm; these
     # couplings share degree 7 with their scalar calls (couplings of other
     # degrees differ by up to 4.3e-14 at N = 512, as before the doubling loop)
@@ -401,7 +404,7 @@ def test_lattice_buffer_matches_concatenating_loop(monkeypatch, grid_size):
     # bit for bit, for 1-4 couplings and d = 1-4; the doubling loop fills one
     # buffer, so the final assembly is the only concatenation
     rng = np.random.default_rng(grid_size)
-    grid = Grid(grid_size, -12.0, 12.0)
+    grid = _lattice(grid_size)
     cases = [(random_hermitian(d, rng), list(rng.uniform(0, 2, n)), grid,
               random_state(d, rng), random_state(d, rng)) for d in range(1, 5) for n in range(1, 5)]
     references = [_concatenating_lattice_elements(*case) for case in cases]
@@ -450,7 +453,7 @@ def test_complex_weak_value_moves_momentum(case):
     # Jozsa, PRA 76, 044103 (2007): the momentum shifts by 2 g Im(A_w) Var_p,
     # with a relative error of order g^2
     A, sel = case
-    pointer = build_gaussian_pointer(512, -12.0, 12.0, 1.0, 0.0)
+    pointer = GaussianPointer(512, -12.0, 12.0, 1.0, 0.0)
     errors = [abs(r.momentum_shift - r.predicted_momentum_shift) / abs(r.predicted_momentum_shift)
               for r in pointer_shift_sweep(A, sel, [1e-3, 5e-4], pointer)]
     assert errors[0] <= 1e-4
@@ -464,7 +467,7 @@ def test_oracle_shares_nothing_with_branch_sum(monkeypatch, tmp_path, capsys):
     A = random_hermitian(3, rng)
     psi, phi = random_selection(3, rng)
     sel = PrePostSelection(psi, phi)
-    pointer = build_gaussian_pointer(256, -8.0, 8.0, 0.9, 0.3)
+    pointer = GaussianPointer(256, -8.0, 8.0, 0.9, 0.3)
     assert np.max(np.abs(A.imag)) > 0.1
     assert pointer_shift_sweep(A, sel, [0.5], pointer)[0].oracle_residual <= 1e-10
 
@@ -491,14 +494,14 @@ def test_oracle_shares_nothing_with_branch_sum(monkeypatch, tmp_path, capsys):
 
 
 def test_momentum_moments_gaussian(pointer):
-    mean_p, var_p = _moments(np.fft.fft(pointer.unit_amplitudes), pointer.grid.momentum_lattice)
+    mean_p, var_p = _moments(np.fft.fft(pointer.unit_amplitudes), pointer.momentum_lattice)
     assert abs(mean_p) <= 1e-10
     assert var_p == pytest.approx(1 / (4 * pointer.sigma ** 2), rel=0.01)
 
 
 def test_momentum_moments_refuse_zero_state(pointer):
     with pytest.raises(ValueError, match="zero norm"):
-        _moments(np.fft.fft(np.zeros(pointer.grid.grid_size)), pointer.grid.momentum_lattice)
+        _moments(np.fft.fft(np.zeros(pointer.grid_size)), pointer.momentum_lattice)
 
 
 @settings(max_examples=50, deadline=None)
@@ -512,7 +515,7 @@ def test_sweep_matches_continuum_closed_form(seed, d, g, sigma, x0):
     A, psi, phi = random_hermitian(d, rng), random_state(d, rng), random_state(d, rng)
     assume(abs(np.vdot(phi, psi)) >= 0.3)
     sel = PrePostSelection(psi, phi)
-    pointer = build_gaussian_pointer(512, -12.0, 12.0, sigma, x0)
+    pointer = GaussianPointer(512, -12.0, 12.0, sigma, x0)
     report = pointer_shift_sweep(A, sel, [g], pointer)[0]
 
     def K(u, v):
@@ -562,7 +565,24 @@ class TestTranslatedSupport:
         # g Im A_w / (2 sigma^2); at sigma = 4 dx its +3/sigma edge passes
         # pi/dx at g = 88.4, long before the branches (+-g) leave the grid
         sel = PrePostSelection(AMPLIFICATION_PSI, np.array([1, 1j]) / np.sqrt(2))
-        pointer = build_gaussian_pointer(512, -256.0, 256.0, 4.0, 0.0)
+        pointer = GaussianPointer(512, -256.0, 256.0, 4.0, 0.0)
         assert len(pointer_shift_sweep(SIGMA_Z, sel, [88.0], pointer)) == 1
         with pytest.raises(ValueError, match="at g = 89.0"):
             pointer_shift_sweep(SIGMA_Z, sel, [89.0], pointer)
+
+    def test_support_may_touch_x_max_and_not_one_ulp_beyond(self):
+        # x_max - 6 sigma = 9 shares x_max's binade, so its ulp adds to 6 sigma exactly;
+        # psi = phi puts the target at g A_w = g / 2, inside sigma_z's branches at +-g
+        sigma = 0.5
+        edge = 12.0 - SUPPORT_SIGMAS * sigma
+        beyond = float(np.nextafter(edge, np.inf))
+        state = np.array([np.sqrt(3) / 2, 0.5])
+        sel = PrePostSelection(state, state)
+        at_edge = GaussianPointer(512, -12.0, 12.0, sigma, edge)
+        assert len(pointer_shift_sweep(SIGMA_Z, sel, [0.0], at_edge)) == 1
+        with pytest.raises(ValueError, match=r"^packet support \(\+-6 sigma\) leaves the grid"):
+            GaussianPointer(512, -12.0, 12.0, sigma, beyond)
+        centred = GaussianPointer(512, -12.0, 12.0, sigma, 0.0)
+        assert len(pointer_shift_sweep(SIGMA_Z, sel, [edge], centred)) == 1
+        with pytest.raises(ValueError, match=rf"^at g = {re.escape(str(beyond))} a translated"):
+            pointer_shift_sweep(SIGMA_Z, sel, [beyond], centred)

@@ -1,6 +1,6 @@
 """A scenario's inputs are validated and built in one place, its kind's parse:
-no runner in scenarios (a function named _run_*) constructs an input object or
-builds a Gaussian pointer, so the refusals of those objects are raised by
+no runner in scenarios (a function named _run_*) constructs an input object,
+a Gaussian pointer among them, so the refusals of those objects are raised by
 parse_config_mapping, naming the key, before any array of the run is formed.
 
 Conditional draws a fresh selection for each instance from its seed. That
@@ -13,7 +13,7 @@ from pathlib import Path
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "potentops" / "scenarios.py"
 INPUT_BUILDERS = {"PrePostSelection", "GaussianPointer", "TimeTranslationSpec",
-                  "SuperpositionSpec", "build_gaussian_pointer"}
+                  "SuperpositionSpec"}
 DRAWN = {"_run_conditional PrePostSelection"}
 
 
@@ -38,7 +38,7 @@ def test_the_check_sees_each_builder():
     source = """
 def _run_a(cfg):
     sel = PrePostSelection(cfg.params["psi"], cfg.params["phi"])
-    return meters.build_gaussian_pointer(**cfg.params["meter"]), GaussianPointer(grid, 1, 0)
+    return meters.GaussianPointer(**cfg.params["meter"]), GaussianPointer(128, -8, 8, 1, 0)
 
 
 def _run_b(cfg):
@@ -50,5 +50,5 @@ def _parse_c(doc):
 """
     assert input_builds_in_runners(ast.parse(source)) == [
         "_run_a:3 PrePostSelection", "_run_a:4 GaussianPointer",
-        "_run_a:4 build_gaussian_pointer", "_run_b:8 SuperpositionSpec",
+        "_run_a:4 GaussianPointer", "_run_b:8 SuperpositionSpec",
         "_run_b:8 TimeTranslationSpec"]

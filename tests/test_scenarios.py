@@ -549,8 +549,9 @@ def _scale_pade(monkeypatch):
 
 
 def _negate_lattice(monkeypatch):
-    lattice = meters.Grid.momentum_lattice
-    monkeypatch.setattr(meters.Grid, "momentum_lattice", property(lambda grid: -lattice.fget(grid)))
+    lattice = meters.GaussianPointer.momentum_lattice
+    monkeypatch.setattr(meters.GaussianPointer, "momentum_lattice",
+                        property(lambda pointer: -lattice.fget(pointer)))
 
 
 FAULTS = {
@@ -579,8 +580,8 @@ class TestFaultMatrix:
     in either routine fails every kind whose residual compares the two routes.
     Completeness takes neither routine. Weak-value fails a Pade fault too: its
     prob_exact is held to the probability of the Pade joint, as in the other
-    qubit-meter kinds. The pointer rows read Grid.momentum_lattice and its
-    oracle builds its own lattice order, so a negated lattice fails
+    qubit-meter kinds. The pointer rows read GaussianPointer.momentum_lattice
+    and its oracle builds its own lattice order, so a negated lattice fails
     pointer-shift alone. An eigh fault confined to one matrix shape fails the
     kinds that decompose that shape: the 2x2 observables of the presets, or
     conditional's larger blocks. One confined to stacked calls fails the kinds

@@ -464,8 +464,8 @@ class TestStackedScan:
         assert all(shape == (17, dim, dim) for shape in stacks[first:])
 
     def test_zoom_rounds_on_a_width_4_interval(self, monkeypatch):
-        # one 1000-point scan, then 11 rounds that cut the 8e-3 bracket by 8
-        # down to 1e-12, after superposed_evolution's one stack of branches
+        # one 1000-point scan, then 7 rounds that cut the 8e-3 bracket by 8
+        # down to sqrt(eps), after superposed_evolution's one stack of branches
         shapes = []
         eigh = np.linalg.eigh
 
@@ -478,7 +478,7 @@ class TestStackedScan:
         family = quadratic_family(3, rng, parameters=(0.3, 0.7))
         effective_parameter_fit(family, SuperpositionSpec(np.array([0.5, 0.5])),
                                 random_state(3, rng), (-2.0, 2.0))
-        assert shapes == [(2, 3, 3)] + [(1000, 3, 3)] + [(17, 3, 3)] * 11
+        assert shapes == [(2, 3, 3)] + [(1000, 3, 3)] + [(17, 3, 3)] * 7
 
     def test_one_guard_per_family_and_one_generator_call_per_scan_point(self, monkeypatch):
         # record the names of every guarded stack, in every module that binds the guard
@@ -507,8 +507,8 @@ class TestStackedScan:
         calls.clear()
         effective_parameter_fit(family, spec, Phi, (-2.0, 2.0))
         # one family for the 1000-point scan, then one of 17 per zoom round
-        assert len(calls) == 1000 + 17 * 11
-        assert [len(names) for names in guarded] == [1000] + [17] * 11
+        assert len(calls) == 1000 + 17 * 7
+        assert [len(names) for names in guarded] == [1000] + [17] * 7
         assert [f"H({a})" for a in calls] == [n for names in guarded for n in names]
 
     def test_peak_memory_bounded_by_chunk(self):
